@@ -109,6 +109,13 @@ IntegrityReport CheckClusterIntegrity(Cluster* cluster,
       report.violations.push_back(PidLabel(pid) +
                                   ": marked unavailable but not write-blocked");
     }
+    // Every commit round releases the record locks it took, so a drained
+    // store holds none; a survivor is a leaked lock that would block writers.
+    if (store->held_locks() != 0) {
+      report.violations.push_back(PidLabel(pid) + ": " +
+                                  std::to_string(store->held_locks()) +
+                                  " record locks held after quiesce");
+    }
 
     // Committed effects present: each committed write bumped the record's
     // version exactly once (extra bumps from aborted-then-retried attempts

@@ -9,13 +9,12 @@
 
 namespace lion {
 
-/// One stored record. `version` is bumped on every committed write and is the
-/// basis for OCC validation; `lock_holder` implements short write locks for
-/// the commit protocols and long granule locks for deterministic protocols.
+/// One stored record (16 bytes). `version` is bumped on every committed write
+/// and is the basis for OCC validation. Write locks are not stored here: the
+/// few held at any moment live in the store's held-lock table.
 struct Record {
   Value value = 0;
   Version version = 0;
-  TxnId lock_holder = 0;  // 0 = unlocked
 };
 
 /// Authoritative key-value store for a single partition.
@@ -29,11 +28,16 @@ struct Record {
 /// The bulk-loaded range [0, record_count) — all of YCSB — lives in a dense
 /// array, so the per-operation Read/VersionOf/lock path is one bounds check
 /// and an index. Keys outside that range (TPC-C's (table<<40)|id space and
-/// runtime inserts) live in a small open-addressing side table instead of a
+/// runtime inserts) live in an open-addressing side table instead of a
 /// node-based std::unordered_map: the store never erases, so lookups are a
-/// multiplicative hash plus a short linear probe over contiguous slots.
-/// Profiling put the old unordered_map lookup at >50% of whole-experiment
-/// runtime, so this path is worth the specialization.
+/// multiplicative hash plus a linear probe over contiguous 24-byte slots,
+/// and the table fills to 7/8 before it doubles. Profiling put the old
+/// unordered_map lookup at >50% of whole-experiment runtime, so this path is
+/// worth the specialization.
+///
+/// Write locks (taken only by Occ's validate-and-lock phase) live in a
+/// separate table that holds just the locks currently held, so records stay
+/// 16 bytes and an unlocked store answers IsLockedByOther without a probe.
 class PartitionStore {
  public:
   /// Creates the store and bulk-loads `record_count` records with keys
@@ -71,30 +75,28 @@ class PartitionStore {
   }
 
   /// Tries to acquire the record's write lock for `txn`. Succeeds if free or
-  /// already held by `txn` (re-entrant).
+  /// already held by `txn` (re-entrant). Locking an absent key creates its
+  /// version-0 record, which then counts toward record_count().
   bool TryLock(Key key, TxnId txn) {
-    Record& rec = GetOrInsert(key);
-    if (rec.lock_holder == 0 || rec.lock_holder == txn) {
-      rec.lock_holder = txn;
-      return true;
-    }
-    return false;
+    GetOrInsert(key);
+    return locks_.TryAcquire(key, txn);
   }
 
   /// Releases the record's lock if held by `txn`.
-  void Unlock(Key key, TxnId txn) {
-    Record* rec = FindRecord(key);
-    if (rec != nullptr && rec->lock_holder == txn) rec->lock_holder = 0;
-  }
+  void Unlock(Key key, TxnId txn) { locks_.Release(key, txn); }
 
   /// True if `key` is locked by a transaction other than `txn`.
   bool IsLockedByOther(Key key, TxnId txn) const {
-    const Record* rec = FindRecord(key);
-    return rec != nullptr && rec->lock_holder != 0 && rec->lock_holder != txn;
+    TxnId holder = locks_.HolderOf(key);
+    return holder != 0 && holder != txn;
   }
 
+  /// Number of record locks currently held. Zero once a run has quiesced;
+  /// CheckClusterIntegrity reports anything else as a leaked lock.
+  size_t held_locks() const { return locks_.size(); }
+
   /// Inserts a brand-new record (used by workload loaders / insert ops).
-  void Insert(Key key, Value value) { GetOrInsert(key) = Record{value, 1, 0}; }
+  void Insert(Key key, Value value) { GetOrInsert(key) = Record{value, 1}; }
 
   /// Pre-sizes the sparse side table for `additional` upcoming inserts of
   /// non-dense keys, so bulk loaders (TPC-C Load) pay one rehash up front
@@ -103,8 +105,8 @@ class PartitionStore {
     sparse_.Reserve(sparse_.size() + additional);
   }
 
-  /// Sparse-table slot count (test/diagnostic hook; growth happens at 50%
-  /// load, so capacity >= 2x the keys it holds).
+  /// Sparse-table slot count (test/diagnostic hook; the table doubles before
+  /// its load would pass 7/8, so capacity >= 8/7 x the keys it holds).
   size_t sparse_capacity() const { return sparse_.capacity(); }
 
   bool Contains(Key key) const { return FindRecord(key) != nullptr; }
@@ -159,12 +161,13 @@ class PartitionStore {
       Record rec;
     };
 
-    size_t IndexFor(Key key) const {
-      // Fibonacci hashing: table ids live in the high bits of TPC-C keys,
-      // so masking raw keys would collide every same-id pair.
-      return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+    /// The one growth rule: `slots` slots may hold `keys` keys while the
+    /// load stays at or below 7/8.
+    static bool Fits(size_t keys, size_t slots) {
+      return keys * 8 <= slots * 7;
     }
-    void Grow();
+
+    size_t IndexFor(Key key) const { return HashIndex(key, shift_); }
     void Rehash(size_t new_capacity);  // power of two > slots_.size()
 
     std::vector<Slot> slots_;  // size is always a power of two
@@ -173,6 +176,61 @@ class PartitionStore {
     Record reserved_;  // the record for kEmptyKey itself, if ever inserted
     bool has_reserved_ = false;
   };
+
+  /// The write locks currently held, keyed by record key. Open addressing
+  /// with linear probing and backward-shift deletion, so no tombstones
+  /// accumulate as locks come and go. Holder 0 marks an empty slot, which
+  /// leaves every key (including ~0) usable. Only Occ takes store locks and
+  /// releases them within a commit round, so the table stays a few hundred
+  /// entries at most and is usually empty.
+  class HeldLocks {
+   public:
+    /// The holder of `key`'s lock, or 0 if unlocked.
+    TxnId HolderOf(Key key) const {
+      if (size_ == 0) return 0;
+      for (size_t i = HashIndex(key, shift_);; i = (i + 1) & mask()) {
+        const Slot& s = slots_[i];
+        if (s.holder == 0) return 0;
+        if (s.key == key) return s.holder;
+      }
+    }
+
+    /// Takes `key`'s lock for `txn`; true if it was free or already held by
+    /// `txn`.
+    bool TryAcquire(Key key, TxnId txn);
+
+    /// Drops `key`'s lock if `txn` holds it; otherwise a no-op.
+    void Release(Key key, TxnId txn);
+
+    size_t size() const { return size_; }
+
+   private:
+    static constexpr int kMinCapacityLog2 = 4;
+    struct Slot {
+      Key key = 0;
+      TxnId holder = 0;  // 0 = empty slot
+    };
+
+    size_t mask() const { return slots_.size() - 1; }
+    void Grow();
+
+    std::vector<Slot> slots_;  // empty until the first lock; power of two
+    int shift_ = 64;
+    size_t size_ = 0;
+  };
+
+  /// Fibonacci hashing into a table of 2^(64 - shift) slots: table ids live
+  /// in the high bits of TPC-C keys, so masking raw keys would collide every
+  /// same-id pair.
+  static size_t HashIndex(Key key, int shift) {
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+  }
+  /// The HashIndex shift for a power-of-two slot count.
+  static int ShiftFor(size_t slots) {
+    int shift = 64;
+    for (; slots > 1; slots >>= 1) shift--;
+    return shift;
+  }
 
   const Record* FindRecord(Key key) const {
     if (key < dense_.size()) return &dense_[key];
@@ -192,6 +250,7 @@ class PartitionStore {
   bool write_blocked_;
   std::vector<Record> dense_;  // keys [0, dense_.size()), bulk-loaded
   SparseRecords sparse_;       // everything else (TPC-C tables, inserts)
+  HeldLocks locks_;
 };
 
 }  // namespace lion

@@ -262,6 +262,22 @@ TEST(ChaosIntegrityTest, CatchesSeededViolations) {
   EXPECT_FALSE(ghost.ok());
 }
 
+TEST(ChaosIntegrityTest, LeakedRecordLockIsReported) {
+  Simulator sim;
+  Cluster cluster(&sim, Cfg());
+  // A commit round that never releases its write lock would block every
+  // later writer of the key; the drained cluster must show no such lock.
+  ASSERT_TRUE(cluster.store(3)->TryLock(7, 99));
+  IntegrityReport leaked = CheckClusterIntegrity(&cluster, nullptr, nullptr);
+  ASSERT_EQ(leaked.violations.size(), 1u);
+  EXPECT_EQ(leaked.violations[0],
+            "partition 3: 1 record locks held after quiesce");
+
+  cluster.store(3)->Unlock(7, 99);
+  IntegrityReport released = CheckClusterIntegrity(&cluster, nullptr, nullptr);
+  EXPECT_TRUE(released.ok()) << released.violations[0];
+}
+
 TEST(ChaosIntegrityTest, LedgerDetectsMissingCommittedWrites) {
   Simulator sim;
   Cluster cluster(&sim, Cfg());

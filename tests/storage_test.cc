@@ -1,5 +1,12 @@
-// Unit tests for PartitionStore: reads, versions, locks, blocking.
+// Unit tests for PartitionStore: reads, versions, locks, blocking, the
+// sparse table's growth rule, and a differential test against a reference
+// model.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <random>
+#include <unordered_map>
+#include <vector>
 
 #include "storage/partition_store.h"
 
@@ -55,15 +62,80 @@ TEST(PartitionStoreTest, LockIsReentrant) {
   PartitionStore store(0, 10, 100);
   EXPECT_TRUE(store.TryLock(1, 100));
   EXPECT_TRUE(store.TryLock(1, 100));
+  EXPECT_EQ(store.held_locks(), 1u);
+  store.Unlock(1, 100);  // one release frees a re-entered lock
+  EXPECT_EQ(store.held_locks(), 0u);
 }
 
 TEST(PartitionStoreTest, UnlockOnlyByHolder) {
   PartitionStore store(0, 10, 100);
   ASSERT_TRUE(store.TryLock(1, 100));
   store.Unlock(1, 200);  // not the holder: no effect
+  EXPECT_EQ(store.held_locks(), 1u);
   EXPECT_FALSE(store.TryLock(1, 300));
   store.Unlock(1, 100);
+  EXPECT_EQ(store.held_locks(), 0u);
   EXPECT_TRUE(store.TryLock(1, 300));
+}
+
+TEST(PartitionStoreTest, UnlockOfAbsentOrUnlockedKeyIsANoOp) {
+  PartitionStore store(0, 10, 100);
+  store.Unlock(3, 100);                  // dense, never locked
+  store.Unlock((Key{2} << 40) | 9, 100);  // sparse, absent
+  EXPECT_EQ(store.held_locks(), 0u);
+  EXPECT_FALSE(store.Contains((Key{2} << 40) | 9));
+  EXPECT_EQ(store.record_count(), 10u);
+}
+
+TEST(PartitionStoreTest, LockOnAbsentKeyCreatesVersionZeroRow) {
+  // Occ locks insert targets before applying them, and the row it creates
+  // counts toward record_count (and so toward migration SizeBytes) even if
+  // the transaction then aborts.
+  PartitionStore store(0, 10, 100);
+  Key fresh = (Key{4} << 40) | 77;
+  ASSERT_TRUE(store.TryLock(fresh, 5));
+  EXPECT_EQ(store.record_count(), 11u);
+  EXPECT_TRUE(store.Contains(fresh));
+  EXPECT_EQ(store.VersionOf(fresh), 0u);
+  store.Unlock(fresh, 5);
+  EXPECT_EQ(store.record_count(), 11u);
+  EXPECT_EQ(store.held_locks(), 0u);
+}
+
+TEST(PartitionStoreTest, ManySimultaneousLocksSurviveGrowthAndRelease) {
+  PartitionStore store(0, 1000, 100);
+  // Dense and TPC-C-shaped sparse keys, each held by its own txn: enough to
+  // double the held-lock table several times.
+  std::vector<Key> keys;
+  for (Key k = 0; k < 600; ++k) keys.push_back(k);
+  for (Key id = 0; id < 600; ++id) keys.push_back((Key{7} << 40) | (id * 16));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(store.TryLock(keys[i], 1000 + i));
+  }
+  EXPECT_EQ(store.held_locks(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_TRUE(store.IsLockedByOther(keys[i], 1));
+    EXPECT_FALSE(store.IsLockedByOther(keys[i], 1000 + i));
+    EXPECT_FALSE(store.TryLock(keys[i], 1));
+  }
+  // Release in a scrambled order; every lock still held must stay
+  // reachable as deletions shift their probe chains.
+  std::vector<size_t> order(keys.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::shuffle(order.begin(), order.end(), std::mt19937_64(11));
+  std::vector<bool> released(keys.size(), false);
+  for (size_t n = 0; n < order.size(); ++n) {
+    store.Unlock(keys[order[n]], 1000 + order[n]);
+    released[order[n]] = true;
+    EXPECT_EQ(store.held_locks(), keys.size() - n - 1);
+    if (n % 97 == 0) {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(store.IsLockedByOther(keys[i], 1), !released[i]) << i;
+      }
+    }
+  }
+  EXPECT_EQ(store.held_locks(), 0u);
+  EXPECT_EQ(store.record_count(), 1000u + 600u);
 }
 
 TEST(PartitionStoreTest, UnlockedKeyIsFree) {
@@ -129,7 +201,8 @@ TEST(PartitionStoreTest, ReserveSparsePresizesForBulkLoad) {
   const uint64_t rows = 3211;  // one TPC-C warehouse's sparse row count
   store.ReserveSparse(rows);
   const size_t cap = store.sparse_capacity();
-  EXPECT_GE(cap, 2 * rows);  // 50%-load invariant holds without growing
+  EXPECT_GE(cap * 7, rows * 8);      // fits at the 7/8 load ceiling...
+  EXPECT_LT(cap / 2 * 7, rows * 8);  // ...and half the slots would not
   for (Key id = 0; id < rows; ++id) {
     store.Insert((Key{3} << 40) | id, id);
   }
@@ -158,6 +231,167 @@ TEST(PartitionStoreTest, AllOnesKeyIsAValidKey) {
   ASSERT_TRUE(store.Read(all_ones, &v, nullptr).ok());
   EXPECT_EQ(v, 42u);
   EXPECT_EQ(store.record_count(), 5u);
+}
+
+TEST(PartitionStoreTest, SparseTableFillsToSevenEighthsBeforeGrowing) {
+  PartitionStore store(0, 4, 100);
+  const size_t cap = store.sparse_capacity();
+  const size_t fill = cap / 8 * 7;  // exactly the 7/8 ceiling
+  for (Key id = 0; id < fill; ++id) store.Insert((Key{1} << 40) | id, id);
+  EXPECT_EQ(store.sparse_capacity(), cap);
+  store.Insert((Key{1} << 40) | fill, fill);  // one past the ceiling
+  EXPECT_EQ(store.sparse_capacity(), 2 * cap);
+  for (Key id = 0; id <= fill; ++id) {
+    Value v = 0;
+    ASSERT_TRUE(store.Read((Key{1} << 40) | id, &v, nullptr).ok());
+    EXPECT_EQ(v, id);
+  }
+}
+
+// Reference model: what each key holds and who locks it.
+struct ModelRecord {
+  Value value = 0;
+  Version version = 0;
+  TxnId holder = 0;
+};
+
+// Checks every modeled key against the store.
+void ExpectStoreMatches(const PartitionStore& store,
+                        const std::unordered_map<Key, ModelRecord>& model) {
+  ASSERT_EQ(store.record_count(), model.size());
+  size_t held = 0;
+  for (const auto& kv : model) {
+    Value v = 0;
+    Version ver = 0;
+    ASSERT_TRUE(store.Read(kv.first, &v, &ver).ok()) << kv.first;
+    ASSERT_EQ(v, kv.second.value) << kv.first;
+    ASSERT_EQ(ver, kv.second.version) << kv.first;
+    ASSERT_EQ(store.IsLockedByOther(kv.first, 0), kv.second.holder != 0)
+        << kv.first;
+    held += kv.second.holder != 0;
+  }
+  ASSERT_EQ(store.held_locks(), held);
+}
+
+TEST(PartitionStoreTest, DifferentialAgainstReferenceModel) {
+  const uint64_t dense = 64;
+  PartitionStore store(0, dense, 100);
+  std::unordered_map<Key, ModelRecord> model;
+  std::vector<Key> known;  // every modeled key, for picking existing rows
+  for (Key k = 0; k < dense; ++k) {
+    model[k] = ModelRecord{k, 1, 0};
+    known.push_back(k);
+  }
+  size_t sparse_keys = 0;  // keys in the sparse table's slots
+  auto row = [&](Key key) -> ModelRecord& {
+    auto [it, inserted] = model.try_emplace(key);
+    if (inserted) {
+      known.push_back(key);
+      sparse_keys += key != ~Key{0};
+    }
+    return it->second;
+  };
+
+  // Key shapes the workloads produce: dense ids, TPC-C (table<<40 |
+  // id*16+l) rows, sequential and power-of-two-strided ids, and ~0 (the
+  // sparse table's empty-slot marker).
+  std::mt19937_64 rng(20240416);
+  Key next_seq = 0;
+  auto pick_key = [&]() -> Key {
+    switch (rng() % 6) {
+      case 0:
+        return rng() % (dense + 8);  // dense, or just past the dense range
+      case 1:
+        return (Key{1 + rng() % 9} << 40) |
+               ((rng() % 1500) * 16 + rng() % 15);
+      case 2:
+        return (Key{3} << 40) | next_seq++;  // sequential order ids
+      case 3:
+        return (Key{1} << (6 + rng() % 40)) * (1 + rng() % 4);  // strided
+      case 4:
+        return ~Key{0};
+      default:  // an existing row, so reads, locks and applies hit it
+        return known[rng() % known.size()];
+    }
+  };
+
+  size_t growths = 0;
+  size_t boundary_checks = 0;  // capacities checked exactly at 7/8 load
+  size_t cap = store.sparse_capacity();
+  size_t boundary_cap = 0;
+  for (int step = 0; step < 40000; ++step) {
+    Key key = pick_key();
+    TxnId txn = 1 + rng() % 4;
+    auto it = model.find(key);
+    switch (rng() % 7) {
+      case 0: {  // Insert: a fresh version-1 row, locks untouched
+        Value v = rng();
+        store.Insert(key, v);
+        ModelRecord& m = row(key);
+        m.value = v;
+        m.version = 1;
+        break;
+      }
+      case 1: {  // Apply: creates a version-0 row first if absent
+        Value v = rng();
+        store.Apply(key, v);
+        ModelRecord& m = row(key);
+        m.value = v;
+        m.version++;
+        break;
+      }
+      case 2: {  // Read
+        Value v = 0;
+        Version ver = 0;
+        Status st = store.Read(key, &v, &ver);
+        ASSERT_EQ(st.ok(), it != model.end()) << key;
+        if (it != model.end()) {
+          ASSERT_EQ(v, it->second.value);
+          ASSERT_EQ(ver, it->second.version);
+        }
+        break;
+      }
+      case 3:  // VersionOf
+        ASSERT_EQ(store.VersionOf(key),
+                  it == model.end() ? 0 : it->second.version)
+            << key;
+        break;
+      case 4: {  // TryLock: creates the row, re-entrant, exclusive
+        ModelRecord& m = row(key);
+        bool expect = m.holder == 0 || m.holder == txn;
+        if (expect) m.holder = txn;
+        ASSERT_EQ(store.TryLock(key, txn), expect) << key;
+        break;
+      }
+      case 5:  // Unlock: only the holder releases
+        store.Unlock(key, txn);
+        if (it != model.end() && it->second.holder == txn) {
+          it->second.holder = 0;
+        }
+        break;
+      default: {  // IsLockedByOther
+        TxnId holder = it == model.end() ? 0 : it->second.holder;
+        ASSERT_EQ(store.IsLockedByOther(key, txn),
+                  holder != 0 && holder != txn)
+            << key;
+        break;
+      }
+    }
+    if (store.sparse_capacity() != cap) {
+      cap = store.sparse_capacity();
+      growths++;
+      ExpectStoreMatches(store, model);
+    } else if (sparse_keys == cap / 8 * 7 && boundary_cap != cap) {
+      // Exactly at the 7/8 ceiling: the fullest the table ever gets.
+      boundary_cap = cap;
+      boundary_checks++;
+      ExpectStoreMatches(store, model);
+    }
+    if (step % 5000 == 0) ExpectStoreMatches(store, model);
+  }
+  ExpectStoreMatches(store, model);
+  EXPECT_GE(growths, 5u);
+  EXPECT_GE(boundary_checks, 5u);
 }
 
 }  // namespace
