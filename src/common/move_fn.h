@@ -37,6 +37,15 @@ class MoveFn<R(Args...)> {
   /// deliberately — every Event in the simulator heap carries this buffer.
   static constexpr size_t kInlineBytes = 48;
 
+  /// True iff a target of type F lives in the small buffer. The noexcept-move
+  /// requirement keeps MoveFn's own move operations noexcept (the
+  /// simulator's event heap relies on that for std::push_heap correctness
+  /// under reallocation). Hot paths static_assert this on their closures.
+  template <typename F>
+  static constexpr bool kFitsInline =
+      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   MoveFn() = default;
   MoveFn(std::nullptr_t) {}  // NOLINT: implicit, mirrors std::function
 
@@ -97,14 +106,6 @@ class MoveFn<R(Args...)> {
     void (*destroy)(void* target) noexcept;
     bool inline_storage;
   };
-
-  // The noexcept-move requirement keeps MoveFn's own move operations
-  // noexcept (the simulator's event heap relies on that for std::push_heap
-  // correctness under reallocation).
-  template <typename F>
-  static constexpr bool kFitsInline =
-      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<F>;
 
   template <typename F>
   struct InlineOps {

@@ -10,7 +10,7 @@ namespace lion {
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {
-    std::shared_ptr<TxnPtr> txn;
+    TxnPtr txn;
     TxnDoneFn done;
     NodeId dst = kInvalidNode;
     bool convertible = false;   // single-node feasible at buffering time
@@ -22,6 +22,17 @@ struct LionProtocol::Batch {
   /// execution phase starts only after all are acknowledged (the barrier).
   int outstanding_remasters = 0;
   bool flushed = false;
+};
+
+/// A standard-mode transaction waiting for its remaster requests (case 2 of
+/// Sec. III) before it executes on `dst`.
+struct LionProtocol::Conversion {
+  TxnPtr txn;
+  TxnDoneFn done;
+  std::vector<PartitionId> parts;
+  NodeId dst = kInvalidNode;
+  int pending = 0;
+  bool any_failed = false;
 };
 
 LionProtocol::LionProtocol(Cluster* cluster, MetricsCollector* metrics,
@@ -64,9 +75,9 @@ void LionProtocol::OnEpoch(SimTime now) {
 }
 
 void LionProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
-  for (PartitionId p : parts) cluster_->router().RecordAccess(p);
-  if (planner_ != nullptr) planner_->RecordTxn(parts, cluster_->sim()->Now());
+  txn->PartitionsInto(&parts_);
+  for (PartitionId p : parts_) cluster_->router().RecordAccess(p);
+  if (planner_ != nullptr) planner_->RecordTxn(parts_, cluster_->sim()->Now());
 
   if (options_.batch_mode) {
     SubmitBatch(std::move(txn), std::move(done));
@@ -87,16 +98,18 @@ bool LionProtocol::WorthRemastering(PartitionId pid, NodeId dst,
   return remaster_cost > 0.0 && remaster_cost <= remote_cost;
 }
 
-void LionProtocol::Execute(Transaction* txn, NodeId dst, ExecClass cls,
-                           std::function<void(bool)> cb) {
-  txn->set_exec_class(cls);
+void LionProtocol::Execute(const std::vector<PartitionId>& parts, NodeId dst,
+                           ExecClass cls, TxnPtr txn, TxnDoneFn done) {
+  Transaction* raw = txn.get();
+  raw->set_exec_class(cls);
   TwoPhaseEngine::Options opts;
   opts.group_commit_visibility = options_.group_commit;
-  engine_.Run(txn, dst, opts, std::move(cb));
+  engine_.Run(raw, parts, dst, opts,
+              CommitOrRetry(std::move(txn), std::move(done)));
 }
 
 void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = parts_;
   NodeId dst = router_.Route(parts);
 
   // Classify the three cases of Sec. III against the routed node.
@@ -114,26 +127,17 @@ void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
     }
   }
 
-  Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  auto finish = [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  };
-
   if (!feasible) {
     // Case 3: regular distributed transaction with 2PC.
     fallback_distributed_++;
-    Execute(raw, dst, ExecClass::kDistributed, finish);
+    Execute(parts, dst, ExecClass::kDistributed, std::move(txn),
+            std::move(done));
     return;
   }
   if (need_remaster.empty()) {
     // Case 1: every primary already local — direct single-node execution.
-    Execute(raw, dst, ExecClass::kSingleNode, finish);
+    Execute(parts, dst, ExecClass::kSingleNode, std::move(txn),
+            std::move(done));
     return;
   }
 
@@ -141,26 +145,31 @@ void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
   // remaster conflicts (another node is converting the same partition), the
   // transaction falls back to distributed execution (Sec. III).
   remaster_requests_ += need_remaster.size();
-  auto pending = std::make_shared<int>(static_cast<int>(need_remaster.size()));
-  auto any_failed = std::make_shared<bool>(false);
+  auto conv = std::make_shared<Conversion>();
+  conv->txn = std::move(txn);
+  conv->done = std::move(done);
+  conv->parts = parts;
+  conv->dst = dst;
+  conv->pending = static_cast<int>(need_remaster.size());
   for (PartitionId p : need_remaster) {
-    cluster_->remaster().Remaster(p, dst, [this, raw, dst, pending, any_failed,
-                                           finish](bool ok) {
-      if (!ok) *any_failed = true;
-      if (--(*pending) > 0) return;
-      if (*any_failed) {
+    cluster_->remaster().Remaster(p, dst, [this, conv](bool ok) {
+      if (!ok) conv->any_failed = true;
+      if (--conv->pending > 0) return;
+      ExecClass cls = ExecClass::kRemastered;
+      if (conv->any_failed) {
         fallback_distributed_++;
-        Execute(raw, dst, ExecClass::kDistributed, finish);
+        cls = ExecClass::kDistributed;
       } else {
         remaster_conversions_++;
-        Execute(raw, dst, ExecClass::kRemastered, finish);
       }
+      Execute(conv->parts, conv->dst, cls, std::move(conv->txn),
+              std::move(conv->done));
     });
   }
 }
 
 void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = parts_;
   NodeId dst = router_.Route(parts);
 
   Batch::Entry entry;
@@ -183,7 +192,7 @@ void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
     }
   }
 
-  entry.txn = std::make_shared<TxnPtr>(std::move(txn));
+  entry.txn = std::move(txn);
   std::shared_ptr<Batch> batch = current_batch_;
   batch->entries.push_back(std::move(entry));
   size_t entry_idx = batch->entries.size() - 1;
@@ -197,7 +206,7 @@ void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
     batch->outstanding_remasters += static_cast<int>(need_remaster.size());
     for (PartitionId p : need_remaster) {
       cluster_->remaster().Remaster(
-          p, entry.dst, [this, batch, entry_idx](bool ok) {
+          p, dst, [this, batch, entry_idx](bool ok) {
             if (!ok) batch->entries[entry_idx].remaster_failed = true;
             batch->outstanding_remasters--;
             if (batch->flushed && batch->outstanding_remasters == 0) {
@@ -230,22 +239,12 @@ void LionProtocol::FlushBatch() {
 }
 
 void LionProtocol::ExecuteBatch(const std::shared_ptr<Batch>& batch) {
+  std::vector<PartitionId> parts;
   for (auto& entry : batch->entries) {
-    Transaction* raw = entry.txn->get();
-    auto txn_shared = entry.txn;
-    TxnDoneFn done = entry.done;
-    auto finish = [this, txn_shared, done](bool committed) {
-      if (committed) {
-        metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-        done(std::move(*txn_shared));
-      } else {
-        RetryAfterBackoff(std::move(*txn_shared), done);
-      }
-    };
-
+    entry.txn->PartitionsInto(&parts);
     // Re-derive the execution class against the post-remaster placement.
     bool single = true;
-    for (PartitionId p : raw->Partitions()) {
+    for (PartitionId p : parts) {
       if (cluster_->router().PrimaryOf(p) != entry.dst) {
         single = false;
         break;
@@ -261,7 +260,7 @@ void LionProtocol::ExecuteBatch(const std::shared_ptr<Batch>& batch) {
     } else {
       cls = ExecClass::kSingleNode;
     }
-    Execute(raw, entry.dst, cls, finish);
+    Execute(parts, entry.dst, cls, std::move(entry.txn), std::move(entry.done));
   }
 }
 

@@ -77,13 +77,16 @@ class LionProtocol : public Protocol {
 
  private:
   struct Batch;
+  struct Conversion;
 
   void SubmitStandard(TxnPtr txn, TxnDoneFn done);
   void SubmitBatch(TxnPtr txn, TxnDoneFn done);
   void FlushBatch();
   void ExecuteBatch(const std::shared_ptr<Batch>& batch);
-  void Execute(Transaction* txn, NodeId dst, ExecClass cls,
-               std::function<void(bool)> cb);
+  /// Runs `txn` on `dst` through the engine, with the shared
+  /// commit-or-retry completion.
+  void Execute(const std::vector<PartitionId>& parts, NodeId dst,
+               ExecClass cls, TxnPtr txn, TxnDoneFn done);
 
   /// Decides whether remastering `pid` onto `dst` beats distributed
   /// execution under the cost model: the remastering cost (Eq. 4, scaled by
@@ -99,6 +102,10 @@ class LionProtocol : public Protocol {
   GeoPlacement geo_placement_;
   std::unique_ptr<PredictorInterface> predictor_;
   std::unique_ptr<Planner> planner_;
+
+  // The submitted transaction's partitions, computed once in SubmitTxn and
+  // read by SubmitStandard/SubmitBatch; reused across submissions.
+  std::vector<PartitionId> parts_;
 
   // Batch mode state.
   std::shared_ptr<Batch> current_batch_;

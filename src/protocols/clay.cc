@@ -75,21 +75,13 @@ void ClayProtocol::Monitor() {
 void ClayProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   std::vector<PartitionId> parts = txn->Partitions();
   for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
-  history_.push_back(parts);
-  if (history_.size() > config_.history_capacity) history_.pop_front();
 
-  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(*txn, cluster_->router());
+  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(parts, cluster_->router());
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  engine_.Run(raw, coord, TwoPhaseEngine::Options{},
-              [this, txn_shared, done](bool committed) {
-                if (committed) {
-                  metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-                  done(std::move(*txn_shared));
-                } else {
-                  RetryAfterBackoff(std::move(*txn_shared), done);
-                }
-              });
+  engine_.Run(raw, parts, coord, TwoPhaseEngine::Options{},
+              CommitOrRetry(std::move(txn), std::move(done)));
+  history_.push_back(std::move(parts));
+  if (history_.size() > config_.history_capacity) history_.pop_front();
 }
 
 

@@ -9,61 +9,64 @@ namespace lion {
 LeapProtocol::LeapProtocol(Cluster* cluster, MetricsCollector* metrics)
     : Protocol(cluster, metrics), engine_(cluster, metrics) {}
 
-void LeapProtocol::MigrateNext(Transaction* txn, NodeId coord,
-                               std::shared_ptr<std::vector<PartitionId>> missing,
-                               size_t index, std::function<void(bool)> then) {
-  if (index >= missing->size()) {
-    then(true);
+void LeapProtocol::MigrateNext(std::shared_ptr<Pull> pull, size_t index) {
+  if (index >= pull->missing.size()) {
+    RunLocal(pull->parts, pull->coord, std::move(pull->txn),
+             std::move(pull->done));
     return;
   }
-  PartitionId pid = (*missing)[index];
+  PartitionId pid = pull->missing[index];
   // Transfer only the working set: the records this transaction touches.
-  uint64_t bytes = static_cast<uint64_t>(txn->OpsOn(pid).size()) *
+  uint64_t bytes = static_cast<uint64_t>(pull->txn->OpsOn(pid).size()) *
                    cluster_->config().record_bytes;
   migrations_requested_++;
   cluster_->migration().MoveMastershipLight(
-      pid, coord, bytes, [this, txn, coord, missing, index, then](bool ok) {
+      pid, pull->coord, bytes, [this, pull, index](bool ok) {
         if (!ok) {
           // Another migration is in flight on this partition: wait for it,
           // then retry the pull (Leap keeps pulling until local).
-          PartitionId pid = (*missing)[index];
           cluster_->remaster().WaitUntilAvailable(
-              pid, [this, txn, coord, missing, index, then]() {
-                MigrateNext(txn, coord, missing, index, then);
-              });
+              pull->missing[index],
+              [this, pull, index]() { MigrateNext(pull, index); });
           return;
         }
-        MigrateNext(txn, coord, missing, index + 1, then);
+        MigrateNext(pull, index + 1);
       });
 }
 
-void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(*txn, cluster_->router());
-  for (PartitionId pid : txn->Partitions()) cluster_->router().RecordAccess(pid);
+void LeapProtocol::RunLocal(const std::vector<PartitionId>& parts,
+                            NodeId coord, TxnPtr txn, TxnDoneFn done) {
+  Transaction* raw = txn.get();
+  TwoPhaseEngine::Options opts;  // local commit, no prepare round needed
+  engine_.Run(raw, parts, coord, opts,
+              CommitOrRetry(std::move(txn), std::move(done)));
+}
 
-  auto missing = std::make_shared<std::vector<PartitionId>>();
-  for (PartitionId pid : txn->Partitions()) {
-    if (cluster_->router().PrimaryOf(pid) != coord) missing->push_back(pid);
+void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
+  txn->PartitionsInto(&parts_);
+  NodeId coord =
+      TwoPcProtocol::RouteToMostPrimaries(parts_, cluster_->router());
+  for (PartitionId pid : parts_) cluster_->router().RecordAccess(pid);
+
+  std::vector<PartitionId> missing;
+  for (PartitionId pid : parts_) {
+    if (cluster_->router().PrimaryOf(pid) != coord) missing.push_back(pid);
+  }
+  if (missing.empty()) {
+    RunLocal(parts_, coord, std::move(txn), std::move(done));
+    return;
   }
 
-  Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  auto finish = [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  };
-
-  if (!missing->empty()) raw->set_exec_class(ExecClass::kRemastered);
   // Pull every remote partition's mastership to the coordinator, one by one
   // (each op waits for its migration), then execute as single-node.
-  MigrateNext(raw, coord, missing, 0, [this, raw, coord, finish](bool) {
-    TwoPhaseEngine::Options opts;  // local commit, no prepare round needed
-    engine_.Run(raw, coord, opts, finish);
-  });
+  txn->set_exec_class(ExecClass::kRemastered);
+  auto pull = std::make_shared<Pull>();
+  pull->txn = std::move(txn);
+  pull->done = std::move(done);
+  pull->coord = coord;
+  pull->parts = parts_;
+  pull->missing = std::move(missing);
+  MigrateNext(std::move(pull), 0);
 }
 
 

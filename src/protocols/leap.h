@@ -1,6 +1,9 @@
 // Leap baseline: aggressive transaction-level data migration (Sec. II-B1).
 #pragma once
 
+#include <memory>
+#include <vector>
+
 #include "protocols/protocol.h"
 #include "txn/two_phase_engine.h"
 
@@ -21,11 +24,24 @@ class LeapProtocol : public Protocol {
   uint64_t migrations_requested() const { return migrations_requested_; }
 
  private:
-  void MigrateNext(Transaction* txn, NodeId coord,
-                   std::shared_ptr<std::vector<PartitionId>> missing,
-                   size_t index, std::function<void(bool)> then);
+  /// A transaction pulling its remote partitions' mastership to `coord`
+  /// before it runs (shared by the migration callbacks of the chain).
+  struct Pull {
+    TxnPtr txn;
+    TxnDoneFn done;
+    NodeId coord = kInvalidNode;
+    std::vector<PartitionId> parts;
+    std::vector<PartitionId> missing;
+  };
+
+  void MigrateNext(std::shared_ptr<Pull> pull, size_t index);
+  /// Executes on the coordinator: local commit, no prepare round.
+  void RunLocal(const std::vector<PartitionId>& parts, NodeId coord,
+                TxnPtr txn, TxnDoneFn done);
 
   TwoPhaseEngine engine_;
+  // The submitted transaction's partitions; reused across submissions.
+  std::vector<PartitionId> parts_;
   uint64_t migrations_requested_ = 0;
 };
 

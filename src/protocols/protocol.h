@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "common/move_fn.h"
 #include "metrics/metrics.h"
 #include "replication/chaos_config.h"
 #include "replication/cluster.h"
@@ -147,6 +148,26 @@ class Protocol {
         backoff, [this, txn = std::move(txn), done = std::move(done)]() mutable {
           Submit(std::move(txn), std::move(done));
         });
+  }
+
+  /// The completion every engine-driven protocol hands TwoPhaseEngine::Run:
+  /// on commit it records the commit and returns the transaction through
+  /// `done`; on abort it retries after backoff. It owns the transaction
+  /// outright — `this` + TxnPtr + TxnDoneFn fit MoveFn's inline buffer, so
+  /// building and moving it never allocates.
+  MoveFn<void(bool)> CommitOrRetry(TxnPtr txn, TxnDoneFn done) {
+    auto fn = [this, txn = std::move(txn),
+               done = std::move(done)](bool committed) mutable {
+      if (committed) {
+        metrics_->OnCommit(*txn, cluster_->sim()->Now());
+        done(std::move(txn));
+      } else {
+        RetryAfterBackoff(std::move(txn), std::move(done));
+      }
+    };
+    static_assert(MoveFn<void(bool)>::kFitsInline<decltype(fn)>,
+                  "the commit-or-retry completion must not allocate");
+    return fn;
   }
 
   /// Installs the periodic weak event that drives OnEpoch at the cluster's

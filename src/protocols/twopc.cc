@@ -9,10 +9,18 @@ namespace lion {
 TwoPcProtocol::TwoPcProtocol(Cluster* cluster, MetricsCollector* metrics)
     : Protocol(cluster, metrics), engine_(cluster, metrics) {}
 
-NodeId TwoPcProtocol::RouteToMostPrimaries(const Transaction& txn,
-                                           const RouterTable& table) {
-  std::vector<int> count(table.num_nodes(), 0);
-  for (PartitionId pid : txn.Partitions()) count[table.PrimaryOf(pid)]++;
+NodeId TwoPcProtocol::RouteToMostPrimaries(
+    const std::vector<PartitionId>& parts, const RouterTable& table) {
+  // Per-node tallies on the stack; only unusually large clusters spill.
+  constexpr int kStackNodes = 64;
+  int stack_count[kStackNodes] = {};
+  std::vector<int> heap_count;
+  int* count = stack_count;
+  if (table.num_nodes() > kStackNodes) {
+    heap_count.assign(table.num_nodes(), 0);
+    count = heap_count.data();
+  }
+  for (PartitionId pid : parts) count[table.PrimaryOf(pid)]++;
   NodeId best = 0;
   for (NodeId n = 1; n < table.num_nodes(); ++n) {
     if (count[n] > count[best]) best = n;
@@ -21,21 +29,12 @@ NodeId TwoPcProtocol::RouteToMostPrimaries(const Transaction& txn,
 }
 
 void TwoPcProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  NodeId coord = RouteToMostPrimaries(*txn, cluster_->router());
-  for (PartitionId pid : txn->Partitions()) {
-    cluster_->router().RecordAccess(pid);
-  }
+  txn->PartitionsInto(&parts_);
+  NodeId coord = RouteToMostPrimaries(parts_, cluster_->router());
+  for (PartitionId pid : parts_) cluster_->router().RecordAccess(pid);
   Transaction* raw = txn.get();
-  auto txn_shared = std::make_shared<TxnPtr>(std::move(txn));
-  TwoPhaseEngine::Options opts;
-  engine_.Run(raw, coord, opts, [this, txn_shared, done](bool committed) {
-    if (committed) {
-      metrics_->OnCommit(**txn_shared, cluster_->sim()->Now());
-      done(std::move(*txn_shared));
-    } else {
-      RetryAfterBackoff(std::move(*txn_shared), done);
-    }
-  });
+  engine_.Run(raw, parts_, coord, TwoPhaseEngine::Options{},
+              CommitOrRetry(std::move(txn), std::move(done)));
 }
 
 

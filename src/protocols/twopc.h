@@ -1,6 +1,8 @@
 // Baseline: classic OCC + two-phase commit (Sec. VI-A2a).
 #pragma once
 
+#include <vector>
+
 #include "protocols/protocol.h"
 #include "txn/two_phase_engine.h"
 
@@ -16,13 +18,16 @@ class TwoPcProtocol : public Protocol {
   std::string name() const override { return "2PC"; }
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override;
 
-  /// Picks the node hosting the most primary partitions of `txn`
-  /// (ties: lowest id). Shared with other primary-affinity protocols.
-  static NodeId RouteToMostPrimaries(const Transaction& txn,
+  /// Picks the node hosting the most of the primaries of `parts` (a
+  /// transaction's Partitions(); ties: lowest id). Shared with other
+  /// primary-affinity protocols.
+  static NodeId RouteToMostPrimaries(const std::vector<PartitionId>& parts,
                                      const RouterTable& table);
 
  private:
   TwoPhaseEngine engine_;
+  // The submitted transaction's partitions; reused across submissions.
+  std::vector<PartitionId> parts_;
 };
 
 }  // namespace lion

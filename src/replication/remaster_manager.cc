@@ -22,15 +22,6 @@ bool RemasterManager::IsBlocked(PartitionId pid) const {
   return table_->group(pid).reconfig_in_progress();
 }
 
-void RemasterManager::WaitUntilAvailable(PartitionId pid,
-                                         std::function<void()> fn) {
-  if (!IsBlocked(pid)) {
-    fn();
-    return;
-  }
-  waiters_[pid].push_back(std::move(fn));
-}
-
 void RemasterManager::Remaster(PartitionId pid, NodeId target,
                                std::function<void(bool)> done) {
   ReplicaGroup* group = table_->mutable_group(pid);
@@ -109,7 +100,7 @@ void RemasterManager::ReleaseWaiters(PartitionId pid) {
   if (IsBlocked(pid)) return;
   auto it = waiters_.find(pid);
   if (it == waiters_.end()) return;
-  std::deque<std::function<void()>> pending;
+  std::deque<MoveFn<void()>> pending;
   pending.swap(it->second);
   waiters_.erase(it);
   for (auto& fn : pending) fn();

@@ -5,8 +5,10 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/move_fn.h"
 #include "common/types.h"
 #include "replication/cluster_config.h"
 #include "replication/router_table.h"
@@ -42,8 +44,17 @@ class RemasterManager {
   /// wait; see WaitUntilAvailable).
   bool IsBlocked(PartitionId pid) const;
 
-  /// Runs `fn` as soon as `pid` is not blocked (immediately if free).
-  void WaitUntilAvailable(PartitionId pid, std::function<void()> fn);
+  /// Runs `fn` as soon as `pid` is not blocked (immediately if free). The
+  /// unblocked fast path calls `fn` directly, with no type erasure; only a
+  /// blocked partition parks it as a MoveFn.
+  template <typename F>
+  void WaitUntilAvailable(PartitionId pid, F&& fn) {
+    if (!IsBlocked(pid)) {
+      fn();
+      return;
+    }
+    waiters_[pid].emplace_back(std::forward<F>(fn));
+  }
 
   /// Releases all waiters of `pid` if the partition is no longer blocked.
   /// Called by other reconfiguration paths (e.g. blocking migration) that
@@ -66,7 +77,7 @@ class RemasterManager {
   uint64_t remasters_completed_;
   uint64_t remasters_failed_;
   SimTime total_remaster_time_;
-  std::unordered_map<PartitionId, std::deque<std::function<void()>>> waiters_;
+  std::unordered_map<PartitionId, std::deque<MoveFn<void()>>> waiters_;
 };
 
 }  // namespace lion

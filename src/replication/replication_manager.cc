@@ -1,7 +1,8 @@
 #include "replication/replication_manager.h"
 
-#include <utility>
+#include <cassert>
 #include <memory>
+#include <utility>
 
 #include "replication/recovery_log.h"
 
@@ -46,12 +47,15 @@ void ReplicationManager::Append(PartitionId pid, Key key, Value value) {
   }
 }
 
-void ReplicationManager::OnEpochEnd(std::function<void()> fn) {
+void ReplicationManager::OnEpochEnd(MoveFn<void()> fn) {
   epoch_waiters_.push_back(std::move(fn));
   // Keep the simulation alive until the boundary that releases this waiter:
   // the ticker itself is a weak event and would not, by itself, be run by
-  // RunUntilIdle.
-  sim_->Schedule(NextEpochEnd() - sim_->Now(), []() {});
+  // RunUntilIdle. One empty strong event per boundary is enough.
+  const SimTime boundary = NextEpochEnd();
+  if (keepalive_at_ == boundary) return;
+  keepalive_at_ = boundary;
+  sim_->Schedule(boundary - sim_->Now(), []() {});
 }
 
 SimTime ReplicationManager::NextEpochEnd() const {
@@ -68,18 +72,28 @@ void ReplicationManager::CloseEpochNow() {
       if (!pending_[pid].empty()) ShipPartition(static_cast<PartitionId>(pid));
     }
   }
-  std::vector<std::function<void()>> waiters;
-  waiters.swap(epoch_waiters_);
-  for (auto& fn : waiters) fn();
+  // Waiters may register for the next epoch while these run.
+  assert(firing_waiters_.empty() && "CloseEpochNow re-entered from a waiter");
+  firing_waiters_.swap(epoch_waiters_);
+  for (auto& fn : firing_waiters_) fn();
+  firing_waiters_.clear();
 }
 
 void ReplicationManager::ShipPartition(PartitionId pid) {
   ReplicaGroup* group = table_->mutable_group(pid);
-  std::vector<LogEntry> entries;
-  entries.swap(pending_[pid]);
+  // The partition's log buffer is cleared in place so it keeps its capacity
+  // from epoch to epoch; only materialized secondaries need a copy.
+  std::vector<LogEntry>& entries = pending_[pid];
   total_entries_shipped_ += entries.size();
   Lsn target_lsn = group->primary_lsn();
   NodeId primary = group->primary();
+  uint64_t bytes =
+      MessageSizes::kHeader + entries.size() * MessageSizes::kLogEntry;
+  std::shared_ptr<const std::vector<LogEntry>> payload;
+  if (config_.materialize_secondaries) {
+    payload = std::make_shared<const std::vector<LogEntry>>(entries);
+  }
+  entries.clear();
 
   for (const ReplicaInfo& sec : group->secondaries()) {
     if (sec.delete_flag) continue;  // flagged replicas stop receiving logs
@@ -87,10 +101,7 @@ void ReplicationManager::ShipPartition(PartitionId pid) {
     // the epoch head here would fake their durable position.
     if (sec.recovering) continue;
     NodeId dst = sec.node;
-    uint64_t bytes =
-        MessageSizes::kHeader + entries.size() * MessageSizes::kLogEntry;
-    if (config_.materialize_secondaries) {
-      auto payload = std::make_shared<std::vector<LogEntry>>(entries);
+    if (payload != nullptr) {
       network_->Send(primary, dst, bytes, [this, pid, dst, target_lsn, payload]() {
         auto& copy = copies_[CopyKey(pid, dst)];
         for (const LogEntry& e : *payload) copy[e.key] = e.value;

@@ -6,6 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/move_fn.h"
 #include "common/types.h"
 #include "replication/cluster_config.h"
 #include "replication/router_table.h"
@@ -36,7 +37,8 @@ class ReplicationManager {
   void Append(PartitionId pid, Key key, Value value);
 
   /// Runs `fn` at the end of the current epoch (group-commit visibility).
-  void OnEpochEnd(std::function<void()> fn);
+  /// Waiters of one epoch share a single keep-alive event.
+  void OnEpochEnd(MoveFn<void()> fn);
 
   /// Time of the next epoch boundary.
   SimTime NextEpochEnd() const;
@@ -110,7 +112,12 @@ class ReplicationManager {
   uint64_t catch_up_entries_shipped_ = 0;
   int shipping_paused_ = 0;
   std::vector<std::vector<LogEntry>> pending_;          // per partition
-  std::vector<std::function<void()>> epoch_waiters_;
+  std::vector<MoveFn<void()>> epoch_waiters_;
+  // Waiters being released by CloseEpochNow; swapped with epoch_waiters_ so
+  // both keep their capacity from epoch to epoch.
+  std::vector<MoveFn<void()>> firing_waiters_;
+  // Epoch boundary the last keep-alive event was scheduled for.
+  SimTime keepalive_at_ = -1;
   // [pid][node] -> materialized secondary copy.
   std::unordered_map<uint64_t, std::unordered_map<Key, Value>> copies_;
 };

@@ -32,8 +32,7 @@ void WorkerPool::TryDispatch() {
     bool found = false;
     for (auto& queue : queues_) {
       if (!queue.empty()) {
-        task = std::move(queue.front());
-        queue.pop_front();
+        task = queue.pop_front();
         found = true;
         break;
       }

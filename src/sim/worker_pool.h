@@ -2,9 +2,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "common/move_fn.h"
+#include "common/ring_queue.h"
 #include "common/slot_pool.h"
 #include "common/types.h"
 #include "sim/simulator.h"
@@ -61,7 +61,7 @@ class WorkerPool {
   int busy_;
   SimTime busy_time_;
   uint64_t completed_;
-  std::deque<Task> queues_[3];
+  RingQueue<Task> queues_[3];
   // Callbacks of dispatched (in-flight) tasks; completion events reference
   // their slot instead of owning the callback, which keeps the per-task
   // completion closure inline in the event heap.

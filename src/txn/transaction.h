@@ -71,11 +71,18 @@ class Transaction {
   /// Distinct partitions touched, ascending (the TxnParts of TxnMeta).
   std::vector<PartitionId> Partitions() const {
     std::vector<PartitionId> parts;
-    parts.reserve(ops_.size());
-    for (const auto& op : ops_) parts.push_back(op.partition);
-    std::sort(parts.begin(), parts.end());
-    parts.erase(std::unique(parts.begin(), parts.end()), parts.end());
+    PartitionsInto(&parts);
     return parts;
+  }
+
+  /// Partitions() into a caller-owned buffer: a reused buffer keeps its
+  /// capacity, so hot submission paths compute the list without allocating.
+  void PartitionsInto(std::vector<PartitionId>* parts) const {
+    parts->clear();
+    parts->reserve(ops_.size());
+    for (const auto& op : ops_) parts->push_back(op.partition);
+    std::sort(parts->begin(), parts->end());
+    parts->erase(std::unique(parts->begin(), parts->end()), parts->end());
   }
 
   /// Operations targeting `pid`, in plan order.

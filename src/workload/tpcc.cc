@@ -75,6 +75,8 @@ TxnPtr TpccWorkload::Next(TxnId id, SimTime now, Rng* rng) {
 
 TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   auto txn = std::make_unique<Transaction>(id, now);
+  // Five header ops plus three per order line: one allocation, no regrowth.
+  txn->ops().reserve(5 + 3 * static_cast<size_t>(config_.max_order_lines));
   txn->set_extra_compute(config_.think_time);
   PartitionId w = PickWarehouse(rng);
   int d = static_cast<int>(rng->Uniform(config_.districts_per_warehouse));

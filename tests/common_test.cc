@@ -10,6 +10,7 @@
 
 #include "common/histogram.h"
 #include "common/move_fn.h"
+#include "common/ring_queue.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -338,6 +339,36 @@ TEST(MoveFnTest, ArgumentsAndReturnForwarded) {
   auto out = pass(std::make_unique<int>(9));
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(*out, 9);
+}
+
+TEST(MoveFnTest, FitsInlineMatchesStorage) {
+  auto small = [x = 1]() { return x; };
+  unsigned char blob[MoveFn<int()>::kInlineBytes + 1] = {};
+  auto fat = [blob]() { return static_cast<int>(blob[0]); };
+  static_assert(MoveFn<int()>::kFitsInline<decltype(small)>);
+  static_assert(!MoveFn<int()>::kFitsInline<decltype(fat)>);
+  EXPECT_TRUE(MoveFn<int()>(small).uses_inline_storage());
+  EXPECT_FALSE(MoveFn<int()>(fat).uses_inline_storage());
+}
+
+// --- RingQueue -----------------------------------------------------------------
+
+TEST(RingQueueTest, FifoAcrossWrapAndGrowth) {
+  RingQueue<std::unique_ptr<int>> q;
+  EXPECT_TRUE(q.empty());
+  int next_in = 0, next_out = 0;
+  // Interleave pushes and pops so the head wraps before each growth step.
+  for (int round = 0; round < 6; ++round) {
+    for (int i = 0; i < 5 + 4 * round; ++i) {
+      q.push_back(std::make_unique<int>(next_in++));
+    }
+    for (int i = 0; i < 3 + round; ++i) {
+      EXPECT_EQ(*q.pop_front(), next_out++);
+    }
+  }
+  EXPECT_EQ(q.size(), static_cast<size_t>(next_in - next_out));
+  while (!q.empty()) EXPECT_EQ(*q.pop_front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
 }
 
 }  // namespace

@@ -51,8 +51,8 @@ TEST(EngineWaitTest, LocalExecutionWaitsForRemasterToFinish) {
   auto txn = WriteTxn(1, {0});
   SimTime done_at = -1;
   bool committed = false;
-  engine.Run(txn.get(), cluster.PrimaryOf(0), TwoPhaseEngine::Options{},
-             [&](bool ok) {
+  engine.Run(txn.get(), txn->Partitions(), cluster.PrimaryOf(0),
+             TwoPhaseEngine::Options{}, [&](bool ok) {
                committed = ok;
                done_at = sim.Now();
              });
@@ -77,7 +77,7 @@ TEST(EngineWaitTest, RemoteExecutionWaitsForRemoteBlock) {
   cluster.remaster().Remaster(1, 2, [](bool) {});
   auto txn = WriteTxn(1, {0, 1});
   SimTime done_at = -1;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{},
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{},
              [&](bool ok) {
                EXPECT_TRUE(ok);
                done_at = sim.Now();
@@ -103,10 +103,11 @@ TEST(EngineWaitTest, PrimaryMovedBetweenExecutionAndPrepareForcesRetry) {
   auto txn = WriteTxn(1, {0, 1});
   bool result = true;
   bool finished = false;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{}, [&](bool ok) {
-    result = ok;
-    finished = true;
-  });
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{},
+             [&](bool ok) {
+               result = ok;
+               finished = true;
+             });
   sim.Schedule(30 * kMicrosecond, [&]() {
     cluster.remaster().Remaster(1, 2, [](bool) {});
   });
@@ -133,7 +134,8 @@ TEST(EngineWaitTest, ManyWaitersAllReleased) {
   std::vector<TxnPtr> txns;
   for (int i = 0; i < 10; ++i) {
     txns.push_back(WriteTxn(i + 1, {0}, /*key=*/10 + i));  // disjoint keys
-    engine.Run(txns.back().get(), 1, TwoPhaseEngine::Options{},
+    engine.Run(txns.back().get(), txns.back()->Partitions(), 1,
+               TwoPhaseEngine::Options{},
                [&](bool ok) { committed += ok ? 1 : 0; });
   }
   sim.RunUntilIdle();

@@ -1,0 +1,141 @@
+// Pinned fixed-seed digests of the engine-backed protocols (2PC, Lion,
+// Lion(B), Leap, Clay). Each case is a short deterministic experiment whose
+// modeled outcome — commits, aborts, execution classes, network traffic and
+// latency percentiles — is compared field by field against constants
+// recorded from an earlier build. Host-side refactors of the transaction
+// path (closure layout, context pooling, allocation strategy) must leave
+// every one of them unchanged: any drift in event order, RNG draws or
+// message accounting fails here. A mismatch prints the observed digest in
+// initializer form; re-pin only for a deliberate change to the model.
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <memory>
+#include <ostream>
+#include <string>
+
+#include "harness/experiment.h"
+
+namespace lion {
+namespace {
+
+struct Digest {
+  uint64_t committed;
+  uint64_t aborts;
+  uint64_t single_node;
+  uint64_t remastered;
+  uint64_t distributed;
+  uint64_t net_bytes;
+  uint64_t net_messages;
+  double p50_us;
+  double p99_us;
+};
+
+struct Case {
+  const char* name;
+  const char* protocol;
+  const char* workload;
+  int concurrency;
+  Digest expected;
+};
+
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
+
+ExperimentConfig CaseConfig(const Case& c) {
+  ExperimentConfig cfg;
+  cfg.protocol = c.protocol;
+  cfg.workload = c.workload;
+  cfg.seed = 11;
+  cfg.concurrency = c.concurrency;
+  cfg.cluster.num_nodes = 3;
+  cfg.cluster.partitions_per_node = 2;
+  cfg.cluster.records_per_partition = 2000;
+  cfg.cluster.record_bytes = 100;
+  cfg.cluster.remaster_base_delay = 500 * kMicrosecond;
+  cfg.warmup = 100 * kMillisecond;
+  cfg.duration = 300 * kMillisecond;
+  cfg.ycsb.ops_per_txn = 6;
+  cfg.ycsb.cross_ratio = 0.5;
+  cfg.ycsb.skew_factor = 0.8;
+  cfg.tpcc.remote_ratio = 0.5;
+  cfg.tpcc.items = 2000;
+  cfg.dynamic_period = 100 * kMillisecond;
+  cfg.lion.planner.interval = 100 * kMillisecond;
+  cfg.lion.planner.min_history = 32;
+  cfg.predictor.sample_interval = 50 * kMillisecond;
+  cfg.predictor.train_epochs = 2;
+  return cfg;
+}
+
+Digest RunCase(const Case& c) {
+  std::unique_ptr<Experiment> ex;
+  Status s = ExperimentBuilder(CaseConfig(c)).Build(&ex);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if (!s.ok()) return Digest{};
+  ExperimentResult res = ex->Run();
+  const Network& net = ex->cluster()->network();
+  return Digest{res.committed,   res.aborts,        res.single_node,
+                res.remastered,  res.distributed,   net.total_bytes(),
+                net.total_messages(), res.p50_us,   res.p99_us};
+}
+
+std::string Initializer(const Digest& d) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{%" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                ", %" PRIu64 ", %" PRIu64 ", %.17g, %.17g}",
+                d.committed, d.aborts, d.single_node, d.remastered,
+                d.distributed, d.net_bytes, d.net_messages, d.p50_us,
+                d.p99_us);
+  return buf;
+}
+
+// Fields: committed, aborts, single_node, remastered, distributed,
+// net_bytes, net_messages, p50_us, p99_us.
+const Case kCases[] = {
+    {"TwoPcTpcc", "2PC", "tpcc", 24,
+     {26127, 4699, 13043, 0, 13084, 111670128, 194616, 229.376, 786.432}},
+    {"LionYcsb", "Lion", "ycsb", 24,
+     {203611, 360, 203611, 0, 0, 10440464, 306, 32.768, 61.44}},
+    {"LionTpcc", "Lion", "tpcc", 24,
+     {42742, 0, 42742, 0, 0, 83731104, 299, 163.84, 294.912}},
+    {"LionHotspot", "Lion", "ycsb-hotspot-position", 24,
+     {140455, 646, 140444, 2, 9, 12896240, 363, 49.152, 90.112}},
+    {"LionBatchYcsb", "Lion(B)", "ycsb", 400,
+     {11963, 37, 11963, 0, 0, 697600, 1017, 10000, 10000}},
+    {"LionBatchHotspot", "Lion(B)", "ycsb-hotspot-position", 400,
+     {11945, 55, 11940, 3, 2, 1132016, 1163, 10000, 10000}},
+    {"LeapYcsb", "Leap", "ycsb", 24,
+     {106075, 108, 106075, 0, 0, 6344772, 323, 69.632, 81.92}},
+    {"ClayYcsb", "Clay", "ycsb", 24,
+     {57039, 427, 28457, 0, 28582, 33863248, 383618, 221.184, 229.376}},
+};
+
+class FixedSeedDigestTest : public ::testing::TestWithParam<Case> {};
+
+TEST_P(FixedSeedDigestTest, MatchesPinnedValues) {
+  const Case& c = GetParam();
+  const Digest got = RunCase(c);
+  const Digest& want = c.expected;
+  SCOPED_TRACE(std::string("observed ") + c.name + ": " + Initializer(got));
+  EXPECT_GT(got.committed, 0u);
+  EXPECT_EQ(got.committed, want.committed);
+  EXPECT_EQ(got.aborts, want.aborts);
+  EXPECT_EQ(got.single_node, want.single_node);
+  EXPECT_EQ(got.remastered, want.remastered);
+  EXPECT_EQ(got.distributed, want.distributed);
+  EXPECT_EQ(got.net_bytes, want.net_bytes);
+  EXPECT_EQ(got.net_messages, want.net_messages);
+  EXPECT_DOUBLE_EQ(got.p50_us, want.p50_us);
+  EXPECT_DOUBLE_EQ(got.p99_us, want.p99_us);
+}
+
+INSTANTIATE_TEST_SUITE_P(EngineProtocols, FixedSeedDigestTest,
+                         ::testing::ValuesIn(kCases),
+                         [](const ::testing::TestParamInfo<Case>& info) {
+                           return std::string(info.param.name);
+                         });
+
+}  // namespace
+}  // namespace lion

@@ -173,7 +173,7 @@ TEST(TwoPhaseEngineTest, SingleNodeTxnCommits) {
   // Partitions 0 and 3 both have primary on node 0.
   auto txn = MakeTxn(1, {{0, 1, OpType::kWrite, 11}, {3, 2, OpType::kRead, 0}});
   bool committed = false;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
   sim.RunUntilIdle();
   EXPECT_TRUE(committed);
   EXPECT_EQ(txn->exec_class(), ExecClass::kSingleNode);
@@ -191,7 +191,7 @@ TEST(TwoPhaseEngineTest, DistributedTxnCommitsAcrossNodes) {
   // Partition 0 on node 0, partition 1 on node 1: distributed from node 0.
   auto txn = MakeTxn(1, {{0, 1, OpType::kWrite, 11}, {1, 2, OpType::kWrite, 22}});
   bool committed = false;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
   sim.RunUntilIdle();
   EXPECT_TRUE(committed);
   EXPECT_EQ(txn->exec_class(), ExecClass::kDistributed);
@@ -212,11 +212,11 @@ TEST(TwoPhaseEngineTest, DistributedTxnIsSlowerThanSingleNode) {
   auto local = MakeTxn(1, {{0, 1, OpType::kWrite, 1}});
   auto dist = MakeTxn(2, {{0, 2, OpType::kWrite, 1}, {1, 3, OpType::kWrite, 1}});
   SimTime local_done = 0, dist_done = 0;
-  engine.Run(local.get(), 0, TwoPhaseEngine::Options{},
+  engine.Run(local.get(), local->Partitions(), 0, TwoPhaseEngine::Options{},
              [&](bool) { local_done = sim.Now(); });
   sim.RunUntilIdle();
   SimTime t0 = sim.Now();
-  engine.Run(dist.get(), 0, TwoPhaseEngine::Options{},
+  engine.Run(dist.get(), dist->Partitions(), 0, TwoPhaseEngine::Options{},
              [&](bool) { dist_done = sim.Now() - t0; });
   sim.RunUntilIdle();
   EXPECT_GT(dist_done, 2 * local_done);
@@ -235,12 +235,12 @@ TEST(TwoPhaseEngineTest, ConflictCausesAbort) {
   auto t2 = MakeTxn(2, {{0, 5, OpType::kWrite, 99}});
   bool t1_committed = true;
   bool t2_committed = false;
-  engine.Run(t1.get(), 1, TwoPhaseEngine::Options{},  // remote exec on p0
+  engine.Run(t1.get(), t1->Partitions(), 1, TwoPhaseEngine::Options{},  // remote exec on p0
              [&](bool ok) { t1_committed = ok; });
   // Give t2 a head start on node 0 so it commits between t1's read and
   // validation.
   sim.Schedule(30 * kMicrosecond, [&]() {
-    engine.Run(t2.get(), 0, TwoPhaseEngine::Options{},
+    engine.Run(t2.get(), t2->Partitions(), 0, TwoPhaseEngine::Options{},
                [&](bool ok) { t2_committed = ok; });
   });
   sim.RunUntilIdle();
@@ -261,7 +261,7 @@ TEST(TwoPhaseEngineTest, GroupCommitDelaysVisibility) {
   TwoPhaseEngine::Options opts;
   opts.group_commit_visibility = true;
   SimTime done_at = -1;
-  engine.Run(txn.get(), 0, opts, [&](bool) { done_at = sim.Now(); });
+  engine.Run(txn.get(), txn->Partitions(), 0, opts, [&](bool) { done_at = sim.Now(); });
   sim.RunUntil(5 * cfg.epoch_interval);
   EXPECT_EQ(done_at, cfg.epoch_interval);  // held until the epoch boundary
   EXPECT_GT(txn->breakdown().replication, 0);
@@ -274,7 +274,7 @@ TEST(TwoPhaseEngineTest, EmptyTxnCommitsTrivially) {
   TwoPhaseEngine engine(&cluster, &metrics);
   auto txn = MakeTxn(1, {});
   bool committed = false;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
   sim.RunUntilIdle();
   EXPECT_TRUE(committed);
 }
@@ -288,7 +288,7 @@ TEST(TwoPhaseEngineTest, BreakdownCoversLatency) {
   TwoPhaseEngine engine(&cluster, &metrics);
   auto txn = MakeTxn(1, {{0, 2, OpType::kWrite, 1}, {1, 3, OpType::kWrite, 1}});
   bool done = false;
-  engine.Run(txn.get(), 0, TwoPhaseEngine::Options{}, [&](bool) { done = true; });
+  engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool) { done = true; });
   sim.RunUntilIdle();
   ASSERT_TRUE(done);
   const auto& bd = txn->breakdown();
@@ -305,7 +305,7 @@ TEST(TwoPcProtocolTest, RouteToMostPrimaries) {
                          {3, 1, OpType::kRead, 0},
                          {1, 1, OpType::kRead, 0}});
   // Partitions 0,3 -> node 0; partition 1 -> node 1.
-  EXPECT_EQ(TwoPcProtocol::RouteToMostPrimaries(*txn, table), 0);
+  EXPECT_EQ(TwoPcProtocol::RouteToMostPrimaries(txn->Partitions(), table), 0);
 }
 
 TEST(TwoPcProtocolTest, ClosedLoopCommitsTransactions) {
