@@ -1,4 +1,4 @@
-// Design-choice ablations beyond the paper's figures (DESIGN.md §7):
+// Design-choice ablations beyond the paper's figures:
 //   (a) cost-model migration/remaster weight ratio w_m / w_r — how strongly
 //       the plan generator avoids full copies;
 //   (b) planner interval — adaptation freshness vs. churn;

@@ -47,7 +47,8 @@ inline bool FastMode() {
   return v != nullptr && v[0] == '1';
 }
 
-/// The evaluation cluster defaults (Sec. VI-A, scaled per DESIGN.md).
+/// The evaluation cluster defaults (Sec. VI-A, scaled down as in
+/// ClusterConfig).
 inline ClusterConfig EvalCluster(int nodes = 4) {
   ClusterConfig cfg;
   cfg.num_nodes = nodes;

@@ -59,6 +59,6 @@ std::vector<bench::PointSpec> BuildSweep() {
 int main(int argc, char** argv) {
   return lion::bench::SweepMain(
       argc, argv,
-      "Fig6 / Table II ablation (partitioning/prediction/batch per DESIGN.md)",
+      "Fig6 / Table II ablation (partitioning, prediction and batch variants)",
       lion::BuildSweep());
 }

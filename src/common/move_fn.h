@@ -34,13 +34,13 @@ template <typename R, typename... Args>
 class MoveFn<R(Args...)> {
  public:
   /// Small-buffer capacity. Sized for the repo's scheduler closures; bump
-  /// deliberately — every Event in the simulator heap carries this buffer.
+  /// deliberately — every pending event's closure carries this buffer.
   static constexpr size_t kInlineBytes = 48;
 
   /// True iff a target of type F lives in the small buffer. The noexcept-move
-  /// requirement keeps MoveFn's own move operations noexcept (the
-  /// simulator's event heap relies on that for std::push_heap correctness
-  /// under reallocation). Hot paths static_assert this on their closures.
+  /// requirement keeps MoveFn's own move operations noexcept (containers
+  /// relocate parked closures when they grow, as the simulator's slot pool
+  /// does). Hot paths static_assert this on their closures.
   template <typename F>
   static constexpr bool kFitsInline =
       sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&

@@ -10,8 +10,8 @@ namespace lion {
 /// Parks values in a slab and hands out stable uint32 indices, recycling
 /// freed slots so the steady state allocates nothing. Shared by the
 /// simulator's event queue and the worker pool, which both park a move-only
-/// callback per in-flight item and reference it from a small POD (heap
-/// entry, completion closure) instead of carrying it around.
+/// callback per in-flight item and reference it by index (the queue's node
+/// array, a completion closure) instead of carrying it around.
 ///
 /// Invariant the callers rely on: Take() moves the value out and frees the
 /// slot *before* the caller runs it, because running it may Park() again
@@ -29,6 +29,9 @@ class SlotPool {
     }
     uint32_t slot = static_cast<uint32_t>(slots_.size());
     slots_.push_back(std::move(value));
+    // Every slot can be free at once; sizing the free list with the slab
+    // leaves new high-water marks as the only point that allocates.
+    free_.reserve(slots_.capacity());
     return slot;
   }
 
@@ -45,7 +48,7 @@ class SlotPool {
   }
 
   /// Number of currently parked values. Owners that mirror the pool with
-  /// their own pending count (the simulator's schedulers, the worker pool)
+  /// their own pending count (the simulator's event queue, the worker pool)
   /// assert against this to catch leaked or double-taken slots.
   size_t in_use() const { return slots_.size() - free_.size(); }
 

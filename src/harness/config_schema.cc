@@ -558,19 +558,6 @@ const ConfigSchema& ClayConfigSchema() {
   return schema;
 }
 
-const ConfigSchema& SimConfigSchema() {
-  static const ConfigSchema schema = [] {
-    ConfigSchemaBuilder<SimConfig> b("SimConfig");
-    b.Enum("scheduler", &SimConfig::scheduler,
-           {{"calendar", SchedulerKind::kCalendar},
-            {"heap", SchedulerKind::kHeap}},
-           "event-queue implementation (identical results, different speed): "
-           "bucketed calendar queue or reference 4-ary heap");
-    return std::move(b).Build();
-  }();
-  return schema;
-}
-
 const ConfigSchema& ChaosConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<ChaosConfig> b("ChaosConfig");
@@ -698,8 +685,6 @@ const ConfigSchema& ExperimentConfigSchema() {
              "workload predictor (kind selects the implementation)");
     b.Nested("clay", &ExperimentConfig::clay, ClayConfigSchema(),
              "Clay baseline options");
-    b.Nested("sim", &ExperimentConfig::sim, SimConfigSchema(),
-             "simulator internals (scheduler choice; never affects results)");
     b.Nested("chaos", &ExperimentConfig::chaos, ChaosConfigSchema(),
              "scripted fault schedule, graceful degradation and post-run "
              "integrity checking (inactive while the schedule is empty)");

@@ -48,7 +48,6 @@ struct CostModelConfig;
 struct PredictorConfig;
 struct LstmConfig;
 struct ClayConfig;
-struct SimConfig;
 struct ChaosConfig;
 struct MetaConfig;
 
@@ -542,7 +541,6 @@ const ConfigSchema& PlannerConfigSchema();
 const ConfigSchema& GeoPlacementConfigSchema();
 const ConfigSchema& LionOptionsSchema();
 const ConfigSchema& ClayConfigSchema();
-const ConfigSchema& SimConfigSchema();
 const ConfigSchema& ChaosConfigSchema();
 const ConfigSchema& RecoveryConfigSchema();
 const ConfigSchema& MetaConfigSchema();

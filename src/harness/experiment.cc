@@ -286,7 +286,7 @@ Status ExperimentBuilder::Build(std::unique_ptr<Experiment>* out) const {
   auto ex = std::unique_ptr<Experiment>(new Experiment());
   ex->config_ = config_;
   ex->window_callbacks_ = window_callbacks_;
-  ex->sim_ = std::make_unique<Simulator>(config_.seed, config_.sim);
+  ex->sim_ = std::make_unique<Simulator>(config_.seed);
   ex->cluster_ = std::make_unique<lion::Cluster>(ex->sim_.get(),
                                                  config_.cluster);
   if (RecoveryActive(config_.recovery)) {

@@ -12,7 +12,6 @@
 #include "replication/chaos_config.h"
 #include "replication/cluster_config.h"
 #include "replication/recovery_config.h"
-#include "sim/sim_config.h"
 #include "workload/tpcc.h"
 #include "workload/ycsb.h"
 
@@ -40,10 +39,6 @@ struct ExperimentConfig {
   LionOptions lion;          // tuned per variant by the registered factories
   PredictorConfig predictor;
   ClayConfig clay;
-  /// Simulator internals (event-scheduler choice); results are identical
-  /// under every setting, so this is a performance A/B knob, sweepable like
-  /// any other field.
-  SimConfig sim;
   /// Scripted fault schedule + degradation knobs; inactive (and without
   /// any effect on results) while the schedule is empty.
   ChaosConfig chaos;

@@ -27,21 +27,15 @@ constexpr uint32_t kInitBucketShift = 10;
 // 8 x pending) pops), not just on occupancy drift: a queue that holds a
 // steady *count* of events can still have its delay distribution shift out
 // from under a frozen bucket width — too wide concentrates everything in
-// one bucket (memmove-heavy ordered inserts), too narrow spills everything
-// to overflow. The cadence bounds either mispairing to a few thousand ops.
+// one bucket (long ordered-insert walks), too narrow spills everything to
+// overflow. The cadence bounds either mispairing to a few thousand ops.
 constexpr size_t kResampleMinOps = 8192;
 
-// Consumed-prefix compaction threshold for buckets and the overflow list:
-// erase the dead prefix once it is both sizable and at least half the
-// vector, so memory stays bounded at O(live) with amortized O(1) moves.
-constexpr size_t kCompactMinHead = 64;
-
-// Out-of-order inserts into a sorted bucket splice into place while the
-// bucket holds at most this many live entries (a short memmove); bigger
-// buckets fall back to append + lazy re-sort on the next pop. Shallow
-// steady states (a closed-loop driver keeps tens of events pending, often
-// all in one bucket) would otherwise flap the sorted flag and re-sort the
-// whole bucket on every few pops.
+// An out-of-order insert into a bucket walks back from the tail at most
+// this many nodes to find its place; further back, it joins the bucket's
+// unsorted suffix, which the next pop merges in. Shallow steady states (a
+// closed-loop driver keeps tens of events pending, often all in one bucket)
+// thus stay sorted without any merge.
 constexpr size_t kOrderedInsertMax = 48;
 
 // Rebuild-time geometry sampling cap: above this many pending entries the
@@ -52,11 +46,10 @@ constexpr size_t kOrderedInsertMax = 48;
 // more tightly than the 2x width heuristic needs.
 constexpr size_t kGeometrySampleMax = 4096;
 
-// Overflow inserts splice into sorted position when that position is within
-// this many entries of the back (the overwhelmingly common case: far
-// deadlines grow with the clock); a deeper insert falls back to append +
-// lazy re-sort. Bounds the per-insert memmove without giving up the
-// sorted-overflow fast path that epoch-batch workloads lean on.
+// The overflow list's walk limit. Far deadlines grow with the clock (timer
+// re-arms, txn completions at now + delay), so new entries land at or near
+// the back; only a short deadline arriving while a long backlog is parked
+// walks further, and that rare case falls back to the unsorted suffix.
 constexpr size_t kOverflowSpliceMax = 256;
 
 size_t NextPow2(size_t n) {
@@ -64,11 +57,14 @@ size_t NextPow2(size_t n) {
   while (p < n) p <<= 1;
   return p;
 }
+
+size_t RingSizeFor(size_t events) {
+  return NextPow2(std::min(std::max(events, kMinBuckets), kMaxBuckets));
+}
 }  // namespace
 
-Simulator::Simulator(uint64_t seed, SimConfig config)
-    : config_(config),
-      seed_(seed),
+Simulator::Simulator(uint64_t seed)
+    : seed_(seed),
       now_(0),
       next_seq_(0),
       processed_(0),
@@ -76,121 +72,102 @@ Simulator::Simulator(uint64_t seed, SimConfig config)
       pending_(0),
       rng_(seed) {
   slots_.Reserve(kInitialCapacity);
-  if (config_.scheduler == SchedulerKind::kHeap) {
-    queue_.reserve(kInitialCapacity);
-  } else {
-    buckets_.resize(kMinBuckets * 2);
-    bucket_mask_ = buckets_.size() - 1;
-    bucket_shift_ = kInitBucketShift;
-  }
+  nodes_.reserve(kInitialCapacity);
+  GrowTo(0);  // sizes the staging buffers and the ring for that capacity
+  buckets_.resize(kMinBuckets * 2);
+  bucket_mask_ = buckets_.size() - 1;
+  bucket_shift_ = kInitBucketShift;
 }
 
-// --- reference scheduler: 4-ary heap -----------------------------------------
-
-void Simulator::SiftUp(size_t i) {
-  Entry e = queue_[i];
-  while (i > 0) {
-    size_t parent = (i - 1) >> 2;
-    if (!Earlier(e, queue_[parent])) break;
-    queue_[i] = queue_[parent];
-    i = parent;
-  }
-  queue_[i] = e;
+void Simulator::GrowTo(size_t n) {
+  // Everything the queue stages or indexes is bounded by the node count: a
+  // sort or rebuild stages at most every pending event, the geometry sample
+  // at most kGeometrySampleMax of them, and the ring holds RingSizeFor of
+  // them. Reserving all of it against the nodes' capacity (which doubles)
+  // confines allocation to new pending high-water marks. std::vector never
+  // gives capacity back, so the ring keeps its storage across shrinks.
+  nodes_.resize(n);
+  const size_t cap = nodes_.capacity();
+  scratch_.reserve(cap);
+  scratch_times_.reserve(std::min(cap, kGeometrySampleMax));
+  scratch_gaps_.reserve(std::min(cap, kGeometrySampleMax));
+  buckets_.reserve(RingSizeFor(cap));
 }
 
-void Simulator::SiftDown() {
-  size_t n = queue_.size();
-  Entry e = queue_[0];
-  size_t i = 0;
-  for (;;) {
-    size_t first = (i << 2) + 1;
-    if (first >= n) break;
-    size_t best = first;
-    size_t end = first + 4 < n ? first + 4 : n;
-    for (size_t c = first + 1; c < end; ++c) {
-      if (Earlier(queue_[c], queue_[best])) best = c;
-    }
-    if (!Earlier(queue_[best], e)) break;
-    queue_[i] = queue_[best];
-    i = best;
-  }
-  queue_[i] = e;
-}
-
-bool Simulator::HeapPopIfAtMost(SimTime limit, Entry* out) {
-  if (queue_.empty() || queue_.front().at > limit) return false;
-  *out = queue_.front();
-  queue_.front() = queue_.back();
-  queue_.pop_back();
-  if (!queue_.empty()) SiftDown();
-  pending_--;
-  return true;
-}
-
-// --- calendar queue ----------------------------------------------------------
-
-void Simulator::CalPlace(const Entry& e) {
-  uint64_t eb = static_cast<uint64_t>(e.at) >> bucket_shift_;
-  uint64_t nb = static_cast<uint64_t>(now_) >> bucket_shift_;
+void Simulator::Place(uint32_t slot) {
+  const uint64_t eb = static_cast<uint64_t>(nodes_[slot].at) >> bucket_shift_;
+  const uint64_t nb = static_cast<uint64_t>(now_) >> bucket_shift_;
   if (eb - nb >= buckets_.size()) {
-    // Beyond one rotation of the ring: park in the far-future overflow
-    // list, kept sorted like a bucket. Far deadlines grow with the clock
-    // (timer re-arms, txn completions at now + delay), so new entries land
-    // at or near the back — an append or a short splice. Only an insert
-    // whose position is far from the back (rare: a short deadline arriving
-    // while a long backlog is parked) marks the list dirty for a lazy
-    // re-sort at the next overflow pop.
-    if (overflow_head_ == overflow_.size() || !overflow_sorted_ ||
-        !Earlier(e, overflow_.back())) {
-      overflow_.push_back(e);
-      return;
-    }
-    auto pos = std::upper_bound(overflow_.begin() + overflow_head_,
-                                overflow_.end(), e, Earlier);
-    if (overflow_.end() - pos <=
-        static_cast<std::ptrdiff_t>(kOverflowSpliceMax)) {
-      overflow_.insert(pos, e);
-      return;
-    }
-    overflow_sorted_ = false;
-    overflow_.push_back(e);
+    Insert(&overflow_, slot, kOverflowSpliceMax);
     return;
   }
-  Bucket& b = buckets_[eb & bucket_mask_];
   cal_size_++;
-  if (b.head == b.ev.size() || !b.sorted || !Earlier(e, b.ev.back())) {
-    b.ev.push_back(e);  // empty, already dirty, or in-order append
-    return;
-  }
-  if (b.ev.size() - b.head <= kOrderedInsertMax) {
-    b.ev.insert(
-        std::upper_bound(b.ev.begin() + b.head, b.ev.end(), e, Earlier), e);
-    return;
-  }
-  b.sorted = false;
-  b.ev.push_back(e);
+  Insert(&buckets_[eb & bucket_mask_], slot, kOrderedInsertMax);
 }
 
-bool Simulator::CalPopIfAtMost(SimTime limit, Entry* out) {
-  const size_t overflow_live = overflow_.size() - overflow_head_;
-  if (cal_size_ == 0 && overflow_live == 0) return false;
+void Simulator::Insert(List* list, uint32_t slot, size_t max_walk) {
+  const Node& node = nodes_[slot];
+  uint32_t after = list->tail;
+  if (list->unsorted == kNil) {
+    for (size_t walked = 0; after != kNil && Earlier(node, nodes_[after]);
+         after = nodes_[after].prev) {
+      if (++walked > max_walk) {
+        list->unsorted = slot;
+        after = list->tail;
+        break;
+      }
+    }
+  }
+  Link(list, slot, after, after == kNil ? list->head : nodes_[after].next);
+  list->size++;
+}
 
-  Bucket* found = nullptr;
+void Simulator::Link(List* list, uint32_t slot, uint32_t prev, uint32_t next) {
+  nodes_[slot].prev = prev;
+  nodes_[slot].next = next;
+  (prev == kNil ? list->head : nodes_[prev].next) = slot;
+  (next == kNil ? list->tail : nodes_[next].prev) = slot;
+}
+
+void Simulator::SortSuffix(List* list) {
+  // Cut the suffix off, sort it on its own, then splice its nodes into the
+  // prefix in one forward pass: O(prefix + k log k) for a k-node suffix,
+  // where re-sorting the whole list would cost O(n log n) per dirty pop.
+  scratch_.clear();
+  for (uint32_t i = list->unsorted; i != kNil; i = nodes_[i].next) {
+    scratch_.push_back({nodes_[i].at, nodes_[i].seq, i});
+  }
+  list->tail = nodes_[list->unsorted].prev;
+  (list->tail == kNil ? list->head : nodes_[list->tail].next) = kNil;
+  list->unsorted = kNil;
+  std::sort(scratch_.begin(), scratch_.end(), Earlier<Key, Key>);
+  uint32_t before = list->head;  // first prefix node later than the key
+  for (const Key& k : scratch_) {
+    while (before != kNil && Earlier(nodes_[before], k)) {
+      before = nodes_[before].next;
+    }
+    Link(list, k.slot, before == kNil ? list->tail : nodes_[before].prev,
+         before);
+  }
+}
+
+bool Simulator::PopIfAtMost(SimTime limit, uint32_t* slot) {
+  if (pending_ == 0) return false;
+
+  List* found = nullptr;
   if (cal_size_ > 0) {
     const uint32_t shift = bucket_shift_;
     const uint64_t start = static_cast<uint64_t>(now_) >> shift;
     const size_t nbuckets = buckets_.size();
     for (uint64_t step = 0; step < nbuckets; ++step) {
-      Bucket& b = buckets_[(start + step) & bucket_mask_];
-      if (b.head == b.ev.size()) continue;
-      if (!b.sorted) {
-        std::sort(b.ev.begin() + b.head, b.ev.end(), Earlier);
-        b.sorted = true;
-      }
-      // The bucket's live minimum wins iff it belongs to the current lap
-      // of the ring; a head from a later lap means this slot is empty for
-      // now and the walk continues.
-      if ((static_cast<uint64_t>(b.ev[b.head].at) >> shift) <= start + step) {
+      List& b = buckets_[(start + step) & bucket_mask_];
+      if (b.head == kNil) continue;
+      if (b.unsorted != kNil) SortSuffix(&b);
+      // The bucket's minimum wins iff it belongs to the current lap of the
+      // ring; a head from a later lap means this slot is empty for now and
+      // the walk continues.
+      if ((static_cast<uint64_t>(nodes_[b.head].at) >> shift) <=
+          start + step) {
         found = &b;
         break;
       }
@@ -201,67 +178,44 @@ bool Simulator::CalPopIfAtMost(SimTime limit, Entry* out) {
     // below is defensive only.
     assert(found != nullptr);
     if (found == nullptr) {
-      for (Bucket& b : buckets_) {
-        if (b.head == b.ev.size()) continue;
-        if (!b.sorted) {
-          std::sort(b.ev.begin() + b.head, b.ev.end(), Earlier);
-          b.sorted = true;
-        }
+      for (List& b : buckets_) {
+        if (b.head == kNil) continue;
+        if (b.unsorted != kNil) SortSuffix(&b);
         if (found == nullptr ||
-            Earlier(b.ev[b.head], found->ev[found->head])) {
+            Earlier(nodes_[b.head], nodes_[found->head])) {
           found = &b;
         }
       }
     }
   }
-
-  const Entry* best = found != nullptr ? &found->ev[found->head] : nullptr;
-  bool from_overflow = false;
-  if (overflow_live > 0) {
+  if (overflow_.size > 0) {
     // Overflow can undercut the bucketed minimum: an entry parked beyond
     // the horizon long ago may be nearer than anything admitted since.
-    if (!overflow_sorted_) {
-      std::sort(overflow_.begin() + overflow_head_, overflow_.end(), Earlier);
-      overflow_sorted_ = true;
-    }
-    if (best == nullptr || Earlier(overflow_[overflow_head_], *best)) {
-      best = &overflow_[overflow_head_];
-      from_overflow = true;
+    if (overflow_.unsorted != kNil) SortSuffix(&overflow_);
+    if (found == nullptr ||
+        Earlier(nodes_[overflow_.head], nodes_[found->head])) {
+      found = &overflow_;
     }
   }
 
-  if (best->at > limit) return false;
-  *out = *best;
-  pending_--;
-  if (from_overflow) {
-    overflow_head_++;
-    if (overflow_head_ == overflow_.size()) {
-      overflow_.clear();
-      overflow_head_ = 0;
-      overflow_sorted_ = true;
-    } else if (overflow_head_ >= kCompactMinHead &&
-               overflow_head_ * 2 >= overflow_.size()) {
-      overflow_.erase(overflow_.begin(), overflow_.begin() + overflow_head_);
-      overflow_head_ = 0;
-    }
+  const uint32_t head = found->head;
+  if (nodes_[head].at > limit) return false;
+  *slot = head;
+  found->head = nodes_[head].next;
+  if (found->head == kNil) {
+    *found = List{};
   } else {
-    Bucket& b = *found;
-    b.head++;
-    if (b.head == b.ev.size()) {
-      b.ev.clear();
-      b.head = 0;
-      b.sorted = true;
-    } else if (b.head >= kCompactMinHead && b.head * 2 >= b.ev.size()) {
-      b.ev.erase(b.ev.begin(), b.ev.begin() + b.head);
-      b.head = 0;
-    }
-    cal_size_--;
+    nodes_[found->head].prev = kNil;
+    found->size--;
   }
-  const size_t live = cal_size_ + (overflow_.size() - overflow_head_);
+  if (found != &overflow_) cal_size_--;
+  pending_--;
+
+  const size_t live = cal_size_ + overflow_.size;
   if (live > 0 &&
       ((live < buckets_.size() / 8 && buckets_.size() > kMinBuckets) ||
        ++ops_since_rebuild_ >= std::max(kResampleMinOps, live * 8))) {
-    CalRebuild();
+    Rebuild();
   }
   return true;
 }
@@ -273,8 +227,8 @@ uint32_t Simulator::SampleBucketShift() {
   // to the two shapes that poison count-based sampling: tie masses (an
   // epoch burst contributes one value, not thousands of zero gaps) and a
   // handful of far-future timers (two big gaps cannot move the median).
-  // Whatever falls beyond the resulting rotation lands in the sorted
-  // overflow list, which near-back splicing keeps cheap. The sort is
+  // Whatever falls beyond the resulting rotation lands in the overflow
+  // list, which near-back inserts keep cheap. The sort below is
   // bounded by kGeometrySampleMax (deeper queues are reservoir-sampled),
   // and rebuilds fire on occupancy doubling or every ~8x-pending pops, so
   // this costs a few comparisons per event with no deep-queue spikes.
@@ -282,14 +236,12 @@ uint32_t Simulator::SampleBucketShift() {
   if (n < 2) return bucket_shift_;
   scratch_times_.clear();
   if (n <= kGeometrySampleMax) {
-    scratch_times_.reserve(n);
-    for (const Entry& e : scratch_) scratch_times_.push_back(e.at);
+    for (const Key& k : scratch_) scratch_times_.push_back(k.at);
   } else {
     // Deep queue: reservoir-sample the deadlines (Vitter's Algorithm R) so
     // the sort below is bounded. Gaps between consecutive *sampled* order
     // statistics average n/K true gaps each, so the median gap computed
     // from the sample is rescaled by K/n below before it sets the width.
-    scratch_times_.reserve(kGeometrySampleMax);
     for (size_t i = 0; i < kGeometrySampleMax; ++i) {
       scratch_times_.push_back(scratch_[i].at);
     }
@@ -324,70 +276,58 @@ uint32_t Simulator::SampleBucketShift() {
   return shift;
 }
 
-void Simulator::CalRebuild() {
+void Simulator::Rebuild() {
   // Drain everything (buckets and overflow), re-derive geometry from the
   // survivors, and re-admit. Triggered when occupancy drifts past the
   // doubling/eighth thresholds, so the O(n) cost amortizes against the
   // inserts/pops that caused the drift.
   scratch_.clear();
-  for (Bucket& b : buckets_) {
-    for (size_t i = b.head; i < b.ev.size(); ++i) scratch_.push_back(b.ev[i]);
-    b.ev.clear();
-    b.head = 0;
-    b.sorted = true;
-  }
-  scratch_.insert(scratch_.end(), overflow_.begin() + overflow_head_,
-                  overflow_.end());
-  overflow_.clear();
-  overflow_head_ = 0;
-  overflow_sorted_ = true;
+  auto drain = [this](List* list) {
+    for (uint32_t i = list->head; i != kNil; i = nodes_[i].next) {
+      scratch_.push_back({nodes_[i].at, nodes_[i].seq, i});
+    }
+    *list = List{};
+  };
+  for (List& b : buckets_) drain(&b);
+  drain(&overflow_);
   cal_size_ = 0;
   ops_since_rebuild_ = 0;
 
-  size_t target =
-      NextPow2(std::min(std::max(scratch_.size(), kMinBuckets), kMaxBuckets));
+  const size_t target = RingSizeFor(scratch_.size());
   if (target != buckets_.size()) {
     buckets_.resize(target);
     bucket_mask_ = target - 1;
   }
   bucket_shift_ = SampleBucketShift();
-  for (const Entry& e : scratch_) CalPlace(e);
+  for (const Key& k : scratch_) Place(k.slot);
 }
-
-// --- shared driver -----------------------------------------------------------
 
 void Simulator::Push(SimTime at, bool weak, EventFn fn) {
   if (at < now_) at = now_;
-  Entry e{at, next_seq_++, slots_.Park(std::move(fn)), weak};
+  const uint32_t slot = slots_.Park(std::move(fn));
+  if (slot >= nodes_.size()) GrowTo(slot + size_t{1});
+  Node& node = nodes_[slot];
+  node.at = at;
+  node.seq = next_seq_++;
+  node.weak = weak;
   if (!weak) strong_pending_++;
   pending_++;
   assert(slots_.in_use() == pending_);
-  if (config_.scheduler == SchedulerKind::kHeap) {
-    queue_.push_back(e);
-    SiftUp(queue_.size() - 1);
-    return;
-  }
-  CalPlace(e);
+  Place(slot);
   if (cal_size_ > buckets_.size() * 2 && buckets_.size() < kMaxBuckets) {
-    CalRebuild();
+    Rebuild();
   }
 }
 
-bool Simulator::PopIfAtMost(SimTime limit, Entry* out) {
-  if (config_.scheduler == SchedulerKind::kHeap) {
-    return HeapPopIfAtMost(limit, out);
-  }
-  return CalPopIfAtMost(limit, out);
-}
-
-void Simulator::RunEntry(const Entry& e) {
-  assert(e.at >= now_);
-  now_ = e.at;
+void Simulator::RunSlot(uint32_t slot) {
+  const Node& node = nodes_[slot];
+  assert(node.at >= now_);
+  now_ = node.at;
   processed_++;
-  if (!e.weak) strong_pending_--;
+  if (!node.weak) strong_pending_--;
   // Take (move out + free) before running: the body may schedule new
-  // events, which can recycle this slot.
-  EventFn fn = slots_.Take(e.slot);
+  // events, which can recycle this slot (and grow nodes_).
+  EventFn fn = slots_.Take(slot);
   fn();
 }
 
@@ -406,16 +346,16 @@ void Simulator::ScheduleWeak(SimTime delay, EventFn fn) {
 }
 
 void Simulator::RunUntil(SimTime until) {
-  Entry e;
-  while (PopIfAtMost(until, &e)) RunEntry(e);
+  uint32_t slot;
+  while (PopIfAtMost(until, &slot)) RunSlot(slot);
   if (now_ < until) now_ = until;
 }
 
 void Simulator::RunUntilIdle() {
-  Entry e;
+  uint32_t slot;
   while (strong_pending_ > 0 &&
-         PopIfAtMost(std::numeric_limits<SimTime>::max(), &e)) {
-    RunEntry(e);
+         PopIfAtMost(std::numeric_limits<SimTime>::max(), &slot)) {
+    RunSlot(slot);
   }
 }
 

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "common/slot_pool.h"
 #include "common/types.h"
-#include "sim/sim_config.h"
 
 namespace lion {
 
@@ -23,19 +22,20 @@ namespace lion {
 /// planners, sequencers) do not keep the simulation alive — RunUntilIdle
 /// stops once only weak events remain.
 ///
-/// Two interchangeable schedulers order the queue (SimConfig::scheduler):
-/// the default calendar queue buckets events by `at >> bucket_shift` into a
-/// power-of-two ring and dispatches in O(1) amortized, while the reference
-/// 4-ary heap pays an O(log n) sift per operation. Both emit the identical
-/// (time, seq) pop sequence, so the choice never changes simulation results
-/// — only how fast they are produced (see tests/scheduler_equivalence_test).
+/// The queue is a calendar queue: events bucket by `at >> bucket_shift` into
+/// a power-of-two ring and dispatch in O(1) amortized. Its geometry shapes
+/// only how fast events are found, never the (time, seq) pop order
+/// (tests/scheduler_equivalence_test.cc checks it against a reference
+/// priority queue). Every buffer it keeps is sized from the pending-event
+/// high-water mark, so schedule→dispatch allocates only when more events
+/// are pending than ever before.
 class Simulator {
  public:
   /// Events are move-only callables, so closures may own their transaction
   /// (or any other unique_ptr state) outright — no copyable-closure shims.
   using EventFn = MoveFn<void()>;
 
-  explicit Simulator(uint64_t seed = 1, SimConfig config = SimConfig{});
+  explicit Simulator(uint64_t seed = 1);
 
   /// Current simulated time (ns since experiment start).
   SimTime Now() const { return now_; }
@@ -64,9 +64,6 @@ class Simulator {
   /// Number of events currently pending (strong + weak).
   size_t pending_events() const { return pending_; }
 
-  /// The scheduler this instance was constructed with.
-  SchedulerKind scheduler() const { return config_.scheduler; }
-
   /// The experiment-wide deterministic RNG.
   Rng& rng() { return rng_; }
   const Rng& rng() const { return rng_; }
@@ -77,61 +74,68 @@ class Simulator {
   uint64_t seed() const { return seed_; }
 
  private:
-  // Both schedulers order only trivially-copyable entries; the closure
-  // itself is parked once in `slots_` and never moved by the queue.
-  // Reordering therefore copies 24-byte PODs instead of relocating
-  // type-erased callables — together with MoveFn's small-buffer storage this
-  // makes the schedule→run cycle allocation-free in steady state.
-  struct Entry {
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  // A pending event's queue state, stored at its closure's `slots_` index:
+  // the queue links and reorders these 32-byte PODs and never moves the
+  // closure itself.
+  struct Node {
+    SimTime at;
+    uint64_t seq;
+    uint32_t prev;
+    uint32_t next;
+    bool weak;
+  };
+  // Staging copy of a node for sorts and rebuilds.
+  struct Key {
     SimTime at;
     uint64_t seq;
     uint32_t slot;
-    bool weak;
   };
   // (at, seq) is a total order (seq is unique), so the pop sequence — and
   // with it the whole simulation — is deterministic regardless of how the
-  // scheduler arranges entries internally.
-  static bool Earlier(const Entry& a, const Entry& b) {
+  // queue arranges entries internally.
+  template <typename A, typename B>
+  static bool Earlier(const A& a, const B& b) {
     if (a.at != b.at) return a.at < b.at;
     return a.seq < b.seq;
   }
 
-  /// One calendar bucket: an append-only vector with a consumed prefix
-  /// ([0, head)) and lazy ordering — `sorted` says [head, end) is ascending
-  /// by (at, seq). Timer chains and closed-loop drivers append in nearly
-  /// monotone order, so the common case never sorts at all; out-of-order
-  /// inserts just clear the flag and the next pop from this bucket pays one
-  /// std::sort over its handful of live entries.
-  struct Bucket {
-    std::vector<Entry> ev;
-    uint32_t head = 0;
-    bool sorted = true;
+  /// A calendar bucket or the overflow list: a doubly linked list through
+  /// `nodes_`, ascending by (at, seq) up to `unsorted`. Timer chains and
+  /// closed-loop drivers insert in nearly monotone order, so most inserts
+  /// append or step back a few nodes. An insert that would walk further
+  /// appends instead and starts (or joins) the unsorted suffix, which the
+  /// next pop from this list sorts and merges into the prefix in one pass.
+  struct List {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint32_t size = 0;
+    uint32_t unsorted = kNil;  // first node of the unsorted suffix, if any
   };
 
   void Push(SimTime at, bool weak, EventFn fn);
-  /// Removes the earliest pending entry if its time is <= `limit`.
-  bool PopIfAtMost(SimTime limit, Entry* out);
-  /// Advances the clock to `e.at` and runs the parked closure.
-  void RunEntry(const Entry& e);
+  /// Unlinks the earliest pending event if its time is <= `limit`.
+  bool PopIfAtMost(SimTime limit, uint32_t* slot);
+  /// Advances the clock to the event's time and runs its closure.
+  void RunSlot(uint32_t slot);
 
-  // --- reference scheduler: hand-rolled 4-ary implicit heap --------------
-  // Half the levels of a binary heap, and the four children of a node sit
-  // in adjacent memory, so a sift touches few cache lines.
-  bool HeapPopIfAtMost(SimTime limit, Entry* out);
-  void SiftUp(size_t i);
-  void SiftDown();
-
-  // --- calendar queue ----------------------------------------------------
-  // Buckets index by absolute bucket number `at >> bucket_shift_` into a
-  // power-of-two ring; events beyond one full rotation of the ring park in
-  // `overflow_` (itself a lazily sorted vector). Geometry (bucket count and
-  // width) re-adapts on occupancy-triggered rebuilds.
-  void CalPlace(const Entry& e);
-  bool CalPopIfAtMost(SimTime limit, Entry* out);
-  void CalRebuild();
+  /// Sizes every queue buffer for `n` nodes (the pending high-water mark).
+  void GrowTo(size_t n);
+  /// Routes a node to its bucket, or to `overflow_` beyond one rotation.
+  void Place(uint32_t slot);
+  /// Links `slot` into `list` at its (at, seq) position, walking back from
+  /// the tail at most `max_walk` nodes before appending unsorted instead.
+  void Insert(List* list, uint32_t slot, size_t max_walk);
+  /// Links `slot` between adjacent nodes `prev` and `next` (kNil at ends).
+  void Link(List* list, uint32_t slot, uint32_t prev, uint32_t next);
+  /// Sorts the unsorted suffix and merges it into the sorted prefix.
+  void SortSuffix(List* list);
+  /// Re-derives the ring's size and bucket width from the pending events
+  /// and re-admits them all.
+  void Rebuild();
   uint32_t SampleBucketShift();
 
-  SimConfig config_;
   uint64_t seed_;
   SimTime now_;
   uint64_t next_seq_;
@@ -139,31 +143,30 @@ class Simulator {
   uint64_t strong_pending_;
   size_t pending_;
 
-  // Heap storage (kHeap only).
-  std::vector<Entry> queue_;
+  // Pending closures, parked by index; `nodes_` is indexed the same way.
+  SlotPool<EventFn> slots_;
+  std::vector<Node> nodes_;
 
-  // Calendar storage (kCalendar only).
-  std::vector<Bucket> buckets_;
+  // Buckets index by absolute bucket number `at >> bucket_shift_` into a
+  // power-of-two ring; events beyond one full rotation of the ring park in
+  // `overflow_`.
+  std::vector<List> buckets_;
   uint64_t bucket_mask_ = 0;
   uint32_t bucket_shift_ = 0;
-  size_t cal_size_ = 0;  // live entries in buckets_ (overflow_ excluded)
+  size_t cal_size_ = 0;  // events in buckets_ (overflow_ excluded)
   size_t ops_since_rebuild_ = 0;  // pop cadence for geometry resampling
-  std::vector<Entry> overflow_;
-  uint32_t overflow_head_ = 0;
-  bool overflow_sorted_ = true;
-  // Rebuild staging, kept as members so geometry changes recycle capacity.
-  std::vector<Entry> scratch_;
+  List overflow_;
+  // Shared by sorts and rebuilds; reserved against the node count.
+  std::vector<Key> scratch_;
   std::vector<SimTime> scratch_times_;
   std::vector<SimTime> scratch_gaps_;
 
-  // Pending closures, parked by index so the schedulers never move them.
-  SlotPool<EventFn> slots_;
   Rng rng_;
   // Geometry sampling RNG, separate from rng_: experiments draw from rng_,
-  // so scheduler-internal draws must never perturb that stream (results
-  // must be identical under both schedulers). Geometry only shapes bucket
-  // widths — the pop order is (at, seq) regardless — but the draws are kept
-  // deterministic anyway so rebuild behavior reproduces run to run.
+  // so queue-internal draws must never perturb that stream. Geometry only
+  // shapes bucket widths — the pop order is (at, seq) regardless — but the
+  // draws are kept deterministic anyway so rebuild behavior reproduces run
+  // to run.
   Rng geometry_rng_;
 };
 

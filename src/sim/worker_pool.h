@@ -64,7 +64,7 @@ class WorkerPool {
   RingQueue<Task> queues_[3];
   // Callbacks of dispatched (in-flight) tasks; completion events reference
   // their slot instead of owning the callback, which keeps the per-task
-  // completion closure inline in the event heap.
+  // completion closure inline in MoveFn's small buffer.
   SlotPool<MoveFn<void()>> inflight_;
 };
 

@@ -1,17 +1,20 @@
-// Steady-state allocation ceilings of the transaction path. Built as its own
-// executable (see CMakeLists.txt): it replaces the global operator new with
-// a counting one, which must not leak into the main test binary.
+// Steady-state allocation ceilings of the transaction path and the event
+// queue. Built as its own executable (see CMakeLists.txt): it replaces the
+// global operator new with a counting one, which must not leak into the main
+// test binary.
 //
-// Each test warms the engine up (context pool, worker queues, event slots,
-// replication buffers reach their high-water marks), then counts the heap
-// allocations of a second, identical round of transactions. The
+// Each engine test warms the engine up (context pool, worker queues, event
+// slots, replication buffers reach their high-water marks), then counts the
+// heap allocations of a second, identical round of transactions. The
 // transactions themselves are built before the counting window opens.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -70,12 +73,8 @@ TxnPtr WriteTxn(TxnId id, const std::vector<PartitionId>& parts) {
 
 class EngineAllocTest : public ::testing::Test {
  protected:
-  // The reference heap scheduler keeps all pending events in one vector.
-  // The default calendar queue re-buckets as occupancy swings, which this
-  // test's bursts of concurrent runs provoke; that is scheduler geometry,
-  // not the transaction path under test.
   EngineAllocTest()
-      : sim_(1, SimConfig{SchedulerKind::kHeap}),
+      : sim_(1),
         cluster_(&sim_, Config()),
         engine_(&cluster_, &metrics_) {
     cluster_.Start();
@@ -186,6 +185,102 @@ TEST_F(EngineAllocTest, UnblockedWaitRunsWithoutTypeErasure) {
   const uint64_t allocs = g_allocs - before;
   EXPECT_EQ(ran, 1);
   EXPECT_EQ(allocs, 0u);
+}
+
+// An event that re-arms itself `left` more times at a random delay, so a
+// set of them holds the pending depth steady.
+struct Rearm {
+  Simulator* sim;
+  std::mt19937_64* rng;
+  uint64_t* ran;
+  uint64_t left;
+
+  void Arm() {
+    sim->Schedule(1000 + static_cast<SimTime>((*rng)() % 50000),
+                  [this]() { Fire(); });
+  }
+  void Fire() {
+    ++*ran;
+    if (left == 0) return;
+    --left;
+    Arm();
+  }
+};
+
+// The event queue on its own. Each cycle first holds ~6000 events pending
+// for ~70k pops (no new high-water mark, but the pop cadence re-derives the
+// geometry and wants a larger ring), then swings the pending depth from
+// tens to ~8k and back, twice, with ties, far deadlines that park in the
+// overflow list, and events exactly on RunUntil boundaries. The first cycle
+// takes every queue buffer to its high-water mark; the identical second
+// cycle must not allocate at all. Only scheduling past a high-water mark
+// may allocate, so no RunUntil/RunUntilIdle call may allocate even in the
+// first cycle: rebuilds, sorts and re-armed events stay within reserved
+// capacity.
+TEST(SchedulerAllocTest, OccupancySwingsAllocateNothingAfterWarmUp) {
+  Simulator sim(1);
+  uint64_t scheduled = 0, ran = 0, run_allocs = 0;
+  size_t deepest = 0;
+  auto run = [&](SimTime until) {
+    const uint64_t before = g_allocs;
+    if (until < 0) {
+      sim.RunUntilIdle();
+    } else {
+      sim.RunUntil(until);
+    }
+    run_allocs += g_allocs - before;
+  };
+  std::vector<Rearm> hold(6000, Rearm{&sim, nullptr, &ran, 0});
+  auto cycle = [&]() {
+    std::mt19937_64 rng(7);  // the same draws every cycle
+    for (Rearm& r : hold) {
+      r.rng = &rng;
+      r.left = 11;
+      r.Arm();
+    }
+    scheduled += hold.size() * 12;
+    run(-1);
+
+    struct Phase {
+      size_t fill_to;
+      SimTime run_for;
+    };
+    for (Phase phase : {Phase{32, 500 * kMicrosecond},
+                        Phase{8192, 1 * kMillisecond},
+                        Phase{64, 3 * kSecond},
+                        Phase{4096, 100 * kMicrosecond},
+                        Phase{8192, 2 * kMillisecond},
+                        Phase{16, 3 * kSecond}}) {
+      while (sim.pending_events() < phase.fill_to) {
+        SimTime delay = 0;  // a tie with every other event at Now()
+        switch (rng() % 4) {
+          case 0: break;
+          case 1: delay = static_cast<SimTime>(rng() % 1000); break;
+          case 2: delay = static_cast<SimTime>(rng() % kMillisecond); break;
+          default: delay = kSecond + static_cast<SimTime>(rng() % kSecond);
+        }
+        sim.Schedule(delay, [&ran]() { ran++; });
+        scheduled++;
+      }
+      deepest = std::max(deepest, sim.pending_events());
+      const SimTime boundary = sim.Now() + phase.run_for;
+      sim.ScheduleAt(boundary, [&ran]() { ran++; });
+      scheduled++;
+      run(boundary);
+    }
+    run(-1);
+  };
+
+  cycle();
+  ASSERT_EQ(sim.pending_events(), 0u);
+  ASSERT_GE(deepest, 8192u);
+  EXPECT_EQ(run_allocs, 0u);
+  const uint64_t before = g_allocs;
+  cycle();
+  const uint64_t allocs = g_allocs - before;
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(ran, scheduled);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
 }  // namespace

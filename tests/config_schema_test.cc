@@ -198,22 +198,7 @@ TEST(ConfigSchemaTest, ListPathsCoversNestedLeaves) {
   EXPECT_TRUE(has("cluster.net.stats_window_ms"));
   EXPECT_TRUE(has("lion.planner.clump.alpha"));
   EXPECT_TRUE(has("predictor.lstm.learning_rate"));
-  EXPECT_TRUE(has("sim.scheduler"));
   EXPECT_FALSE(has("lion"));  // nested structs are not leaves
-}
-
-TEST(ConfigSchemaTest, SimSchedulerParsesAndRoundTrips) {
-  ExperimentConfig cfg;
-  EXPECT_EQ(cfg.sim.scheduler, SchedulerKind::kCalendar);  // the default
-  ASSERT_TRUE(SetExperimentFlag(&cfg, "sim.scheduler", "heap").ok());
-  EXPECT_EQ(cfg.sim.scheduler, SchedulerKind::kHeap);
-  Json emitted = EmitExperimentConfig(cfg);
-  ExperimentConfig parsed;
-  ASSERT_TRUE(ParseExperimentConfig(emitted, &parsed).ok());
-  EXPECT_EQ(parsed.sim.scheduler, SchedulerKind::kHeap);
-  Status bad = SetExperimentFlag(&cfg, "sim.scheduler", "fibheap");
-  EXPECT_FALSE(bad.ok());
-  EXPECT_NE(bad.message().find("sim.scheduler"), std::string::npos);
 }
 
 TEST(ConfigFlagGroupsTest, GroupsFollowDeclarationStructure) {
@@ -228,13 +213,13 @@ TEST(ConfigFlagGroupsTest, GroupsFollowDeclarationStructure) {
   }
   EXPECT_TRUE(root_has_protocol);
   const ConfigFlagGroup* cluster = nullptr;
-  const ConfigFlagGroup* sim = nullptr;
+  const ConfigFlagGroup* clay = nullptr;
   for (const ConfigFlagGroup& g : groups) {
     if (g.name == "cluster") cluster = &g;
-    if (g.name == "sim") sim = &g;
+    if (g.name == "clay") clay = &g;
   }
   ASSERT_NE(cluster, nullptr);
-  ASSERT_NE(sim, nullptr);
+  ASSERT_NE(clay, nullptr);
   EXPECT_FALSE(cluster->help.empty());
   // Group flags are fully qualified and recurse into nested structs.
   bool has_net_leaf = false;
@@ -242,8 +227,9 @@ TEST(ConfigFlagGroupsTest, GroupsFollowDeclarationStructure) {
     has_net_leaf |= f.first == "cluster.net.one_way_latency_us";
   }
   EXPECT_TRUE(has_net_leaf);
-  ASSERT_EQ(sim->flags.size(), 1u);
-  EXPECT_EQ(sim->flags[0].first, "sim.scheduler");
+  ASSERT_EQ(clay->flags.size(), 4u);
+  EXPECT_EQ(clay->flags[0].first, "clay.monitor_interval_ms");
+  EXPECT_EQ(clay->flags[3].first, "clay.history_capacity");
 
   // The groups flatten back to exactly ListPaths (same leaves, same order
   // within groups).

@@ -14,25 +14,11 @@ namespace lion {
 namespace {
 
 // --- Simulator ----------------------------------------------------------------
-// The core ordering contract is scheduler-independent: every test in this
-// section runs against both the reference 4-ary heap and the calendar
-// queue (tests/scheduler_equivalence_test.cc additionally asserts the two
-// produce identical pop sequences on randomized workloads).
+// tests/scheduler_equivalence_test.cc additionally checks the pop sequence
+// against a reference priority queue on randomized workloads.
 
-class SimulatorTest : public ::testing::TestWithParam<SchedulerKind> {
- protected:
-  SimConfig Cfg() const { return SimConfig{GetParam()}; }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Schedulers, SimulatorTest,
-    ::testing::Values(SchedulerKind::kHeap, SchedulerKind::kCalendar),
-    [](const ::testing::TestParamInfo<SchedulerKind>& info) {
-      return info.param == SchedulerKind::kHeap ? "Heap" : "Calendar";
-    });
-
-TEST_P(SimulatorTest, EventsRunInTimeOrder) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, EventsRunInTimeOrder) {
+  Simulator sim(1);
   std::vector<int> order;
   sim.Schedule(30, [&]() { order.push_back(3); });
   sim.Schedule(10, [&]() { order.push_back(1); });
@@ -42,16 +28,16 @@ TEST_P(SimulatorTest, EventsRunInTimeOrder) {
   EXPECT_EQ(sim.Now(), 30);
 }
 
-TEST_P(SimulatorTest, TiesRunFifo) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, TiesRunFifo) {
+  Simulator sim(1);
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) sim.Schedule(100, [&, i]() { order.push_back(i); });
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST_P(SimulatorTest, RunUntilStopsAtBoundary) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, RunUntilStopsAtBoundary) {
+  Simulator sim(1);
   int ran = 0;
   sim.Schedule(10, [&]() { ran++; });
   sim.Schedule(20, [&]() { ran++; });
@@ -62,14 +48,14 @@ TEST_P(SimulatorTest, RunUntilStopsAtBoundary) {
   EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-TEST_P(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, RunUntilAdvancesClockWhenIdle) {
+  Simulator sim(1);
   sim.RunUntil(500);
   EXPECT_EQ(sim.Now(), 500);
 }
 
-TEST_P(SimulatorTest, NestedScheduling) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, NestedScheduling) {
+  Simulator sim(1);
   SimTime inner_time = -1;
   sim.Schedule(10, [&]() {
     sim.Schedule(15, [&]() { inner_time = sim.Now(); });
@@ -78,8 +64,8 @@ TEST_P(SimulatorTest, NestedScheduling) {
   EXPECT_EQ(inner_time, 25);
 }
 
-TEST_P(SimulatorTest, NegativeDelayClampsToNow) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, NegativeDelayClampsToNow) {
+  Simulator sim(1);
   sim.Schedule(10, [&]() {
     sim.Schedule(-5, [&]() { EXPECT_EQ(sim.Now(), 10); });
   });
@@ -87,17 +73,17 @@ TEST_P(SimulatorTest, NegativeDelayClampsToNow) {
   EXPECT_EQ(sim.processed_events(), 2u);
 }
 
-TEST_P(SimulatorTest, ProcessedEventCount) {
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, ProcessedEventCount) {
+  Simulator sim(1);
   for (int i = 0; i < 100; ++i) sim.Schedule(i, []() {});
   sim.RunUntilIdle();
   EXPECT_EQ(sim.processed_events(), 100u);
 }
 
-TEST_P(SimulatorTest, ManyEventsInReverseOrderPopSorted) {
-  // Exercises per-bucket sorting (calendar) and deep sifts (heap): inserts
-  // arrive in strictly decreasing time order, the worst case for both.
-  Simulator sim(1, Cfg());
+TEST(SimulatorTest, ManyEventsInReverseOrderPopSorted) {
+  // Exercises bucket sorting: inserts arrive in strictly decreasing time
+  // order, the worst case for ordered inserts.
+  Simulator sim(1);
   std::vector<SimTime> times;
   for (int i = 4096; i > 0; --i) {
     sim.Schedule(i * 7, [&]() { times.push_back(sim.Now()); });
@@ -109,11 +95,11 @@ TEST_P(SimulatorTest, ManyEventsInReverseOrderPopSorted) {
   EXPECT_EQ(times.back(), 4096 * 7);
 }
 
-TEST_P(SimulatorTest, FarFutureEventsInterleaveCorrectly) {
-  // Far deadlines land in the calendar's overflow list; near deadlines
+TEST(SimulatorTest, FarFutureEventsInterleaveCorrectly) {
+  // Far deadlines land in the overflow list; near deadlines
   // admitted later must still pop first, and the far ones must surface once
   // the clock catches up.
-  Simulator sim(1, Cfg());
+  Simulator sim(1);
   std::vector<int> order;
   sim.Schedule(10 * kSecond, [&]() { order.push_back(2); });  // overflow-far
   sim.Schedule(30 * kSecond, [&]() { order.push_back(3); });
@@ -127,10 +113,10 @@ TEST_P(SimulatorTest, FarFutureEventsInterleaveCorrectly) {
   EXPECT_EQ(sim.Now(), 30 * kSecond);
 }
 
-TEST_P(SimulatorTest, GrowShrinkChurnStaysOrdered) {
-  // Pending depth swings 3 -> ~3000 -> 3 and back, forcing calendar
-  // rebuilds in both directions; order and counts must hold throughout.
-  Simulator sim(7, Cfg());
+TEST(SimulatorTest, GrowShrinkChurnStaysOrdered) {
+  // Pending depth swings 3 -> ~3000 -> 3 and back, forcing rebuilds in
+  // both directions; order and counts must hold throughout.
+  Simulator sim(7);
   SimTime last = -1;
   uint64_t ran = 0;
   auto check = [&]() {
@@ -148,12 +134,12 @@ TEST_P(SimulatorTest, GrowShrinkChurnStaysOrdered) {
   EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST_P(SimulatorTest, DeepQueueGeometrySamplingKeepsOrder) {
+TEST(SimulatorTest, DeepQueueGeometrySamplingKeepsOrder) {
   // Grows the pending set past the rebuild-time geometry sample cap (4096),
-  // so calendar rebuilds derive bucket width from a reservoir sample of the
+  // so rebuilds derive bucket width from a reservoir sample of the
   // deadlines instead of sorting all of them. Sampling shapes geometry
   // only — the (time, seq) pop order must stay exact.
-  Simulator sim(11, Cfg());
+  Simulator sim(11);
   SimTime last = -1;
   uint64_t ran = 0;
   auto check = [&]() {
