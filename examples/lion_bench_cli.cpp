@@ -3,13 +3,15 @@
 // from the config schema (harness/config_schema.h) — every declared field
 // is settable as --<dotted.path>=<value>, configs load from JSON files, and
 // JSON sweep grids run through the multi-threaded SweepRunner. There are no
-// hand-rolled per-field flag cases here.
+// hand-rolled per-field flag cases here. Every paper figure is a sweep grid
+// in examples/configs/, so this is also the figure front end.
 //
 // Usage examples:
 //   lion_bench_cli --protocol=Lion --workload=ycsb --ycsb.cross_ratio=0.8
 //   lion_bench_cli --config=examples/configs/quickstart.json --json
 //   lion_bench_cli --config=exp.json --lion.planner.interval_ms=250
 //   lion_bench_cli --sweep=examples/configs/fig7_cross_ratio.json --repeat=3
+//   lion_bench_cli --sweep=examples/configs/fig_geo.json --list
 //   lion_bench_cli --flags          # the full derived flag listing
 //   lion_bench_cli --list
 #include <algorithm>
@@ -66,7 +68,9 @@ void PrintUsage() {
       "                     report per-metric medians (+ min/max); with\n"
       "                     --json each point aggregates into median/min/max\n"
       "                     blocks instead of one record per run\n"
-      "  --json             emit the merged sweep JSON instead of summaries\n\n"
+      "  --json             emit the merged sweep JSON instead of summaries,\n"
+      "                     with the report blocks the grid selects\n"
+      "  --list             with --sweep: print the grid's point names\n\n"
       "discovery:\n"
       "  --list             registered protocols and workloads\n"
       "  --flags            every derived --KEY flag, grouped by config\n"
@@ -100,7 +104,7 @@ void PrintFlags() {
 }
 
 int RunSweep(const std::string& sweep_path, const std::string& filter,
-             int threads, int repeat, bool json) {
+             int threads, int repeat, bool json, bool list) {
   std::vector<SweepPoint> points;
   Status s = LoadSweepFile(sweep_path, &points);
   if (!s.ok()) {
@@ -120,18 +124,23 @@ int RunSweep(const std::string& sweep_path, const std::string& filter,
       return 1;
     }
   }
-  points = ExpandRepeat(std::move(points), repeat);
+  if (list) {
+    for (const SweepPoint& p : points) std::printf("%s\n", p.name.c_str());
+    return 0;
+  }
+  // The declared points stay for the reports; the runner gets the repeats.
+  std::vector<SweepPoint> runs = ExpandRepeat(points, repeat);
 
   SweepOptions options;
   options.threads = threads;
   options.on_progress = MakeSweepProgress(StderrIsTty() && !json,
-                                          points.size());
+                                          runs.size());
   SweepRunner runner(options);
-  for (SweepPoint& p : points) runner.Add(std::move(p));
+  for (SweepPoint& p : runs) runner.Add(std::move(p));
   std::vector<SweepOutcome> outcomes = runner.Run();
 
   if (json) {
-    std::printf("%s\n", MergeRepeatJson(outcomes, repeat).c_str());
+    std::printf("%s\n", MergeSweepJson(points, outcomes, repeat).c_str());
     bool all_ok = true;
     for (const SweepOutcome& o : outcomes) all_ok &= o.status.ok();
     return all_ok ? 0 : 1;
@@ -153,12 +162,12 @@ int main(int argc, char** argv) {
   bool series = false;
   bool json = false;
   bool print_config = false;
+  bool list = false;
 
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
     if (std::strcmp(a, "--list") == 0) {
-      PrintRegistries();
-      return 0;
+      list = true;
     } else if (std::strcmp(a, "--flags") == 0) {
       PrintFlags();
       return 0;
@@ -208,7 +217,11 @@ int main(int argc, char** argv) {
                    "--KEY overrides apply to single runs only\n");
       return 1;
     }
-    return RunSweep(sweep_path, filter, threads, repeat, json);
+    return RunSweep(sweep_path, filter, threads, repeat, json, list);
+  }
+  if (list) {
+    PrintRegistries();
+    return 0;
   }
   if (repeat != 1 || threads != 0 || !filter.empty()) {
     std::fprintf(stderr,

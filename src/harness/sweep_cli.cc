@@ -8,6 +8,9 @@
 #include <string>
 #include <utility>
 
+#include "replication/chaos_config.h"
+#include "sim/topology.h"
+
 namespace lion {
 
 namespace {
@@ -112,6 +115,131 @@ void AppendMetricBlock(std::string* out, const char* label,
   }
   *out += "}";
 }
+
+/// One point as a report sees it: its config and its base-seed result.
+struct ReportPoint {
+  const SweepPoint* point;
+  const ExperimentResult* result;
+};
+
+/// A number printed with a fixed printf format, so report values keep the
+/// precision the figures have always used.
+Json Rounded(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return Json::RawNumber(buf);
+}
+
+double DidonaBoundUs(const ExperimentConfig& config) {
+  Topology topo(config.cluster.net, config.cluster.num_nodes);
+  return 2.0 * static_cast<double>(topo.max_cross_region_latency()) /
+         static_cast<double>(kMicrosecond);
+}
+
+Json DidonaReference(const std::vector<ReportPoint>& points) {
+  Json bound = Json::Object();
+  Json distance = Json::Object();
+  std::vector<int> regions_seen;
+  for (const ReportPoint& p : points) {
+    const ExperimentConfig& config = p.point->config;
+    double bound_us = DidonaBoundUs(config);
+    int regions = config.cluster.net.regions;
+    if (std::find(regions_seen.begin(), regions_seen.end(), regions) ==
+        regions_seen.end()) {
+      regions_seen.push_back(regions);
+      bound.Set("regions=" + std::to_string(regions),
+                Rounded("%.6g", bound_us));
+    }
+    distance.Set(p.point->name, Rounded("%.6g", p.result->p99_us - bound_us));
+  }
+  Json out = Json::Object();
+  out.Set("didona_lower_bound_us", std::move(bound));
+  out.Set("distance_from_bound_us", std::move(distance));
+  return out;
+}
+
+Json MetaSummary(const std::vector<ReportPoint>& points) {
+  double meta = 0.0, best = 0.0, worst = 0.0;
+  uint64_t switches = 0;
+  for (const ReportPoint& p : points) {
+    const ExperimentResult& r = *p.result;
+    if (r.meta_active) {
+      meta = r.throughput;
+      switches = r.protocol_switches.size();
+    } else {
+      if (best == 0.0 || r.throughput > best) best = r.throughput;
+      if (worst == 0.0 || r.throughput < worst) worst = r.throughput;
+    }
+  }
+  Json out = Json::Object();
+  out.Set("meta_txn_s", Rounded("%.1f", meta));
+  out.Set("best_static_txn_s", Rounded("%.1f", best));
+  out.Set("worst_static_txn_s", Rounded("%.1f", worst));
+  out.Set("meta_vs_best", Rounded("%.4f", best > 0.0 ? meta / best : 0.0));
+  out.Set("meta_vs_worst", Rounded("%.4f", worst > 0.0 ? meta / worst : 0.0));
+  out.Set("switches", Json::Uint(switches));
+  return out;
+}
+
+/// Mean availability over the stats windows after the last crash of the
+/// chaos schedule: for a second crash, the stretch where only a recovered
+/// node's replicas can keep its failed-over partitions serving.
+double PostCrashAvailability(const ExperimentConfig& config,
+                             const ExperimentResult& r) {
+  SimTime last_crash = 0;
+  for (const std::string& entry : config.chaos.schedule) {
+    ChaosEvent ev;
+    if (!ChaosEvent::Parse(entry, &ev).ok()) continue;
+    if (ev.kind == ChaosEventKind::kCrash ||
+        ev.kind == ChaosEventKind::kCrashDirty) {
+      last_crash = std::max(last_crash, ev.at);
+    }
+  }
+  size_t from =
+      r.window > 0 ? static_cast<size_t>(last_crash / r.window) + 1 : 0;
+  double sum = 0.0;
+  size_t n = 0;
+  for (size_t i = from; i < r.window_availability.size(); ++i) {
+    sum += r.window_availability[i];
+    n++;
+  }
+  return n > 0 ? sum / static_cast<double>(n) : 0.0;
+}
+
+Json RecoveryPanel(const std::vector<ReportPoint>& points) {
+  Json out = Json::Array();
+  for (const ReportPoint& p : points) {
+    const ExperimentConfig& config = p.point->config;
+    const ExperimentResult& r = *p.result;
+    double recovery_ms = 0.0;
+    for (const ExperimentResult::RecoveryEvent& ev : r.recovery_events) {
+      recovery_ms += ev.duration_ms;
+    }
+    Json entry = Json::Object();
+    entry.Set("name", Json::Str(p.point->name));
+    entry.Set("durability_lag_us",
+              Json::Int(config.recovery.enabled
+                            ? config.recovery.durability_lag / kMicrosecond
+                            : -1));
+    entry.Set("recovery_ms", Rounded("%.3f", recovery_ms));
+    entry.Set("post_crash_availability",
+              Rounded("%.4f", PostCrashAvailability(config, r)));
+    entry.Set("log_entries_lost", Json::Uint(r.log_entries_lost));
+    out.Add(std::move(entry));
+  }
+  return out;
+}
+
+struct SweepReport {
+  const char* name;
+  Json (*build)(const std::vector<ReportPoint>& points);
+};
+
+const SweepReport kSweepReports[] = {
+    {"reference", DidonaReference},
+    {"meta_summary", MetaSummary},
+    {"recovery_panel", RecoveryPanel},
+};
 
 }  // namespace
 
@@ -220,6 +348,48 @@ std::string MergeRepeatJson(const std::vector<SweepOutcome>& outcomes,
     json += "}";
   }
   json += "]}";
+  return json;
+}
+
+const std::vector<std::string>& SweepReportNames() {
+  static const std::vector<std::string>* names = [] {
+    auto* v = new std::vector<std::string>();
+    for (const SweepReport& report : kSweepReports) v->push_back(report.name);
+    return v;
+  }();
+  return *names;
+}
+
+std::string MergeSweepJson(const std::vector<SweepPoint>& points,
+                           const std::vector<SweepOutcome>& outcomes,
+                           int repeat) {
+  std::string json = MergeRepeatJson(outcomes, repeat);
+  const size_t runs_per_point = repeat > 1 ? static_cast<size_t>(repeat) : 1;
+  for (const SweepReport& report : kSweepReports) {
+    bool selected = false;
+    std::vector<ReportPoint> inputs;
+    for (size_t i = 0; i < points.size(); ++i) {
+      const std::vector<std::string>& wanted = points[i].reports;
+      if (std::find(wanted.begin(), wanted.end(), report.name) ==
+          wanted.end()) {
+        continue;
+      }
+      selected = true;
+      const SweepOutcome& base_run = outcomes.at(i * runs_per_point);
+      if (base_run.status.ok()) {
+        inputs.push_back(ReportPoint{&points[i], &base_run.result});
+      }
+    }
+    if (!selected) continue;
+    // The merged document is one object: the report joins it as a member
+    // after "runs".
+    json.pop_back();
+    json += ",\"";
+    json += report.name;
+    json += "\":";
+    report.build(inputs).AppendTo(&json);
+    json += "}";
+  }
   return json;
 }
 

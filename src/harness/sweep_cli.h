@@ -1,9 +1,11 @@
-// Shared front-end pieces for sweep-running binaries (bench::SweepMain and
-// lion_bench_cli --sweep): repeat expansion with derived seeds, a TTY
-// progress/ETA line, and per-point summary reporting with medians.
+// The sweep front end behind lion_bench_cli --sweep: repeat expansion with
+// derived seeds, a TTY progress/ETA line, per-point summary reporting with
+// medians, and the merged JSON document with the derived report blocks a
+// sweep spec selects.
 #pragma once
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "harness/sweep_runner.h"
@@ -41,6 +43,43 @@ SweepOptions::ProgressFn MakeSweepProgress(bool enabled, size_t total);
 /// byte-identity guarantee of MergeJson carries over.
 std::string MergeRepeatJson(const std::vector<SweepOutcome>& outcomes,
                             int repeat);
+
+/// Report names a sweep spec may select with its "reports" key, in the
+/// order the merged document emits them: "reference", "meta_summary",
+/// "recovery_panel".
+const std::vector<std::string>& SweepReportNames();
+
+/// MergeRepeatJson followed by one top-level member per report that any of
+/// `points` selects. `points` are the declared points (before
+/// ExpandRepeat) and `outcomes` their runs, `repeat` consecutive runs per
+/// point. A report reads the points that select it in declaration order,
+/// each through its config and the result of its base-seed run (the first
+/// of its repeats); points whose run failed are left out. Numbers keep the
+/// fixed precision the figures have always printed.
+///
+///   "reference": {"didona_lower_bound_us":{"regions=2":60000,...},
+///                 "distance_from_bound_us":{"<point>":-51234.5,...}}
+///     The Didona et al. lower bound on the commit latency of transactions
+///     that conflict across regions: one WAN round trip, 2x the largest
+///     one-way inter-region latency of the point's topology, in us (0 for
+///     one region), keyed by region count. The distance is the point's p99
+///     latency minus its bound; the bound binds cross-region conflicting
+///     commits, which live in the tail.
+///   "meta_summary": {"meta_txn_s":..,"best_static_txn_s":..,
+///                    "worst_static_txn_s":..,"meta_vs_best":..,
+///                    "meta_vs_worst":..,"switches":N}
+///     Throughput of the meta protocol's point against the best and worst
+///     of the other points, and its protocol switch count.
+///   "recovery_panel": [{"name":..,"durability_lag_us":..,"recovery_ms":..,
+///                       "post_crash_availability":..,
+///                       "log_entries_lost":N},...]
+///     One entry per point: its recovery.durability_lag_us (-1 with
+///     recovery off, when a crashed node rejoins empty), the summed
+///     duration of its recovery events, and its mean availability over the
+///     stats windows after the chaos schedule's last crash.
+std::string MergeSweepJson(const std::vector<SweepPoint>& points,
+                           const std::vector<SweepOutcome>& outcomes,
+                           int repeat);
 
 /// Prints one summary line per declared point, in declaration order. With
 /// repeat > 1 the line reports the per-metric median across that point's

@@ -11,7 +11,7 @@ namespace lion {
 SweepRunner::SweepRunner(SweepOptions options) : options_(std::move(options)) {}
 
 void SweepRunner::Add(std::string name, ExperimentConfig config) {
-  points_.push_back(SweepPoint{std::move(name), std::move(config)});
+  points_.push_back(SweepPoint{std::move(name), std::move(config), {}});
 }
 
 void SweepRunner::Add(SweepPoint point) { points_.push_back(std::move(point)); }

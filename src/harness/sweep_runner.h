@@ -28,6 +28,9 @@ namespace lion {
 struct SweepPoint {
   std::string name;
   ExperimentConfig config;
+  /// Derived report blocks this point feeds (harness/sweep_cli.h), set from
+  /// its spec's "reports" key; the runner itself ignores them.
+  std::vector<std::string> reports;
 };
 
 /// What happened to one grid point. `result` is meaningful iff `status` is

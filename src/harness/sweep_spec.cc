@@ -1,8 +1,11 @@
 #include "harness/sweep_spec.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "harness/config_schema.h"
+#include "harness/registry.h"
+#include "harness/sweep_cli.h"
 
 namespace lion {
 
@@ -87,10 +90,23 @@ Status SweepSpec::FromJson(const Json& v, SweepSpec* out) {
         if (!s.ok()) return s;
         out->axes.push_back(std::move(axis));
       }
+    } else if (m.first == "reports") {
+      if (!m.second.is_array())
+        return Status::InvalidArgument("reports: expected array");
+      for (const Json& r : m.second.items()) {
+        if (!r.is_string())
+          return Status::InvalidArgument("reports: expected strings");
+        const std::vector<std::string>& known = SweepReportNames();
+        if (std::find(known.begin(), known.end(), r.str()) == known.end())
+          return Status::InvalidArgument("reports: unknown report \"" +
+                                         r.str() + "\" (known: " +
+                                         JoinRegistryNames(known) + ")");
+        out->reports.push_back(r.str());
+      }
     } else {
       return Status::InvalidArgument(m.first +
                                      ": unknown sweep spec key (name, base, "
-                                     "axes)");
+                                     "axes, reports)");
     }
   }
   if (out->name.empty())
@@ -113,6 +129,7 @@ Status SweepSpec::Expand(std::vector<SweepPoint>* out) const {
     SweepPoint sp;
     sp.name = name;
     sp.config = base;
+    sp.reports = reports;
     for (size_t a = 0; a < axes.size(); ++a) {
       const SweepAxis& axis = axes[a];
       const Json& value = axis.values[index[a]];

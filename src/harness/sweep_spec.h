@@ -21,8 +21,12 @@
 // expansion is the cartesian product in declared order with the FIRST axis
 // outermost, and each point is named "<name>/<label1>/<label2>/...". When
 // "labels" is omitted, a value's label is "<leaf>=<value>" ("cross_ratio=0.2");
-// explicit labels let checked-in grids reproduce the compiled binaries'
-// point names exactly ("cross=20").
+// explicit labels give points the figures' names ("cross=20").
+//
+// An optional "reports" array selects derived blocks that the merged sweep
+// JSON carries next to "runs" ("reference", "meta_summary",
+// "recovery_panel"; see SweepReportNames in harness/sweep_cli.h). A report
+// reads the points of every spec in the document that names it.
 #pragma once
 
 #include <string>
@@ -48,10 +52,13 @@ struct SweepSpec {
   std::string name;
   ExperimentConfig base;
   std::vector<SweepAxis> axes;
+  /// Report names copied onto every expanded point.
+  std::vector<std::string> reports;
 
-  /// Parses one spec object ("name" required; "base"/"axes" optional).
-  /// Unknown spec keys, unknown config keys in "base", length-mismatched
-  /// "labels", and empty "values" are kInvalidArgument.
+  /// Parses one spec object ("name" required; "base"/"axes"/"reports"
+  /// optional). Unknown spec keys, unknown config keys in "base",
+  /// length-mismatched "labels", empty "values" and unknown report names
+  /// are kInvalidArgument.
   static Status FromJson(const Json& v, SweepSpec* out);
 
   /// Product of the axis sizes (1 when there are no axes).

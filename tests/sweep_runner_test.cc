@@ -35,10 +35,10 @@ ExperimentConfig TinyConfig(const std::string& protocol, double cross,
 
 std::vector<SweepPoint> TinyGrid() {
   std::vector<SweepPoint> grid;
-  grid.push_back({"2pc/cross=0", TinyConfig("2PC", 0.0, 1)});
-  grid.push_back({"2pc/cross=50", TinyConfig("2PC", 0.5, 1)});
-  grid.push_back({"2pc/seed=2", TinyConfig("2PC", 0.5, 2)});
-  grid.push_back({"leap/cross=50", TinyConfig("Leap", 0.5, 1)});
+  grid.push_back({"2pc/cross=0", TinyConfig("2PC", 0.0, 1), {}});
+  grid.push_back({"2pc/cross=50", TinyConfig("2PC", 0.5, 1), {}});
+  grid.push_back({"2pc/seed=2", TinyConfig("2PC", 0.5, 2), {}});
+  grid.push_back({"leap/cross=50", TinyConfig("Leap", 0.5, 1), {}});
   return grid;
 }
 
