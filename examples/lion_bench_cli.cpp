@@ -140,7 +140,8 @@ int RunSweep(const std::string& sweep_path, const std::string& filter,
   std::vector<SweepOutcome> outcomes = runner.Run();
 
   if (json) {
-    std::printf("%s\n", MergeSweepJson(points, outcomes, repeat).c_str());
+    std::printf("%s\n",
+                MergeSweepJson(points, outcomes, repeat).Dump().c_str());
     bool all_ok = true;
     for (const SweepOutcome& o : outcomes) all_ok &= o.status.ok();
     return all_ok ? 0 : 1;
@@ -268,7 +269,7 @@ int main(int argc, char** argv) {
   }
 
   if (json) {
-    std::printf("%s\n", res.ToJson().c_str());
+    std::printf("%s\n", res.ToJson().Dump().c_str());
     return 0;
   }
 

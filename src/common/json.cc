@@ -27,9 +27,29 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
+/// `s` as a quoted JSON string: quotes, backslashes and control characters
+/// escaped.
 void AppendEscaped(std::string* out, const std::string& s) {
   out->push_back('"');
-  AppendJsonEscaped(out, s);
+  for (char c : s) {
+    switch (c) {
+      case '"': *out += "\\\""; break;
+      case '\\': *out += "\\\\"; break;
+      case '\n': *out += "\\n"; break;
+      case '\t': *out += "\\t"; break;
+      case '\r': *out += "\\r"; break;
+      case '\b': *out += "\\b"; break;
+      case '\f': *out += "\\f"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(c);
+        }
+    }
+  }
   out->push_back('"');
 }
 
@@ -338,6 +358,12 @@ Json Json::RawNumber(std::string lexeme) {
   return v;
 }
 
+Json Json::Printf(const char* format, double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, v);
+  return RawNumber(buf);
+}
+
 Json Json::Str(std::string s) {
   Json v;
   v.type_ = Type::kString;
@@ -470,28 +496,6 @@ Status Json::ParseFile(const std::string& path, Json* out) {
   if (!s.ok())
     return Status::InvalidArgument(path + ": " + s.message());
   return s;
-}
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      case '\b': *out += "\\b"; break;
-      case '\f': *out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 const char* JsonTypeName(Json::Type type) {

@@ -1,4 +1,5 @@
-// Minimal JSON document model + parser for configuration round-tripping.
+// Minimal JSON document model + parser: configuration round trips, and the
+// one emitter of run results and sweep reports (harness/).
 //
 // Numbers keep their source lexeme and are re-emitted verbatim, so
 // parse→emit is lossless for any 64-bit integer or shortest-form double — a
@@ -35,6 +36,9 @@ class Json {
   /// Number from an already-validated lexeme (parser + schema use; the
   /// caller vouches that `lexeme` matches the JSON number grammar).
   static Json RawNumber(std::string lexeme);
+  /// `v` printed with a printf `format` such as "%.6g": the fixed precision
+  /// of result and report numbers. Non-finite values print as printf does.
+  static Json Printf(const char* format, double v);
   static Json Str(std::string s);
   static Json Array();
   static Json Object();
@@ -76,7 +80,6 @@ class Json {
   // --- serialization ---------------------------------------------------------
   /// Compact form: no whitespace, members in stored order.
   std::string Dump() const;
-  void AppendTo(std::string* out) const;
 
   /// Parses one complete document from `text`.
   static Status Parse(const std::string& text, Json* out);
@@ -84,6 +87,8 @@ class Json {
   static Status ParseFile(const std::string& path, Json* out);
 
  private:
+  void AppendTo(std::string* out) const;
+
   Type type_;
   bool bool_ = false;
   std::string scalar_;  // number lexeme or string payload
@@ -93,11 +98,5 @@ class Json {
 
 /// Lower-case type name ("number", "object", ...) for error messages.
 const char* JsonTypeName(Json::Type type);
-
-/// Appends `s` to `*out` with JSON string escaping (quotes, backslashes,
-/// control characters) but without the surrounding quotes — the shared
-/// escaper for every hand-assembled JSON emitter (Json::Dump, the sweep
-/// merger, result ToJson labels).
-void AppendJsonEscaped(std::string* out, const std::string& s);
 
 }  // namespace lion

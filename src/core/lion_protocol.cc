@@ -41,8 +41,8 @@ LionProtocol::LionProtocol(Cluster* cluster, MetricsCollector* metrics,
     : Protocol(cluster, metrics),
       options_(options),
       engine_(cluster, metrics),
-      router_(cluster, options.cost),
-      cost_model_(options.cost),
+      router_(cluster, options.planner.plan.cost),
+      cost_model_(options.planner.plan.cost),
       predictor_(std::move(predictor)),
       current_batch_(std::make_shared<Batch>()) {
   if (options_.enable_planner) {
@@ -88,13 +88,14 @@ void LionProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
 
 bool LionProtocol::WorthRemastering(PartitionId pid, NodeId dst,
                                     size_t ops_on_pid) const {
+  const CostModelConfig& cost = options_.planner.plan.cost;
   double remaster_cost =
-      options_.cost.wr * cost_model_.CntRemaster(cluster_->router(), pid, dst);
+      cost.wr * cost_model_.CntRemaster(cluster_->router(), pid, dst);
   // Remote execution costs remote_access per partition plus a small per-op
   // component, so stealing mastership for a tiny remote working set only
   // happens when the partition is cold (low f in Eq. 4).
   double remote_cost =
-      options_.cost.remote_access * (0.5 + 0.1 * static_cast<double>(ops_on_pid));
+      cost.remote_access * (0.5 + 0.1 * static_cast<double>(ops_on_pid));
   return remaster_cost > 0.0 && remaster_cost <= remote_cost;
 }
 

@@ -14,12 +14,10 @@
 
 namespace lion {
 
-/// Configuration of a Lion instance. The ablation variants of Table II are
-/// expressed by toggling these flags:
-///   Lion(R)  : enable_planner, no predictor, standard execution
-///   Lion(RW) : enable_planner + predictor, standard execution
-///   Lion(RB) : enable_planner, batch execution, no predictor
-///   Lion     : everything on
+/// Configuration of a Lion instance. The ablation variants of Table II
+/// (Lion(R), Lion(RW), Lion(RB), Lion, ...) are registry names: the factory
+/// sets `planner.strategy`, `batch_mode` and `group_commit` from the name,
+/// so the config schema does not expose those three.
 struct LionOptions {
   /// Adaptive replica rearrangement via the planner (Sec. IV-A/B).
   bool enable_planner = true;
@@ -32,8 +30,9 @@ struct LionOptions {
   bool group_commit = false;
   /// Flush a batch early when it reaches this many transactions.
   size_t max_batch_size = 10000;
+  /// Planning loop; its `plan.cost` holds the Eq. 3/4 weights that the
+  /// router and the remaster check read too.
   PlannerConfig planner;
-  CostModelConfig cost;
   /// Region-aware placement constraints (no-ops on a flat topology).
   GeoPlacementConfig geo;
 };

@@ -333,13 +333,9 @@ const ConfigSchema& TpccConfigSchema() {
 const ConfigSchema& LstmConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<LstmConfig> b("LstmConfig");
-    b.Field("input_dim", &LstmConfig::input_dim, "input dimension",
-            check::AtLeast<int>(1));
     b.Field("hidden", &LstmConfig::hidden, "hidden units per layer",
             check::AtLeast<int>(1));
     b.Field("layers", &LstmConfig::layers, "stacked LSTM layers",
-            check::AtLeast<int>(1));
-    b.Field("output_dim", &LstmConfig::output_dim, "output dimension",
             check::AtLeast<int>(1));
     b.Field("learning_rate", &LstmConfig::learning_rate,
             "Adam learning rate", check::Positive<double>());
@@ -467,11 +463,6 @@ const ConfigSchema& PlanGeneratorConfigSchema() {
 const ConfigSchema& PlannerConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<PlannerConfig> b("PlannerConfig");
-    b.Enum("strategy", &PlannerConfig::strategy,
-           {{"replica-rearrangement",
-             PartitioningStrategy::kReplicaRearrangement},
-            {"schism", PartitioningStrategy::kSchism}},
-           "partitioning strategy driving plan generation");
     b.Time("interval_ms", &PlannerConfig::interval, kMillisecond,
            "how often the planner analyzes and re-plans",
            check::Positive<SimTime>());
@@ -522,17 +513,11 @@ const ConfigSchema& LionOptionsSchema() {
     ConfigSchemaBuilder<LionOptions> b("LionOptions");
     b.Field("enable_planner", &LionOptions::enable_planner,
             "adaptive replica rearrangement via the planner");
-    b.Field("batch_mode", &LionOptions::batch_mode,
-            "batch execution with asynchronous remastering");
-    b.Field("group_commit", &LionOptions::group_commit,
-            "hold commit acknowledgements to the epoch boundary");
     b.Field("max_batch_size", &LionOptions::max_batch_size,
             "flush a batch early at this many transactions",
             check::AtLeast<uint64_t>(1));
     b.Nested("planner", &LionOptions::planner, PlannerConfigSchema(),
              "planning loop configuration");
-    b.Nested("cost", &LionOptions::cost, CostModelConfigSchema(),
-             "router/remaster cost model weights");
     b.Nested("geo", &LionOptions::geo, GeoPlacementConfigSchema(),
              "region-aware placement constraints");
     return std::move(b).Build();

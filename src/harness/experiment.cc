@@ -1,7 +1,6 @@
 #include "harness/experiment.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "core/geo_placement.h"
@@ -16,210 +15,48 @@ namespace lion {
 
 namespace {
 
-void AppendJsonField(std::string* out, const char* key, double value,
-                     bool* first) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", value);
-  if (!*first) *out += ",";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\":";
-  *out += buf;
-}
+/// Result doubles print with 6 significant digits.
+Json Real(double v) { return Json::Printf("%.6g", v); }
 
-void AppendJsonField(std::string* out, const char* key, uint64_t value,
-                     bool* first) {
-  if (!*first) *out += ",";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\":";
-  *out += std::to_string(value);
-}
-
-void AppendJsonField(std::string* out, const char* key,
-                     const std::string& value, bool* first) {
-  if (!*first) *out += ",";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\":\"";
-  *out += value;  // names are registry identifiers: no escaping needed
-  *out += "\"";
-}
-
-void AppendJsonSeries(std::string* out, const char* key,
-                      const std::vector<double>& values, bool* first) {
-  if (!*first) *out += ",";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\":[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6g", values[i]);
-    if (i > 0) *out += ",";
-    *out += buf;
-  }
-  *out += "]";
+Json Series(const std::vector<double>& values) {
+  Json out = Json::Array();
+  for (double v : values) out.Add(Real(v));
+  return out;
 }
 
 }  // namespace
 
-std::string ExperimentResult::ToJson() const {
-  std::string json = "{";
-  bool first = true;
-  AppendJsonField(&json, "protocol", protocol, &first);
-  AppendJsonField(&json, "workload", workload, &first);
-  AppendJsonField(&json, "seed", seed, &first);
-  AppendJsonField(&json, "throughput_txn_s", throughput, &first);
-  AppendJsonField(&json, "committed", committed, &first);
-  AppendJsonField(&json, "aborts", aborts, &first);
-  AppendJsonField(&json, "single_node", single_node, &first);
-  AppendJsonField(&json, "remastered", remastered, &first);
-  AppendJsonField(&json, "distributed", distributed, &first);
-  AppendJsonField(&json, "p10_us", p10_us, &first);
-  AppendJsonField(&json, "p50_us", p50_us, &first);
-  AppendJsonField(&json, "p95_us", p95_us, &first);
-  AppendJsonField(&json, "p99_us", p99_us, &first);
-  AppendJsonField(&json, "bytes_per_txn", bytes_per_txn, &first);
-  AppendJsonField(&json, "remasters", remasters, &first);
-  AppendJsonField(&json, "migrations", migrations, &first);
-  AppendJsonField(&json, "migrated_bytes", migrated_bytes, &first);
-  AppendJsonField(&json, "window_ns", static_cast<uint64_t>(window), &first);
-  json += ",\"breakdown_us\":{";
-  bool bfirst = true;
-  AppendJsonField(&json, "scheduling", breakdown.scheduling / 1000.0, &bfirst);
-  AppendJsonField(&json, "execution", breakdown.execution / 1000.0, &bfirst);
-  AppendJsonField(&json, "commit", breakdown.commit / 1000.0, &bfirst);
-  AppendJsonField(&json, "replication", breakdown.replication / 1000.0,
-                  &bfirst);
-  AppendJsonField(&json, "other", breakdown.other / 1000.0, &bfirst);
-  json += "}";
-  first = false;
-  AppendJsonSeries(&json, "window_throughput", window_throughput, &first);
-  AppendJsonSeries(&json, "window_bytes_per_txn", window_bytes_per_txn,
-                   &first);
-  if (chaos_active) {
-    // Chaos-only fields live behind this gate so that chaos-off runs emit
-    // byte-identical JSON to a build without the subsystem.
-    AppendJsonField(&json, "aborted_unavailable", aborted_unavailable, &first);
-    AppendJsonField(&json, "failovers", failovers, &first);
-    AppendJsonField(&json, "elections_rerun", elections_rerun, &first);
-    AppendJsonField(&json, "messages_dropped", messages_dropped, &first);
-    AppendJsonSeries(&json, "window_availability", window_availability,
-                     &first);
-    json += ",\"fault_events\":[";
-    for (size_t i = 0; i < fault_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool ffirst = true;
-      AppendJsonField(&json, "t_ms", fault_events[i].t_ms, &ffirst);
-      AppendJsonField(&json, "event", fault_events[i].description, &ffirst);
-      json += "}";
-    }
-    json += "],\"integrity\":{";
-    bool ifirst = true;
-    AppendJsonField(&json, "violations", integrity_violations, &ifirst);
-    AppendJsonField(&json, "partitions_checked", integrity_partitions_checked,
-                    &ifirst);
-    AppendJsonField(&json, "writes_checked", integrity_writes_checked,
-                    &ifirst);
-    if (recovery_active) {
-      // Recovery-only integrity fields stay behind the recovery gate so
-      // chaos-on / recovery-off runs keep their pre-recovery JSON shape.
-      AppendJsonField(&json, "stale_elections", stale_elections, &ifirst);
-      AppendJsonField(&json, "log_writes_checked",
-                      integrity_log_writes_checked, &ifirst);
-    }
-    json += ",\"messages\":[";
-    for (size_t i = 0; i < integrity_messages.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"";
-      json += integrity_messages[i];  // checker messages: no quotes/escapes
-      json += "\"";
-    }
-    json += "]}";
-  }
-  if (recovery_active) {
-    // Recovery-only fields live behind this gate so that recovery-off runs
-    // emit byte-identical JSON to a build without the subsystem.
-    json += ",\"recovery\":{";
-    bool rfirst = true;
-    AppendJsonField(&json, "log_entries", log_entries, &rfirst);
-    AppendJsonField(&json, "log_entries_lost", log_entries_lost, &rfirst);
-    AppendJsonField(&json, "log_snapshots", log_snapshots, &rfirst);
-    AppendJsonField(&json, "recoveries_replayed", recoveries_replayed,
-                    &rfirst);
-    AppendJsonField(&json, "catch_ups", catch_ups_completed, &rfirst);
-    AppendJsonField(&json, "catch_up_entries", catch_up_entries, &rfirst);
-    AppendJsonField(&json, "stale_elections", stale_elections, &rfirst);
-    json += ",\"catch_up_events\":[";
-    for (size_t i = 0; i < catch_up_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool cfirst = true;
-      AppendJsonField(&json, "t_ms", catch_up_events[i].t_ms, &cfirst);
-      AppendJsonField(&json, "node",
-                      static_cast<uint64_t>(catch_up_events[i].node), &cfirst);
-      AppendJsonField(&json, "partition",
-                      static_cast<uint64_t>(catch_up_events[i].partition),
-                      &cfirst);
-      AppendJsonField(&json, "duration_ms", catch_up_events[i].duration_ms,
-                      &cfirst);
-      AppendJsonField(&json, "entries", catch_up_events[i].entries, &cfirst);
-      json += "}";
-    }
-    json += "],\"recovery_events\":[";
-    for (size_t i = 0; i < recovery_events.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool rfirst2 = true;
-      AppendJsonField(&json, "t_ms", recovery_events[i].t_ms, &rfirst2);
-      AppendJsonField(&json, "node",
-                      static_cast<uint64_t>(recovery_events[i].node),
-                      &rfirst2);
-      AppendJsonField(&json, "duration_ms", recovery_events[i].duration_ms,
-                      &rfirst2);
-      AppendJsonField(&json, "partitions",
-                      static_cast<uint64_t>(recovery_events[i].partitions),
-                      &rfirst2);
-      json += "}";
-    }
-    json += "]}";
-  }
-  if (meta_active) {
-    // Meta-only fields live behind this gate so non-meta runs emit
-    // byte-identical JSON to a build without the subsystem.
-    json += ",\"meta\":{\"children\":[";
-    for (size_t i = 0; i < meta_children.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"" + meta_children[i] + "\"";
-    }
-    json += "],\"final_assignment\":[";
-    for (size_t i = 0; i < meta_assignment.size(); ++i) {
-      if (i > 0) json += ",";
-      json += std::to_string(meta_assignment[i]);
-    }
-    json += "],\"switches\":" + std::to_string(protocol_switches.size());
-    json += "},\"protocol_switches\":[";
-    for (size_t i = 0; i < protocol_switches.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "{";
-      bool sfirst = true;
-      AppendJsonField(&json, "t_ms", protocol_switches[i].t_ms, &sfirst);
-      AppendJsonField(&json, "partition",
-                      static_cast<uint64_t>(protocol_switches[i].partition),
-                      &sfirst);
-      AppendJsonField(&json, "from", protocol_switches[i].from, &sfirst);
-      AppendJsonField(&json, "to", protocol_switches[i].to, &sfirst);
-      json += "}";
-    }
-    json += "]";
-  }
-  json += "}";
-  return json;
+Json ExperimentResult::ToJson() const {
+  Json out = Json::Object();
+  out.Set("protocol", Json::Str(protocol));
+  out.Set("workload", Json::Str(workload));
+  out.Set("seed", Json::Uint(seed));
+  out.Set("throughput_txn_s", Real(throughput));
+  out.Set("committed", Json::Uint(committed));
+  out.Set("aborts", Json::Uint(aborts));
+  out.Set("single_node", Json::Uint(single_node));
+  out.Set("remastered", Json::Uint(remastered));
+  out.Set("distributed", Json::Uint(distributed));
+  out.Set("p10_us", Real(p10_us));
+  out.Set("p50_us", Real(p50_us));
+  out.Set("p95_us", Real(p95_us));
+  out.Set("p99_us", Real(p99_us));
+  out.Set("bytes_per_txn", Real(bytes_per_txn));
+  out.Set("remasters", Json::Uint(remasters));
+  out.Set("migrations", Json::Uint(migrations));
+  out.Set("migrated_bytes", Json::Uint(migrated_bytes));
+  out.Set("window_ns", Json::Uint(static_cast<uint64_t>(window)));
+  Json phases = Json::Object();
+  phases.Set("scheduling", Real(breakdown.scheduling / 1000.0));
+  phases.Set("execution", Real(breakdown.execution / 1000.0));
+  phases.Set("commit", Real(breakdown.commit / 1000.0));
+  phases.Set("replication", Real(breakdown.replication / 1000.0));
+  phases.Set("other", Real(breakdown.other / 1000.0));
+  out.Set("breakdown_us", std::move(phases));
+  out.Set("window_throughput", Series(window_throughput));
+  out.Set("window_bytes_per_txn", Series(window_bytes_per_txn));
+  for (const Json::Member& m : subsystems.members()) out.Set(m.first, m.second);
+  return out;
 }
 
 Status ExperimentBuilder::Validate() const {
@@ -412,75 +249,122 @@ ExperimentResult Experiment::Run() {
   // numbers.
   result_ = Collect();
 
+  Json& members = result_.subsystems;
+  const RecoveryLog* log = cluster_->recovery_log();
   if (chaos_) {
     // Quiesce so in-flight failovers, retransmissions and deferred retries
     // settle before the invariants are checked.
     sim_->RunUntilIdle();
-    result_.chaos_active = true;
-    result_.aborted_unavailable = metrics_->aborted_unavailable();
-    result_.failovers = chaos_->injector().failovers_completed();
-    result_.elections_rerun = chaos_->injector().elections_rerun();
-    result_.messages_dropped = cluster_->network().messages_dropped();
+    const FailureInjector& injector = chaos_->injector();
+    members.Set("aborted_unavailable",
+                Json::Uint(metrics_->aborted_unavailable()));
+    members.Set("failovers", Json::Uint(injector.failovers_completed()));
+    members.Set("elections_rerun", Json::Uint(injector.elections_rerun()));
+    members.Set("messages_dropped",
+                Json::Uint(cluster_->network().messages_dropped()));
+    Json availability = Json::Array();
     for (size_t i = 0; i < result_.window_throughput.size(); ++i) {
-      result_.window_availability.push_back(metrics_->WindowAvailability(i));
+      availability.Add(Real(metrics_->WindowAvailability(i)));
     }
+    members.Set("window_availability", std::move(availability));
+    Json fault_events = Json::Array();
     for (const ChaosController::Fired& f : chaos_->fired()) {
-      result_.fault_events.push_back(ExperimentResult::FaultEvent{
-          static_cast<double>(f.at) / 1e6, f.description});
+      Json event = Json::Object();
+      event.Set("t_ms", Real(static_cast<double>(f.at) / 1e6));
+      event.Set("event", Json::Str(f.description));
+      fault_events.Add(std::move(event));
     }
+    members.Set("fault_events", std::move(fault_events));
+    IntegrityReport report;  // all zero when the check is off
     if (config_.chaos.check_integrity) {
-      IntegrityReport report = CheckClusterIntegrity(
-          cluster_.get(), &chaos_->injector(), ledger_.get());
-      result_.integrity_violations = report.violations.size();
-      result_.integrity_partitions_checked = report.partitions_checked;
-      result_.integrity_writes_checked = report.committed_writes_checked;
-      result_.integrity_log_writes_checked = report.log_writes_checked;
-      for (size_t i = 0; i < report.violations.size() && i < 5; ++i) {
-        result_.integrity_messages.push_back(report.violations[i]);
-      }
+      report = CheckClusterIntegrity(cluster_.get(), &injector, ledger_.get());
     }
+    Json integrity = Json::Object();
+    integrity.Set("violations", Json::Uint(report.violations.size()));
+    integrity.Set("partitions_checked", Json::Uint(report.partitions_checked));
+    integrity.Set("writes_checked",
+                  Json::Uint(report.committed_writes_checked));
+    if (log != nullptr) {
+      integrity.Set("stale_elections", Json::Uint(injector.stale_elections()));
+      integrity.Set("log_writes_checked",
+                    Json::Uint(report.log_writes_checked));
+    }
+    Json messages = Json::Array();  // the first few, as diagnostics
+    for (size_t i = 0; i < report.violations.size() && i < 5; ++i) {
+      messages.Add(Json::Str(report.violations[i]));
+    }
+    integrity.Set("messages", std::move(messages));
+    members.Set("integrity", std::move(integrity));
   }
-  if (cluster_->recovery_log() != nullptr) {
+  if (log != nullptr) {
     // After the chaos drain (when one ran) so catch-ups completing during
     // the quiesce land in the records too.
-    const RecoveryLog* log = cluster_->recovery_log();
-    result_.recovery_active = true;
-    result_.log_entries = log->entries_appended();
-    result_.log_entries_lost = log->total_lost_entries();
-    result_.log_snapshots = log->snapshots_taken();
-    result_.catch_up_entries = cluster_->replication().catch_up_entries_shipped();
-    if (chaos_) {
-      const FailureInjector& injector = chaos_->injector();
-      result_.stale_elections = injector.stale_elections();
-      result_.recoveries_replayed = injector.recoveries_replayed();
-      result_.catch_ups_completed = injector.catch_ups().size();
-      for (const FailureInjector::CatchUpRecord& c : injector.catch_ups()) {
-        result_.catch_up_events.push_back(ExperimentResult::CatchUpEvent{
-            static_cast<double>(c.finished) / 1e6, static_cast<int>(c.node),
-            static_cast<int>(c.partition),
-            static_cast<double>(c.finished - c.started) / 1e6, c.entries});
+    const FailureInjector* injector = chaos_ ? &chaos_->injector() : nullptr;
+    Json recovery = Json::Object();
+    recovery.Set("log_entries", Json::Uint(log->entries_appended()));
+    recovery.Set("log_entries_lost", Json::Uint(log->total_lost_entries()));
+    recovery.Set("log_snapshots", Json::Uint(log->snapshots_taken()));
+    recovery.Set("recoveries_replayed",
+                 Json::Uint(injector ? injector->recoveries_replayed() : 0));
+    recovery.Set("catch_ups",
+                 Json::Uint(injector ? injector->catch_ups().size() : 0));
+    recovery.Set("catch_up_entries",
+                 Json::Uint(cluster_->replication().catch_up_entries_shipped()));
+    recovery.Set("stale_elections",
+                 Json::Uint(injector ? injector->stale_elections() : 0));
+    Json catch_ups = Json::Array();
+    Json recoveries = Json::Array();
+    if (injector != nullptr) {
+      for (const FailureInjector::CatchUpRecord& c : injector->catch_ups()) {
+        Json event = Json::Object();
+        event.Set("t_ms", Real(static_cast<double>(c.finished) / 1e6));
+        event.Set("node", Json::Int(c.node));
+        event.Set("partition", Json::Int(c.partition));
+        event.Set("duration_ms",
+                  Real(static_cast<double>(c.finished - c.started) / 1e6));
+        event.Set("entries", Json::Uint(c.entries));
+        catch_ups.Add(std::move(event));
       }
-      for (const FailureInjector::RecoveryRecord& r : injector.recoveries()) {
-        result_.recovery_events.push_back(ExperimentResult::RecoveryEvent{
-            static_cast<double>(r.finished) / 1e6, static_cast<int>(r.node),
-            static_cast<double>(r.finished - r.started) / 1e6, r.partitions});
+      for (const FailureInjector::RecoveryRecord& r : injector->recoveries()) {
+        Json event = Json::Object();
+        event.Set("t_ms", Real(static_cast<double>(r.finished) / 1e6));
+        event.Set("node", Json::Int(r.node));
+        event.Set("duration_ms",
+                  Real(static_cast<double>(r.finished - r.started) / 1e6));
+        event.Set("partitions", Json::Int(r.partitions));
+        recoveries.Add(std::move(event));
       }
     }
+    recovery.Set("catch_up_events", std::move(catch_ups));
+    recovery.Set("recovery_events", std::move(recoveries));
+    members.Set("recovery", std::move(recovery));
   }
   if (auto* meta = dynamic_cast<MetaProtocol*>(protocol_.get())) {
     // After the chaos drain (when one ran) so flips completing during the
     // quiesce land in the timeline too.
-    result_.meta_active = true;
+    const std::vector<MetricsCollector::ProtocolSwitch>& switches =
+        metrics_->protocol_switches();
+    Json children = Json::Array();
     for (size_t i = 0; i < meta->num_children(); ++i) {
-      result_.meta_children.push_back(meta->child_name(i));
+      children.Add(Json::Str(meta->child_name(i)));
     }
-    result_.meta_assignment = meta->AssignmentCounts();
-    for (const MetricsCollector::ProtocolSwitch& s :
-         metrics_->protocol_switches()) {
-      result_.protocol_switches.push_back(ExperimentResult::ProtocolSwitchEvent{
-          static_cast<double>(s.at) / 1e6, static_cast<int>(s.partition),
-          s.from, s.to});
+    Json assignment = Json::Array();
+    for (uint64_t n : meta->AssignmentCounts()) assignment.Add(Json::Uint(n));
+    Json summary = Json::Object();
+    summary.Set("children", std::move(children));
+    summary.Set("final_assignment", std::move(assignment));
+    summary.Set("switches", Json::Uint(switches.size()));
+    members.Set("meta", std::move(summary));
+    Json timeline = Json::Array();
+    for (const MetricsCollector::ProtocolSwitch& s : switches) {
+      Json event = Json::Object();
+      event.Set("t_ms", Real(static_cast<double>(s.at) / 1e6));
+      event.Set("partition", Json::Int(s.partition));
+      event.Set("from", Json::Str(s.from));
+      event.Set("to", Json::Str(s.to));
+      timeline.Add(std::move(event));
     }
+    members.Set("protocol_switches", std::move(timeline));
   }
   return result_;
 }

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "harness/driver.h"
 #include "harness/experiment_config.h"
@@ -49,86 +50,20 @@ struct ExperimentResult {
   uint64_t migrated_bytes = 0;
   SimTime window = 0;
 
-  // --- chaos track (populated — and emitted — only when a fault schedule
-  // ran; chaos-off runs produce byte-identical JSON to a build without the
-  // subsystem) ---------------------------------------------------------------
-  bool chaos_active = false;
-  /// Transactions given up on after the bounded unavailability retries.
-  uint64_t aborted_unavailable = 0;
-  uint64_t failovers = 0;
-  uint64_t elections_rerun = 0;
-  uint64_t messages_dropped = 0;
-  /// Commit fraction per stats window (1.0 in quiet windows) — the
-  /// availability series of the chaos timeline figure.
-  std::vector<double> window_availability;
-  struct FaultEvent {
-    double t_ms = 0.0;
-    std::string description;
-  };
-  /// Every fired schedule event, stamped with its simulated time.
-  std::vector<FaultEvent> fault_events;
-  uint64_t integrity_violations = 0;
-  uint64_t integrity_partitions_checked = 0;
-  uint64_t integrity_writes_checked = 0;
-  /// First few violation messages (diagnostics; empty on a clean run).
-  std::vector<std::string> integrity_messages;
+  /// Members the chaos, recovery and meta subsystems add to the result, in
+  /// emission order after the headline fields. A subsystem that did not run
+  /// adds none, so its members appear only in runs that used it:
+  ///   chaos:    aborted_unavailable, failovers, elections_rerun,
+  ///             messages_dropped, window_availability, fault_events,
+  ///             integrity
+  ///   recovery: recovery (and integrity.stale_elections /
+  ///             integrity.log_writes_checked)
+  ///   meta:     meta, protocol_switches
+  Json subsystems = Json::Object();
 
-  // --- recovery track (populated — and emitted — only when
-  // recovery.enabled; recovery-off runs produce byte-identical JSON to a
-  // build without the subsystem) ---------------------------------------------
-  bool recovery_active = false;
-  /// Committed writes appended to the durable replication log.
-  uint64_t log_entries = 0;
-  /// Entries discarded by dirty crashes (never reached stable storage).
-  uint64_t log_entries_lost = 0;
-  uint64_t log_snapshots = 0;
-  /// Node recoveries that replayed a durable log (vs rejoining empty).
-  uint64_t recoveries_replayed = 0;
-  uint64_t catch_ups_completed = 0;
-  /// Log entries streamed by catch-up shipments.
-  uint64_t catch_up_entries = 0;
-  /// Last-resort elections of a stale (behind-durable or still-recovering)
-  /// copy; also emitted inside the integrity block.
-  uint64_t stale_elections = 0;
-  /// Ledger writes re-verified against the log's reconstruction.
-  uint64_t integrity_log_writes_checked = 0;
-  struct CatchUpEvent {
-    double t_ms = 0.0;  // completion time
-    int node = 0;
-    int partition = 0;
-    double duration_ms = 0.0;
-    uint64_t entries = 0;
-  };
-  std::vector<CatchUpEvent> catch_up_events;
-  struct RecoveryEvent {
-    double t_ms = 0.0;  // completion time (last catch-up settled)
-    int node = 0;
-    double duration_ms = 0.0;
-    int partitions = 0;
-  };
-  std::vector<RecoveryEvent> recovery_events;
-
-  // --- meta-protocol track (populated — and emitted — only when the run's
-  // protocol was "meta"; other runs produce byte-identical JSON to a build
-  // without the subsystem) ----------------------------------------------------
-  bool meta_active = false;
-  /// Child protocol names, assignment-index order (baseline first).
-  std::vector<std::string> meta_children;
-  /// Partitions per child under the final assignment, same order.
-  std::vector<uint64_t> meta_assignment;
-  struct ProtocolSwitchEvent {
-    double t_ms = 0.0;
-    int partition = 0;
-    std::string from;
-    std::string to;
-  };
-  /// Every completed per-partition flip, stamped with its simulated time
-  /// (warmup and post-run drain included).
-  std::vector<ProtocolSwitchEvent> protocol_switches;
-
-  /// Structured emission: one self-contained JSON object with every field
-  /// above (series included), for dashboards and sweep post-processing.
-  std::string ToJson() const;
+  /// The whole result as one JSON object: the headline fields above (series
+  /// included), then the subsystems' members.
+  Json ToJson() const;
 };
 
 /// Snapshot of one closed stats window, delivered to OnWindow callbacks

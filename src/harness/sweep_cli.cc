@@ -82,38 +82,21 @@ const MetricSpec kAggregatedMetrics[] = {
      true},
 };
 
-void AppendMetricValue(std::string* out, double v, bool integral) {
-  if (integral) {
-    *out += std::to_string(static_cast<long long>(v));
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  *out += buf;
-}
-
 /// One {"metric":value,...} block over the group's successful results,
 /// reduced by `pick` (median / min / max over the sorted per-metric values).
-void AppendMetricBlock(std::string* out, const char* label,
-                       const std::vector<const ExperimentResult*>& results,
-                       size_t (*pick)(size_t n)) {
-  *out += "\"";
-  *out += label;
-  *out += "\":{";
-  bool first = true;
+Json MetricBlock(const std::vector<const ExperimentResult*>& results,
+                 size_t (*pick)(size_t n)) {
+  Json block = Json::Object();
   std::vector<double> values;
   for (const MetricSpec& m : kAggregatedMetrics) {
     values.clear();
     for (const ExperimentResult* r : results) values.push_back(m.get(*r));
     std::sort(values.begin(), values.end());
-    if (!first) *out += ",";
-    first = false;
-    *out += "\"";
-    *out += m.key;
-    *out += "\":";
-    AppendMetricValue(out, values[pick(values.size())], m.integral);
+    double v = values[pick(values.size())];
+    block.Set(m.key, m.integral ? Json::Int(static_cast<int64_t>(v))
+                                : Json::Printf("%.6g", v));
   }
-  *out += "}";
+  return block;
 }
 
 /// One point as a report sees it: its config and its base-seed result.
@@ -122,12 +105,11 @@ struct ReportPoint {
   const ExperimentResult* result;
 };
 
-/// A number printed with a fixed printf format, so report values keep the
-/// precision the figures have always used.
-Json Rounded(const char* format, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), format, v);
-  return Json::RawNumber(buf);
+/// The number at `v`; 0 when the member is absent.
+double NumberAt(const Json* v) {
+  double d = 0.0;
+  if (v == nullptr || !v->GetDouble(&d).ok()) return 0.0;
+  return d;
 }
 
 double DidonaBoundUs(const ExperimentConfig& config) {
@@ -148,9 +130,10 @@ Json DidonaReference(const std::vector<ReportPoint>& points) {
         regions_seen.end()) {
       regions_seen.push_back(regions);
       bound.Set("regions=" + std::to_string(regions),
-                Rounded("%.6g", bound_us));
+                Json::Printf("%.6g", bound_us));
     }
-    distance.Set(p.point->name, Rounded("%.6g", p.result->p99_us - bound_us));
+    distance.Set(p.point->name,
+                 Json::Printf("%.6g", p.result->p99_us - bound_us));
   }
   Json out = Json::Object();
   out.Set("didona_lower_bound_us", std::move(bound));
@@ -160,24 +143,26 @@ Json DidonaReference(const std::vector<ReportPoint>& points) {
 
 Json MetaSummary(const std::vector<ReportPoint>& points) {
   double meta = 0.0, best = 0.0, worst = 0.0;
-  uint64_t switches = 0;
+  Json switches = Json::Uint(0);
   for (const ReportPoint& p : points) {
     const ExperimentResult& r = *p.result;
-    if (r.meta_active) {
+    if (const Json* summary = r.subsystems.Find("meta")) {
       meta = r.throughput;
-      switches = r.protocol_switches.size();
+      if (const Json* count = summary->Find("switches")) switches = *count;
     } else {
       if (best == 0.0 || r.throughput > best) best = r.throughput;
       if (worst == 0.0 || r.throughput < worst) worst = r.throughput;
     }
   }
   Json out = Json::Object();
-  out.Set("meta_txn_s", Rounded("%.1f", meta));
-  out.Set("best_static_txn_s", Rounded("%.1f", best));
-  out.Set("worst_static_txn_s", Rounded("%.1f", worst));
-  out.Set("meta_vs_best", Rounded("%.4f", best > 0.0 ? meta / best : 0.0));
-  out.Set("meta_vs_worst", Rounded("%.4f", worst > 0.0 ? meta / worst : 0.0));
-  out.Set("switches", Json::Uint(switches));
+  out.Set("meta_txn_s", Json::Printf("%.1f", meta));
+  out.Set("best_static_txn_s", Json::Printf("%.1f", best));
+  out.Set("worst_static_txn_s", Json::Printf("%.1f", worst));
+  out.Set("meta_vs_best",
+          Json::Printf("%.4f", best > 0.0 ? meta / best : 0.0));
+  out.Set("meta_vs_worst",
+          Json::Printf("%.4f", worst > 0.0 ? meta / worst : 0.0));
+  out.Set("switches", std::move(switches));
   return out;
 }
 
@@ -195,12 +180,15 @@ double PostCrashAvailability(const ExperimentConfig& config,
       last_crash = std::max(last_crash, ev.at);
     }
   }
+  const Json* availability = r.subsystems.Find("window_availability");
+  if (availability == nullptr) return 0.0;
+  const std::vector<Json>& windows = availability->items();
   size_t from =
       r.window > 0 ? static_cast<size_t>(last_crash / r.window) + 1 : 0;
   double sum = 0.0;
   size_t n = 0;
-  for (size_t i = from; i < r.window_availability.size(); ++i) {
-    sum += r.window_availability[i];
+  for (size_t i = from; i < windows.size(); ++i) {
+    sum += NumberAt(&windows[i]);
     n++;
   }
   return n > 0 ? sum / static_cast<double>(n) : 0.0;
@@ -212,8 +200,16 @@ Json RecoveryPanel(const std::vector<ReportPoint>& points) {
     const ExperimentConfig& config = p.point->config;
     const ExperimentResult& r = *p.result;
     double recovery_ms = 0.0;
-    for (const ExperimentResult::RecoveryEvent& ev : r.recovery_events) {
-      recovery_ms += ev.duration_ms;
+    Json lost = Json::Uint(0);
+    if (const Json* recovery = r.subsystems.Find("recovery")) {
+      if (const Json* events = recovery->Find("recovery_events")) {
+        for (const Json& ev : events->items()) {
+          recovery_ms += NumberAt(ev.Find("duration_ms"));
+        }
+      }
+      if (const Json* count = recovery->Find("log_entries_lost")) {
+        lost = *count;
+      }
     }
     Json entry = Json::Object();
     entry.Set("name", Json::Str(p.point->name));
@@ -221,10 +217,10 @@ Json RecoveryPanel(const std::vector<ReportPoint>& points) {
               Json::Int(config.recovery.enabled
                             ? config.recovery.durability_lag / kMicrosecond
                             : -1));
-    entry.Set("recovery_ms", Rounded("%.3f", recovery_ms));
+    entry.Set("recovery_ms", Json::Printf("%.3f", recovery_ms));
     entry.Set("post_crash_availability",
-              Rounded("%.4f", PostCrashAvailability(config, r)));
-    entry.Set("log_entries_lost", Json::Uint(r.log_entries_lost));
+              Json::Printf("%.4f", PostCrashAvailability(config, r)));
+    entry.Set("log_entries_lost", std::move(lost));
     out.Add(std::move(entry));
   }
   return out;
@@ -287,16 +283,10 @@ SweepOptions::ProgressFn MakeSweepProgress(bool enabled, size_t total) {
   };
 }
 
-std::string MergeRepeatJson(const std::vector<SweepOutcome>& outcomes,
-                            int repeat) {
+Json MergeRepeatJson(const std::vector<SweepOutcome>& outcomes, int repeat) {
   if (repeat <= 1) return SweepRunner::MergeJson(outcomes);
   const size_t n = static_cast<size_t>(repeat);
-  std::string json = "{\"sweep_size\":";
-  json += std::to_string((outcomes.size() + n - 1) / n);
-  json += ",\"repeat\":";
-  json += std::to_string(repeat);
-  json += ",\"runs\":[";
-  bool first_group = true;
+  Json runs = Json::Array();
   for (size_t base = 0; base < outcomes.size(); base += n) {
     size_t group_end = std::min(outcomes.size(), base + n);
     std::vector<const ExperimentResult*> ok;
@@ -315,40 +305,32 @@ std::string MergeRepeatJson(const std::vector<SweepOutcome>& outcomes,
     size_t cut = name.rfind("/rep=");
     if (cut != std::string::npos) name = name.substr(0, cut);
 
-    if (!first_group) json += ",";
-    first_group = false;
-    json += "{\"name\":\"";
-    AppendJsonEscaped(&json, name);
-    json += "\",\"status\":\"";
-    json += ok.empty() ? StatusCodeName(first_failure->status.code()) : "OK";
-    json += "\",\"runs_ok\":";
-    json += std::to_string(ok.size());
+    Json run = Json::Object();
+    run.Set("name", Json::Str(std::move(name)));
+    const char* status =
+        ok.empty() ? StatusCodeName(first_failure->status.code()) : "OK";
+    run.Set("status", Json::Str(status));
+    run.Set("runs_ok", Json::Uint(ok.size()));
     if (ok.empty()) {
-      json += ",\"error\":\"";
-      AppendJsonEscaped(&json, first_failure->status.message());
-      json += "\"}";
-      continue;
+      run.Set("error", Json::Str(first_failure->status.message()));
+    } else {
+      run.Set("protocol", Json::Str(ok.front()->protocol));
+      run.Set("workload", Json::Str(ok.front()->workload));
+      // Repeat k derives its seed as base + k, so the base seed names the
+      // whole family — recovered from the first *successful* run's seed and
+      // its rep offset, in case earlier reps failed.
+      run.Set("seed_base", Json::Uint(ok.front()->seed - first_ok_rep));
+      run.Set("median", MetricBlock(ok, [](size_t c) { return c / 2; }));
+      run.Set("min", MetricBlock(ok, [](size_t) { return size_t{0}; }));
+      run.Set("max", MetricBlock(ok, [](size_t c) { return c - 1; }));
     }
-    json += ",\"protocol\":\"";
-    AppendJsonEscaped(&json, ok.front()->protocol);
-    json += "\",\"workload\":\"";
-    AppendJsonEscaped(&json, ok.front()->workload);
-    // Repeat k derives its seed as base + k, so the base seed names the
-    // whole family — recovered from the first *successful* run's seed and
-    // its rep offset, in case earlier reps failed.
-    json += "\",\"seed_base\":";
-    json += std::to_string(ok.front()->seed -
-                           static_cast<uint64_t>(first_ok_rep));
-    json += ",";
-    AppendMetricBlock(&json, "median", ok, [](size_t c) { return c / 2; });
-    json += ",";
-    AppendMetricBlock(&json, "min", ok, [](size_t) { return size_t{0}; });
-    json += ",";
-    AppendMetricBlock(&json, "max", ok, [](size_t c) { return c - 1; });
-    json += "}";
+    runs.Add(std::move(run));
   }
-  json += "]}";
-  return json;
+  Json doc = Json::Object();
+  doc.Set("sweep_size", Json::Uint((outcomes.size() + n - 1) / n));
+  doc.Set("repeat", Json::Int(repeat));
+  doc.Set("runs", std::move(runs));
+  return doc;
 }
 
 const std::vector<std::string>& SweepReportNames() {
@@ -360,10 +342,9 @@ const std::vector<std::string>& SweepReportNames() {
   return *names;
 }
 
-std::string MergeSweepJson(const std::vector<SweepPoint>& points,
-                           const std::vector<SweepOutcome>& outcomes,
-                           int repeat) {
-  std::string json = MergeRepeatJson(outcomes, repeat);
+Json MergeSweepJson(const std::vector<SweepPoint>& points,
+                    const std::vector<SweepOutcome>& outcomes, int repeat) {
+  Json doc = MergeRepeatJson(outcomes, repeat);
   const size_t runs_per_point = repeat > 1 ? static_cast<size_t>(repeat) : 1;
   for (const SweepReport& report : kSweepReports) {
     bool selected = false;
@@ -381,16 +362,9 @@ std::string MergeSweepJson(const std::vector<SweepPoint>& points,
       }
     }
     if (!selected) continue;
-    // The merged document is one object: the report joins it as a member
-    // after "runs".
-    json.pop_back();
-    json += ",\"";
-    json += report.name;
-    json += "\":";
-    report.build(inputs).AppendTo(&json);
-    json += "}";
+    doc.Set(report.name, report.build(inputs));
   }
-  return json;
+  return doc;
 }
 
 bool PrintSweepSummaries(std::FILE* out,

@@ -41,8 +41,7 @@ SweepOptions::ProgressFn MakeSweepProgress(bool enabled, size_t total);
 /// A point whose runs all failed reports the first failure's status/error.
 /// Aggregation is order-deterministic, so the threads=1 vs threads=N
 /// byte-identity guarantee of MergeJson carries over.
-std::string MergeRepeatJson(const std::vector<SweepOutcome>& outcomes,
-                            int repeat);
+Json MergeRepeatJson(const std::vector<SweepOutcome>& outcomes, int repeat);
 
 /// Report names a sweep spec may select with its "reports" key, in the
 /// order the merged document emits them: "reference", "meta_summary",
@@ -54,8 +53,10 @@ const std::vector<std::string>& SweepReportNames();
 /// ExpandRepeat) and `outcomes` their runs, `repeat` consecutive runs per
 /// point. A report reads the points that select it in declaration order,
 /// each through its config and the result of its base-seed run (the first
-/// of its repeats); points whose run failed are left out. Numbers keep the
-/// fixed precision the figures have always printed.
+/// of its repeats); points whose run failed are left out. Subsystem values
+/// (switch counts, recovery durations, availability) are read from the
+/// run's JSON members, as printed there. Numbers keep the fixed precision
+/// the figures have always printed.
 ///
 ///   "reference": {"didona_lower_bound_us":{"regions=2":60000,...},
 ///                 "distance_from_bound_us":{"<point>":-51234.5,...}}
@@ -77,9 +78,8 @@ const std::vector<std::string>& SweepReportNames();
 ///     recovery off, when a crashed node rejoins empty), the summed
 ///     duration of its recovery events, and its mean availability over the
 ///     stats windows after the chaos schedule's last crash.
-std::string MergeSweepJson(const std::vector<SweepPoint>& points,
-                           const std::vector<SweepOutcome>& outcomes,
-                           int repeat);
+Json MergeSweepJson(const std::vector<SweepPoint>& points,
+                    const std::vector<SweepOutcome>& outcomes, int repeat);
 
 /// Prints one summary line per declared point, in declaration order. With
 /// repeat > 1 the line reports the per-metric median across that point's

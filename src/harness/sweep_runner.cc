@@ -1,7 +1,6 @@
 #include "harness/sweep_runner.h"
 
 #include <atomic>
-#include <cstdio>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -60,30 +59,23 @@ std::vector<SweepOutcome> SweepRunner::Run() {
   return outcomes;
 }
 
-std::string SweepRunner::MergeJson(const std::vector<SweepOutcome>& outcomes) {
-  std::string json = "{\"sweep_size\":";
-  json += std::to_string(outcomes.size());
-  json += ",\"runs\":[";
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    const SweepOutcome& o = outcomes[i];
-    if (i > 0) json += ",";
-    json += "{\"name\":\"";
-    AppendJsonEscaped(&json, o.name);
-    json += "\",\"status\":\"";
-    json += StatusCodeName(o.status.code());
-    json += "\"";
+Json SweepRunner::MergeJson(const std::vector<SweepOutcome>& outcomes) {
+  Json runs = Json::Array();
+  for (const SweepOutcome& o : outcomes) {
+    Json run = Json::Object();
+    run.Set("name", Json::Str(o.name));
+    run.Set("status", Json::Str(StatusCodeName(o.status.code())));
     if (o.status.ok()) {
-      json += ",\"result\":";
-      json += o.result.ToJson();
+      run.Set("result", o.result.ToJson());
     } else {
-      json += ",\"error\":\"";
-      AppendJsonEscaped(&json, o.status.message());
-      json += "\"";
+      run.Set("error", Json::Str(o.status.message()));
     }
-    json += "}";
+    runs.Add(std::move(run));
   }
-  json += "]}";
-  return json;
+  Json doc = Json::Object();
+  doc.Set("sweep_size", Json::Uint(outcomes.size()));
+  doc.Set("runs", std::move(runs));
+  return doc;
 }
 
 }  // namespace lion

@@ -72,7 +72,7 @@ class SweepRunner {
   /// Merges outcomes into one sweep-level JSON document:
   ///   {"sweep_size":N,"runs":[{"name":...,"status":"OK","result":{...}},
   ///                           {"name":...,"status":"NOT_FOUND","error":"..."}]}
-  static std::string MergeJson(const std::vector<SweepOutcome>& outcomes);
+  static Json MergeJson(const std::vector<SweepOutcome>& outcomes);
 
  private:
   SweepOptions options_;

@@ -30,7 +30,7 @@ LstmNetwork::LstmNetwork(const LstmConfig& config, uint64_t seed)
   int h = config_.hidden;
   layers_.resize(config_.layers);
   for (int l = 0; l < config_.layers; ++l) {
-    int in_dim = (l == 0) ? config_.input_dim : h;
+    int in_dim = (l == 0) ? 1 : h;
     double scale = 1.0 / std::sqrt(static_cast<double>(in_dim + h));
     LstmLayer& layer = layers_[l];
     for (int g = 0; g < 4; ++g) {
@@ -52,15 +52,15 @@ LstmNetwork::LstmNetwork(const LstmConfig& config, uint64_t seed)
     // Forget-gate bias starts positive: standard trick for gradient flow.
     std::fill(layer.b[1].begin(), layer.b[1].end(), 1.0);
   }
-  Wy_ = Matrix(config_.output_dim, h);
+  Wy_ = Matrix(1, h);
   Wy_.RandomInit(&rng, 1.0 / std::sqrt(static_cast<double>(h)));
-  by_.assign(config_.output_dim, 0.0);
-  dWy_ = Matrix(config_.output_dim, h);
-  mWy_ = Matrix(config_.output_dim, h);
-  vWy_ = Matrix(config_.output_dim, h);
-  dby_.assign(config_.output_dim, 0.0);
-  mby_.assign(config_.output_dim, 0.0);
-  vby_.assign(config_.output_dim, 0.0);
+  by_.assign(1, 0.0);
+  dWy_ = Matrix(1, h);
+  mWy_ = Matrix(1, h);
+  vWy_ = Matrix(1, h);
+  dby_.assign(1, 0.0);
+  mby_.assign(1, 0.0);
+  vby_.assign(1, 0.0);
 }
 
 double LstmNetwork::StepForward(double x, std::vector<Vec>* h,
@@ -106,7 +106,7 @@ double LstmNetwork::StepForward(double x, std::vector<Vec>* h,
     input = (*h)[l];
   }
   double y = by_[0];
-  Vec out(config_.output_dim, 0.0);
+  Vec out(1, 0.0);
   Wy_.MatVecAccum(input, &out);
   y += out[0];
   return y;

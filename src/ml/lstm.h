@@ -14,11 +14,11 @@
 
 namespace lion {
 
+/// Shape and training parameters. The series is scalar, so the network
+/// takes one input and produces one output.
 struct LstmConfig {
-  int input_dim = 1;
   int hidden = 20;
   int layers = 2;
-  int output_dim = 1;
   double learning_rate = 0.02;
   double adam_beta1 = 0.9;
   double adam_beta2 = 0.999;

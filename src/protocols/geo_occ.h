@@ -16,7 +16,8 @@ namespace lion {
 /// any conflict. Amortizing validation over the epoch means a transaction
 /// pays the WAN round-trip once per epoch rather than once per lock, which
 /// is the standard recipe for hiding cross-region latency (cf. the
-/// Didona et al. lower bound plotted by bench_fig_geo).
+/// Didona et al. lower bound in the "reference" report of
+/// examples/configs/fig_geo.json).
 class GeoOccProtocol : public BatchProtocol {
  public:
   GeoOccProtocol(Cluster* cluster, MetricsCollector* metrics);

@@ -262,9 +262,9 @@ std::unique_ptr<Protocol> MakeMeta(const ProtocolContext& ctx) {
     if (!s.ok()) return nullptr;
   }
   return std::make_unique<MetaProtocol>(
-      ctx.cluster, ctx.metrics, mc, ctx.config.lion.cost, ctx.config.lion.geo,
-      std::move(names), std::move(children), std::move(predictor),
-      ctx.config.predictor.horizon);
+      ctx.cluster, ctx.metrics, mc, ctx.config.lion.planner.plan.cost,
+      ctx.config.lion.geo, std::move(names), std::move(children),
+      std::move(predictor), ctx.config.predictor.horizon);
 }
 
 const ProtocolRegistrar kRegisterMeta("meta", ExecutionMode::kBatch,

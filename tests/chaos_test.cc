@@ -13,6 +13,7 @@
 #include "replication/cluster.h"
 #include "replication/failure_injector.h"
 #include "replication/integrity.h"
+#include "result_members.h"
 #include "sim/network.h"
 #include "txn/transaction.h"
 
@@ -313,16 +314,16 @@ TEST(ChaosExperimentTest, ScheduledRunStaysConsistent) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.chaos_active);
+  const Json& m = res.subsystems;
   EXPECT_GT(res.committed, 0u);
-  EXPECT_EQ(res.fault_events.size(), 4u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
-  EXPECT_EQ(res.integrity_partitions_checked, 6u);
-  EXPECT_GT(res.integrity_writes_checked, 0u);
-  EXPECT_EQ(res.window_availability.size(), res.window_throughput.size());
+  EXPECT_EQ(LengthAt(m, "fault_events"), 4u);
+  EXPECT_EQ(UintAt(m, "integrity.violations"), 0u)
+      << DumpAt(m, "integrity.messages");
+  EXPECT_EQ(UintAt(m, "integrity.partitions_checked"), 6u);
+  EXPECT_GT(UintAt(m, "integrity.writes_checked"), 0u);
+  EXPECT_EQ(LengthAt(m, "window_availability"), res.window_throughput.size());
 
-  std::string json = res.ToJson();
+  std::string json = res.ToJson().Dump();
   EXPECT_NE(json.find("\"fault_events\""), std::string::npos);
   EXPECT_NE(json.find("\"integrity\""), std::string::npos);
 }
@@ -344,8 +345,8 @@ TEST(ChaosExperimentTest, ChaosOffEmitsNoChaosFields) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_FALSE(res.chaos_active);
-  std::string json = res.ToJson();
+  EXPECT_TRUE(res.subsystems.members().empty()) << res.subsystems.Dump();
+  std::string json = res.ToJson().Dump();
   EXPECT_EQ(json.find("aborted_unavailable"), std::string::npos);
   EXPECT_EQ(json.find("fault_events"), std::string::npos);
   EXPECT_EQ(json.find("integrity"), std::string::npos);
@@ -372,13 +373,13 @@ TEST(ChaosExperimentTest, MetaSwitchUnderCrashNeverStrandsAPartition) {
   ASSERT_TRUE(builder.Build(&exp).ok());
   ExperimentResult res = exp->Run();
 
-  EXPECT_TRUE(res.chaos_active);
-  EXPECT_TRUE(res.meta_active);
+  const Json& m = res.subsystems;
+  EXPECT_NE(m.Find("meta"), nullptr);
   EXPECT_GT(res.committed, 0u);
-  EXPECT_GE(res.protocol_switches.size(), 1u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
-  EXPECT_GT(res.integrity_writes_checked, 0u);
+  EXPECT_GE(LengthAt(m, "protocol_switches"), 1u);
+  EXPECT_EQ(UintAt(m, "integrity.violations"), 0u)
+      << DumpAt(m, "integrity.messages");
+  EXPECT_GT(UintAt(m, "integrity.writes_checked"), 0u);
 
   auto* meta = dynamic_cast<MetaProtocol*>(exp->protocol());
   ASSERT_NE(meta, nullptr);

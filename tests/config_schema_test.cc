@@ -3,6 +3,12 @@
 // field validation, and CLI-style SetByPath overrides.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "harness/config_schema.h"
 #include "harness/experiment_config.h"
 #include "harness/registry.h"
@@ -60,14 +66,13 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.duration = 4700 * kMillisecond;
   // Larger than 2^53: survives only because number lexemes are lossless.
   cfg.seed = 18446744073709551557ull;
-  cfg.lion.batch_mode = true;
+  cfg.lion.enable_planner = false;
   cfg.lion.max_batch_size = 2048;
-  cfg.lion.planner.strategy = PartitioningStrategy::kSchism;
   cfg.lion.planner.interval = 125 * kMillisecond;
   cfg.lion.planner.frequency_decay = 0.75;
   cfg.lion.planner.clump.alpha = 2.25;
   cfg.lion.planner.plan.cost.wm = 12.5;
-  cfg.lion.cost.remote_access = 6.5;
+  cfg.lion.planner.plan.cost.remote_access = 6.5;
   cfg.predictor.sample_interval = 40 * kMillisecond;
   cfg.predictor.beta = 0.22;
   cfg.predictor.lstm.hidden = 32;
@@ -84,7 +89,8 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   EXPECT_EQ(back.seed, cfg.seed);
   EXPECT_EQ(back.cluster.epoch_interval, cfg.cluster.epoch_interval);
   EXPECT_EQ(back.ycsb.cross_pattern, CrossPattern::kRandomNode);
-  EXPECT_EQ(back.lion.planner.strategy, PartitioningStrategy::kSchism);
+  EXPECT_FALSE(back.lion.enable_planner);
+  EXPECT_DOUBLE_EQ(back.lion.planner.plan.cost.remote_access, 6.5);
   EXPECT_EQ(back.duration, 4700 * kMillisecond);
   EXPECT_EQ(back.predictor.lstm.hidden, 32);
 }
@@ -114,6 +120,45 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
   EXPECT_NE(s.message().find("ycsb.cross_ratioo"), std::string::npos)
       << s.message();
   EXPECT_NE(s.message().find("unknown field"), std::string::npos);
+
+  // Deleted knobs: the second copy of the cost weights, the three Lion
+  // knobs that the registry variant overwrote, and the LSTM dimensions
+  // (fixed at 1). Each is rejected as a flag and as a config key, at its
+  // first unknown segment.
+  const std::pair<std::string, std::string> deleted[] = {
+      {"lion.cost.wr", "lion.cost"},
+      {"lion.cost.wm", "lion.cost"},
+      {"lion.cost.remote_access", "lion.cost"},
+      {"lion.planner.strategy", "lion.planner.strategy"},
+      {"lion.batch_mode", "lion.batch_mode"},
+      {"lion.group_commit", "lion.group_commit"},
+      {"predictor.lstm.input_dim", "predictor.lstm.input_dim"},
+      {"predictor.lstm.output_dim", "predictor.lstm.output_dim"},
+  };
+  for (const auto& [path, reported] : deleted) {
+    ExperimentConfig flag_cfg;
+    Status flag = SetExperimentFlag(&flag_cfg, path, "1");
+    ASSERT_TRUE(flag.IsInvalidArgument()) << path;
+    EXPECT_EQ(flag.message().rfind(reported + ": unknown field", 0), 0u)
+        << flag.message();
+
+    std::vector<std::string> keys;
+    std::stringstream segments(path);
+    for (std::string key; std::getline(segments, key, '.');) {
+      keys.push_back(key);
+    }
+    Json doc = Json::Int(1);
+    for (auto key = keys.rbegin(); key != keys.rend(); ++key) {
+      Json object = Json::Object();
+      object.Set(*key, std::move(doc));
+      doc = std::move(object);
+    }
+    ExperimentConfig doc_cfg;
+    Status parsed = ParseExperimentConfig(doc, &doc_cfg);
+    ASSERT_TRUE(parsed.IsInvalidArgument()) << doc.Dump();
+    EXPECT_EQ(parsed.message().rfind(reported + ": unknown field", 0), 0u)
+        << parsed.message();
+  }
 }
 
 TEST(ConfigSchemaTest, TypeMismatchReportsDottedPath) {
@@ -251,6 +296,18 @@ TEST(ConfigFlagGroupsTest, MarkdownDumpContainsEveryFlag) {
     EXPECT_NE(md.find("`--" + p.first + "`"), std::string::npos)
         << "missing flag " << p.first;
   }
+
+  // The checked-in reference is this dump, as `lion_bench_cli --flags=md`
+  // prints it.
+  std::ifstream file(std::string(LION_SOURCE_DIR) + "/docs/flags.md");
+  ASSERT_TRUE(file.good()) << "cannot read docs/flags.md";
+  std::stringstream checked_in;
+  checked_in << file.rdbuf();
+  EXPECT_EQ(FlagsMarkdown(ExperimentConfigSchema(),
+                          "lion_bench_cli flag reference"),
+            checked_in.str())
+      << "docs/flags.md is stale: regenerate it with "
+         "`lion_bench_cli --flags=md > docs/flags.md`";
 }
 
 }  // namespace

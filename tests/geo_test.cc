@@ -326,7 +326,7 @@ TEST(GeoOccTest, FixedSeedRunsAreByteIdentical) {
   ExperimentResult a, b;
   ASSERT_TRUE(ExperimentBuilder(GeoOccConfig()).Run(&a).ok());
   ASSERT_TRUE(ExperimentBuilder(GeoOccConfig()).Run(&b).ok());
-  EXPECT_EQ(a.ToJson(), b.ToJson());
+  EXPECT_EQ(a.ToJson().Dump(), b.ToJson().Dump());
 }
 
 }  // namespace

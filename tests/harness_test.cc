@@ -202,7 +202,7 @@ TEST(HarnessTest, ResultJsonContainsHeadlineFields) {
   ExperimentConfig cfg = BaseConfig();
   cfg.protocol = "2PC";
   ExperimentResult res = RunConfig(cfg);
-  std::string json = res.ToJson();
+  std::string json = res.ToJson().Dump();
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   for (const char* key :

@@ -12,6 +12,7 @@
 #include "core/seasonal_predictor.h"
 #include "harness/experiment.h"
 #include "protocols/meta_protocol.h"
+#include "result_members.h"
 
 namespace lion {
 namespace {
@@ -45,7 +46,7 @@ TEST(MetaExperimentTest, FixedSeedRunsAreByteIdentical) {
   ASSERT_TRUE(MetaBuilder().Run(&first).ok());
   ASSERT_TRUE(MetaBuilder().Run(&second).ok());
   EXPECT_GT(first.committed, 0u);
-  EXPECT_EQ(first.ToJson(), second.ToJson());
+  EXPECT_EQ(first.ToJson().Dump(), second.ToJson().Dump());
 }
 
 TEST(MetaExperimentTest, FlipsPartitionsOnDriftingWorkload) {
@@ -54,26 +55,33 @@ TEST(MetaExperimentTest, FlipsPartitionsOnDriftingWorkload) {
   ASSERT_TRUE(builder.Build(&exp).ok());
   ExperimentResult res = exp->Run();
 
-  EXPECT_TRUE(res.meta_active);
-  ASSERT_EQ(res.meta_children.size(), 2u);
-  EXPECT_EQ(res.meta_children[0], "2PC");
-  EXPECT_EQ(res.meta_children[1], "Star");
-  EXPECT_GE(res.protocol_switches.size(), 1u);
+  const Json& m = res.subsystems;
+  ASSERT_EQ(LengthAt(m, "meta.children"), 2u);
+  const std::vector<Json>& children = MemberAt(m, "meta.children")->items();
+  EXPECT_EQ(children[0].str(), "2PC");
+  EXPECT_EQ(children[1].str(), "Star");
+  EXPECT_GE(LengthAt(m, "protocol_switches"), 1u);
+  EXPECT_EQ(UintAt(m, "meta.switches"), LengthAt(m, "protocol_switches"));
 
   auto* meta = dynamic_cast<MetaProtocol*>(exp->protocol());
   ASSERT_NE(meta, nullptr);
-  EXPECT_EQ(meta->switches_completed(), res.protocol_switches.size());
+  EXPECT_EQ(meta->switches_completed(), LengthAt(m, "protocol_switches"));
   // Safe handoff: nothing mid-switch, nothing parked once the run is over.
   EXPECT_FALSE(meta->SwitchInProgress());
   EXPECT_EQ(meta->parked(), 0u);
 
   // The assignment histogram covers every partition exactly once.
+  ASSERT_EQ(LengthAt(m, "meta.final_assignment"), 2u);
   uint64_t assigned = 0;
-  for (uint64_t n : res.meta_assignment) assigned += n;
+  for (const Json& n : MemberAt(m, "meta.final_assignment")->items()) {
+    uint64_t count = 0;
+    EXPECT_TRUE(n.GetUint64(&count).ok());
+    assigned += count;
+  }
   EXPECT_EQ(assigned, static_cast<uint64_t>(SmallCluster().num_nodes *
                                             SmallCluster().partitions_per_node));
 
-  std::string json = res.ToJson();
+  std::string json = res.ToJson().Dump();
   EXPECT_NE(json.find("\"meta\""), std::string::npos);
   EXPECT_NE(json.find("\"protocol_switches\""), std::string::npos);
 }
@@ -86,8 +94,8 @@ TEST(MetaExperimentTest, MetaOffEmitsNoMetaFields) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_FALSE(res.meta_active);
-  std::string json = res.ToJson();
+  EXPECT_EQ(res.subsystems.Find("meta"), nullptr);
+  std::string json = res.ToJson().Dump();
   EXPECT_EQ(json.find("\"meta\""), std::string::npos);
   EXPECT_EQ(json.find("protocol_switches"), std::string::npos);
 }
@@ -111,8 +119,8 @@ TEST(MetaExperimentTest, PredictorOffStillAdapts) {
   builder.config().predictor.kind = "off";
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.meta_active);
-  EXPECT_GE(res.protocol_switches.size(), 1u);
+  EXPECT_NE(res.subsystems.Find("meta"), nullptr);
+  EXPECT_GE(LengthAt(res.subsystems, "protocol_switches"), 1u);
 }
 
 // --- seasonal-naive predictor ------------------------------------------------

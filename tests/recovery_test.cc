@@ -11,6 +11,7 @@
 #include "replication/failure_injector.h"
 #include "replication/integrity.h"
 #include "replication/recovery_log.h"
+#include "result_members.h"
 
 namespace lion {
 namespace {
@@ -434,21 +435,22 @@ TEST(RecoveryExperimentTest, CrashRecoverUnderLoadStaysConsistent) {
 
   ExperimentResult res;
   ASSERT_TRUE(builder.Run(&res).ok());
-  EXPECT_TRUE(res.chaos_active);
-  EXPECT_TRUE(res.recovery_active);
+  const Json& m = res.subsystems;
   EXPECT_GT(res.committed, 0u);
-  EXPECT_EQ(res.integrity_violations, 0u)
-      << (res.integrity_messages.empty() ? "" : res.integrity_messages[0]);
+  EXPECT_EQ(UintAt(m, "integrity.violations"), 0u)
+      << DumpAt(m, "integrity.messages");
   // Both crashed nodes replayed their logs and completed their catch-ups;
   // the recovered nodes serve committed pre-crash writes (the ledger
   // reconstruction above would flag anything lost).
-  EXPECT_EQ(res.recoveries_replayed, 2u);
-  EXPECT_GE(res.catch_ups_completed, 1u);
-  EXPECT_GT(res.log_entries, 0u);
-  EXPECT_GE(res.log_snapshots, 1u);  // the forced truncate
-  EXPECT_GT(res.integrity_log_writes_checked, 0u);
+  EXPECT_EQ(UintAt(m, "recovery.recoveries_replayed"), 2u);
+  EXPECT_GE(UintAt(m, "recovery.catch_ups"), 1u);
+  EXPECT_EQ(UintAt(m, "recovery.catch_ups"),
+            LengthAt(m, "recovery.catch_up_events"));
+  EXPECT_GT(UintAt(m, "recovery.log_entries"), 0u);
+  EXPECT_GE(UintAt(m, "recovery.log_snapshots"), 1u);  // the forced truncate
+  EXPECT_GT(UintAt(m, "integrity.log_writes_checked"), 0u);
 
-  std::string json = res.ToJson();
+  std::string json = res.ToJson().Dump();
   EXPECT_NE(json.find("\"recovery\""), std::string::npos);
   EXPECT_NE(json.find("\"catch_up_events\""), std::string::npos);
   EXPECT_NE(json.find("\"stale_elections\""), std::string::npos);
@@ -469,8 +471,8 @@ TEST(RecoveryExperimentTest, RecoveryOffEmitsNoRecoveryFieldsAndIsDeterministic)
     }
     ExperimentResult res;
     EXPECT_TRUE(builder.Run(&res).ok());
-    EXPECT_FALSE(res.recovery_active);
-    return res.ToJson();
+    EXPECT_EQ(res.subsystems.Find("recovery"), nullptr);
+    return res.ToJson().Dump();
   };
 
   std::string quiet = run(false);

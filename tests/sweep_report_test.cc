@@ -47,7 +47,7 @@ Json RunSweep(const std::string& text, int repeat,
   for (const SweepOutcome& o : outcomes) {
     EXPECT_TRUE(o.status.ok()) << o.name << ": " << o.status.ToString();
   }
-  return MustParse(MergeSweepJson(*points, outcomes, repeat));
+  return MustParse(MergeSweepJson(*points, outcomes, repeat).Dump());
 }
 
 double Number(const Json* v) {

@@ -47,7 +47,7 @@ std::string RunMerged(int threads) {
   options.threads = threads;
   SweepRunner runner(options);
   for (const SweepPoint& p : TinyGrid()) runner.Add(p);
-  return SweepRunner::MergeJson(runner.Run());
+  return SweepRunner::MergeJson(runner.Run()).Dump();
 }
 
 TEST(SweepRunnerTest, MergedJsonIdenticalAcrossThreadCounts) {
@@ -94,7 +94,7 @@ TEST(SweepRunnerTest, PerPointFailuresAreReportedNotFatal) {
   ASSERT_EQ(outcomes.size(), 2u);
   EXPECT_TRUE(outcomes[0].status.ok());
   EXPECT_TRUE(outcomes[1].status.IsNotFound());
-  std::string json = SweepRunner::MergeJson(outcomes);
+  std::string json = SweepRunner::MergeJson(outcomes).Dump();
   EXPECT_NE(json.find("\"status\":\"NOT_FOUND\""), std::string::npos);
   EXPECT_NE(json.find("\"error\":"), std::string::npos);
   // The quoted protocol name inside the error message must be escaped.
@@ -105,7 +105,8 @@ TEST(SweepRunnerTest, EmptySweep) {
   SweepRunner runner;
   std::vector<SweepOutcome> outcomes = runner.Run();
   EXPECT_TRUE(outcomes.empty());
-  EXPECT_EQ(SweepRunner::MergeJson(outcomes), "{\"sweep_size\":0,\"runs\":[]}");
+  EXPECT_EQ(SweepRunner::MergeJson(outcomes).Dump(),
+            "{\"sweep_size\":0,\"runs\":[]}");
 }
 
 TEST(MergeRepeatJsonTest, RepeatOneIsPlainMergeJson) {
@@ -113,7 +114,8 @@ TEST(MergeRepeatJsonTest, RepeatOneIsPlainMergeJson) {
   outcomes[0].name = "p";
   outcomes[0].status = Status::OK();
   outcomes[0].result.protocol = "2PC";
-  EXPECT_EQ(MergeRepeatJson(outcomes, 1), SweepRunner::MergeJson(outcomes));
+  EXPECT_EQ(MergeRepeatJson(outcomes, 1).Dump(),
+            SweepRunner::MergeJson(outcomes).Dump());
 }
 
 TEST(MergeRepeatJsonTest, AggregatesMedianMinMaxPerPoint) {
@@ -131,7 +133,7 @@ TEST(MergeRepeatJsonTest, AggregatesMedianMinMaxPerPoint) {
     o.result.throughput = tputs[i];
     o.result.committed = static_cast<uint64_t>(tputs[i]) * 10;
   }
-  std::string json = MergeRepeatJson(outcomes, 3);
+  std::string json = MergeRepeatJson(outcomes, 3).Dump();
   Json doc;
   ASSERT_TRUE(Json::Parse(json, &doc).ok()) << json;
   auto AsInt = [](const Json* j) {
@@ -171,12 +173,12 @@ TEST(MergeRepeatJsonTest, AggregatedKeysStayInSyncWithResultToJson) {
     outcomes[i].name = "p/rep=" + std::to_string(i);
     outcomes[i].status = Status::OK();
   }
-  std::string json = MergeRepeatJson(outcomes, 2);
+  std::string json = MergeRepeatJson(outcomes, 2).Dump();
   Json doc;
   ASSERT_TRUE(Json::Parse(json, &doc).ok()) << json;
   const Json* median = doc.Find("runs")->items()[0].Find("median");
   ASSERT_NE(median, nullptr);
-  std::string result_json = ExperimentResult().ToJson();
+  std::string result_json = ExperimentResult().ToJson().Dump();
   for (const auto& m : median->members()) {
     EXPECT_NE(result_json.find("\"" + m.first + "\":"), std::string::npos)
         << "aggregated metric \"" << m.first
@@ -190,7 +192,7 @@ TEST(MergeRepeatJsonTest, AllFailedGroupReportsFirstError) {
   outcomes[0].status = Status::NotFound("no such protocol");
   outcomes[1].name = "p/rep=1";
   outcomes[1].status = Status::NotFound("no such protocol");
-  std::string json = MergeRepeatJson(outcomes, 2);
+  std::string json = MergeRepeatJson(outcomes, 2).Dump();
   Json doc;
   ASSERT_TRUE(Json::Parse(json, &doc).ok()) << json;
   const Json& run = doc.Find("runs")->items()[0];
