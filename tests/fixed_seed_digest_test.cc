@@ -1,12 +1,14 @@
-// Pinned fixed-seed digests of the engine-backed protocols (2PC, Lion,
-// Lion(B), Leap, Clay). Each case is a short deterministic experiment whose
-// modeled outcome — commits, aborts, execution classes, network traffic and
-// latency percentiles — is compared field by field against constants
-// recorded from an earlier build. Host-side refactors of the transaction
-// path (closure layout, context pooling, allocation strategy) must leave
-// every one of them unchanged: any drift in event order, RNG draws or
-// message accounting fails here. A mismatch prints the observed digest in
-// initializer form; re-pin only for a deliberate change to the model.
+// Pinned fixed-seed digests of every protocol family: the engine-backed
+// protocols (2PC, Lion, Lion(B), Leap, Clay), the epoch-batch protocols
+// (Star, Calvin, Aria, Lotus, geo_occ, Hermes) and the meta protocol. Each
+// case is a short deterministic experiment whose modeled outcome — commits,
+// aborts, execution classes, network traffic and latency percentiles — is
+// compared field by field against constants recorded from an earlier build.
+// Host-side refactors (closure layout, callback types, context pooling,
+// allocation strategy) must leave every one of them unchanged: any drift in
+// event order, RNG draws or message accounting fails here. A mismatch
+// prints the observed digest in initializer form; re-pin only for a
+// deliberate change to the model.
 #include <gtest/gtest.h>
 
 #include <cinttypes>
@@ -110,6 +112,20 @@ const Case kCases[] = {
      {106075, 108, 106075, 0, 0, 6344772, 323, 69.632, 81.92}},
     {"ClayYcsb", "Clay", "ycsb", 24,
      {57039, 427, 28457, 0, 28582, 33863248, 383618, 221.184, 229.376}},
+    {"StarYcsb", "Star", "ycsb", 400,
+     {12000, 0, 5910, 6090, 0, 723712, 312, 10000, 10000}},
+    {"CalvinYcsb", "Calvin", "ycsb", 400,
+     {12000, 0, 5910, 0, 6090, 3784512, 23859, 10000, 10000}},
+    {"AriaYcsb", "Aria", "ycsb", 400,
+     {10989, 1011, 5409, 0, 5580, 4259424, 30784, 10000, 19922.944}},
+    {"LotusYcsb", "Lotus", "ycsb", 400,
+     {8908, 3169, 4423, 0, 4485, 2799104, 17676, 10000, 29360.128}},
+    {"GeoOccYcsb", "geo_occ", "ycsb", 400,
+     {11914, 86, 5860, 0, 6054, 5941824, 39755, 10000, 10000}},
+    {"MetaYcsb", "meta", "ycsb", 400,
+     {12000, 1, 5980, 5788, 232, 20286976, 224614, 9961.472, 18874.368}},
+    {"HermesHotspot", "Hermes", "ycsb-hotspot-position", 400,
+     {12000, 0, 11622, 378, 0, 1326532, 349, 10000, 10000}},
 };
 
 class FixedSeedDigestTest : public ::testing::TestWithParam<Case> {};
@@ -131,6 +147,8 @@ TEST_P(FixedSeedDigestTest, MatchesPinnedValues) {
   EXPECT_DOUBLE_EQ(got.p99_us, want.p99_us);
 }
 
+// The instantiation keeps its original name, so the ids of the first eight
+// cases stay stable although it now covers every protocol family.
 INSTANTIATE_TEST_SUITE_P(EngineProtocols, FixedSeedDigestTest,
                          ::testing::ValuesIn(kCases),
                          [](const ::testing::TestParamInfo<Case>& info) {
