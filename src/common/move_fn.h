@@ -11,31 +11,38 @@
 
 namespace lion {
 
-template <typename Signature>
+template <typename Signature, size_t InlineBytes = 48>
 class MoveFn;
 
-/// Drop-in replacement for std::function on paths whose closures need to
-/// capture move-only state (TxnPtr, unique_ptr-owned batches). Unlike
-/// std::function it never requires the target to be copyable, so scheduler
-/// callbacks can own their transaction outright instead of smuggling it
+/// The one callable type of the simulated path: events, worker tasks and
+/// every completion callback. Unlike std::function it never requires the
+/// target to be copyable, so callbacks own their move-only state (TxnPtr,
+/// batch items, unique_ptr-owned chains) outright instead of smuggling it
 /// through a shared_ptr shim.
 ///
 /// Targets up to kInlineBytes (with compatible alignment and a noexcept
 /// move constructor) live in an inline small buffer: constructing,
 /// invoking, and destroying such a MoveFn never touches the allocator.
 /// This is the simulator's per-event hot path — a typical scheduler
-/// closure (`this` + TxnPtr + completion callback ≈ 48 bytes) stays
+/// closure (`this` + TxnPtr + a 32-byte TxnDoneFn = 48 bytes) stays
 /// inline, so scheduling an event is allocation-free. Fat closures fall
 /// back to one heap allocation, exactly like the old unique_ptr design.
 /// Dispatch is a three-entry static vtable (invoke / relocate / destroy)
 /// instead of a virtual base, which keeps the empty state a null pointer
 /// and relocation a single indirect call.
-template <typename R, typename... Args>
-class MoveFn<R(Args...)> {
+///
+/// `InlineBytes` sizes the small buffer. The default 48 fits the
+/// scheduler's closures; a MoveFn<…, 48> is 64 bytes, so it never fits
+/// inline in another default MoveFn. A callback that rides inside other
+/// closures can pick a smaller buffer: TxnDoneFn uses 16 bytes (32 bytes
+/// in all), enough for the closed-loop driver's `[this]`, so `this` +
+/// TxnPtr + TxnDoneFn still fits one default buffer.
+template <typename R, typename... Args, size_t InlineBytes>
+class MoveFn<R(Args...), InlineBytes> {
  public:
-  /// Small-buffer capacity. Sized for the repo's scheduler closures; bump
-  /// deliberately — every pending event's closure carries this buffer.
-  static constexpr size_t kInlineBytes = 48;
+  /// Small-buffer capacity. Change the default deliberately — every pending
+  /// event's closure carries this buffer.
+  static constexpr size_t kInlineBytes = InlineBytes;
 
   /// True iff a target of type F lives in the small buffer. The noexcept-move
   /// requirement keeps MoveFn's own move operations noexcept (containers

@@ -10,8 +10,10 @@ namespace lion {
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {
-    TxnPtr txn;
+    // `done` leads: TxnDoneFn is 16-byte aligned, so this order packs an
+    // entry into 48 bytes (64 with `txn` first).
     TxnDoneFn done;
+    TxnPtr txn;
     NodeId dst = kInvalidNode;
     bool convertible = false;   // single-node feasible at buffering time
     bool used_remaster = false; // issued async remaster requests

@@ -75,11 +75,10 @@ void Planner::RunOnce() {
     uint64_t bytes = MessageSizes::kHeader +
                      node_entries.size() * MessageSizes::kPlanEntry;
     Adaptor* adaptor = adaptors_[node].get();
-    auto payload = std::make_shared<std::vector<PlanEntry>>(std::move(node_entries));
-    entries_dispatched_ += payload->size();
+    entries_dispatched_ += node_entries.size();
     cluster_->network().Send(planner_endpoint(), node, bytes,
-                             [adaptor, payload]() {
-                               for (const PlanEntry& e : *payload) {
+                             [adaptor, payload = std::move(node_entries)]() {
+                               for (const PlanEntry& e : payload) {
                                  adaptor->Apply(e);
                                }
                              });

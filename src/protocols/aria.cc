@@ -35,7 +35,7 @@ void AriaProtocol::ExecuteBatch(std::vector<Item> batch) {
   state->coords.resize(state->items.size());
 
   for (size_t i = 0; i < state->items.size(); ++i) {
-    Transaction* txn = state->items[i].txn->get();
+    Transaction* txn = state->items[i].txn.get();
     NodeId coord = batch_util::HomeNode(cluster_, *txn);
     state->coords[i] = coord;
     txn->set_coordinator(coord);
@@ -49,23 +49,22 @@ void AriaProtocol::ExecuteBatch(std::vector<Item> batch) {
       ReservePhase(state, i);
     });
   }
-  if (state->items.empty()) return;
 }
 
 void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
                                 size_t index) {
   // Reservation: one message per remote participant carrying the write set;
   // the reservation table keeps the smallest txn id per key.
-  Transaction* txn = state->items[index].txn->get();
+  Transaction* txn = state->items[index].txn.get();
   NodeId coord = state->coords[index];
   const ClusterConfig& cfg = cluster_->config();
 
   auto parts = txn->Partitions();
-  auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
-  auto one_done = [this, state]() {
-    if (--state->pending == 0) CommitPhase(state);
-  };
-  auto one_part = [this, state, txn, pending, one_done](PartitionId pid) {
+  auto reserved = std::make_shared<batch_util::Join>(
+      parts.size(), [this, state]() {
+        if (--state->pending == 0) CommitPhase(state);
+      });
+  auto reserve = [state, txn, reserved](PartitionId pid) {
     for (const auto& op : txn->ops()) {
       if (op.partition != pid || op.type != OpType::kWrite) continue;
       if (op.is_insert) continue;  // unique keys need no reservation
@@ -75,7 +74,7 @@ void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
         state->write_res[k] = txn->id();
       }
     }
-    if (--(*pending) == 0) one_done();
+    reserved->Arrive();
   };
 
   for (PartitionId pid : parts) {
@@ -83,18 +82,17 @@ void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
     int writes = 0;
     for (const auto& op : txn->ops())
       if (op.partition == pid && op.type == OpType::kWrite) writes++;
+    SimTime cost = writes * cfg.validation_cost_per_op;
     if (primary == coord) {
-      cluster_->pool(coord)->Submit(TaskPriority::kResume,
-                                    writes * cfg.validation_cost_per_op,
-                                    [one_part, pid]() { one_part(pid); });
+      cluster_->pool(coord)->Submit(TaskPriority::kResume, cost,
+                                    [reserve, pid]() { reserve(pid); });
     } else {
       uint64_t bytes = MessageSizes::kHeader +
                        static_cast<uint64_t>(writes) * MessageSizes::kOpRequest;
       cluster_->network().Send(
-          coord, primary, bytes, [this, primary, writes, one_part, pid, cfg]() {
-            cluster_->pool(primary)->Submit(
-                TaskPriority::kService, writes * cfg.validation_cost_per_op,
-                [one_part, pid]() { one_part(pid); });
+          coord, primary, bytes, [this, primary, cost, reserve, pid]() {
+            cluster_->pool(primary)->Submit(TaskPriority::kService, cost,
+                                            [reserve, pid]() { reserve(pid); });
           });
     }
   }
@@ -108,7 +106,7 @@ void AriaProtocol::CommitPhase(const std::shared_ptr<BatchState>& state) {
   // notes this reordering costs Aria ~20% extra latency, Fig. 14.)
   for (size_t i = 0; i < state->items.size(); ++i) {
     Item& item = state->items[i];
-    Transaction* txn = item.txn->get();
+    Transaction* txn = item.txn.get();
     bool abort = false;
     for (const auto& op : txn->ops()) {
       uint64_t k = ResKey(op.partition, op.key);
@@ -122,14 +120,7 @@ void AriaProtocol::CommitPhase(const std::shared_ptr<BatchState>& state) {
       Requeue(std::move(item));
       continue;
     }
-    auto item_shared = std::make_shared<Item>(std::move(item));
-    SimTime apply_start = cluster_->sim()->Now();
-    batch_util::ApplyWrites(cluster_, txn, state->coords[i],
-                            [this, txn, item_shared, apply_start]() {
-                              txn->breakdown().commit +=
-                                  cluster_->sim()->Now() - apply_start;
-                              CommitAtEpochEnd(item_shared.get());
-                            });
+    ApplyAndCommit(std::move(item), state->coords[i]);
   }
 }
 

@@ -1,12 +1,13 @@
-// Shared machinery for epoch/batch execution protocols (Star, Calvin,
-// Hermes, Aria, Lotus and batch-mode Lion all collect transactions into
-// batches delimited by the global epoch).
+// Shared machinery for the epoch/batch execution protocols: Star, Calvin,
+// Hermes, Aria, Lotus and geo_occ collect transactions into batches
+// delimited by the global epoch. (Batch-mode Lion keeps its own buffer,
+// whose barrier waits on asynchronous remasters.)
 #pragma once
 
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "protocols/batch_util.h"
 #include "protocols/protocol.h"
 
 namespace lion {
@@ -38,14 +39,15 @@ class BatchProtocol : public Protocol {
 
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override {
     OnSubmit(*txn);
-    buffer_.push_back(Item{std::make_shared<TxnPtr>(std::move(txn)),
-                           std::move(done)});
+    buffer_.push_back(Item{std::move(txn), std::move(done)});
     if (buffer_.size() >= max_batch_) Flush();
   }
 
  protected:
+  /// A buffered transaction and its completion. Move-only: an item moves
+  /// through its protocol's phase closures until it commits or re-queues.
   struct Item {
-    std::shared_ptr<TxnPtr> txn;
+    TxnPtr txn;
     TxnDoneFn done;
   };
 
@@ -55,12 +57,6 @@ class BatchProtocol : public Protocol {
   /// Executes one flushed batch. Items are in submission order.
   virtual void ExecuteBatch(std::vector<Item> batch) = 0;
 
-  /// Completes an item: records the commit and returns ownership.
-  void Commit(Item* item) {
-    metrics_->OnCommit(**item->txn, cluster_->sim()->Now());
-    item->done(std::move(*item->txn));
-  }
-
   /// Re-queues an aborted item into the next batch. After Stop() no epoch
   /// tick remains to pick the retry up, so schedule one more flush an
   /// epoch later — the completion must still fire. (Not synchronous: some
@@ -69,7 +65,7 @@ class BatchProtocol : public Protocol {
   /// draining until the retry lands.)
   void Requeue(Item item) {
     metrics_->OnAbort();
-    (*item.txn)->ResetForRestart();
+    item.txn->ResetForRestart();
     buffer_.push_back(std::move(item));
     if (stopped()) {
       cluster_->sim()->Schedule(cluster_->config().epoch_interval,
@@ -78,15 +74,28 @@ class BatchProtocol : public Protocol {
   }
 
   /// Commits `item` once the current epoch closes (group visibility).
-  void CommitAtEpochEnd(Item* item) {
+  void CommitAtEpochEnd(Item item) {
     SimTime wait_start = cluster_->sim()->Now();
-    auto txn = item->txn;
-    auto done = item->done;
-    cluster_->replication().OnEpochEnd([this, txn, done, wait_start]() {
-      (*txn)->breakdown().replication += cluster_->sim()->Now() - wait_start;
-      metrics_->OnCommit(**txn, cluster_->sim()->Now());
-      done(std::move(*txn));
-    });
+    cluster_->replication().OnEpochEnd(
+        [this, item = std::move(item), wait_start]() mutable {
+          item.txn->breakdown().replication +=
+              cluster_->sim()->Now() - wait_start;
+          metrics_->OnCommit(*item.txn, cluster_->sim()->Now());
+          item.done(std::move(item.txn));
+        });
+  }
+
+  /// Applies the item's writes from `coord` (batch_util::ApplyWrites),
+  /// charges the apply to the commit phase, then commits at the epoch end.
+  void ApplyAndCommit(Item item, NodeId coord) {
+    Transaction* txn = item.txn.get();
+    SimTime apply_start = cluster_->sim()->Now();
+    batch_util::ApplyWrites(
+        cluster_, txn, coord,
+        [this, item = std::move(item), apply_start]() mutable {
+          item.txn->breakdown().commit += cluster_->sim()->Now() - apply_start;
+          CommitAtEpochEnd(std::move(item));
+        });
   }
 
   void Flush() {

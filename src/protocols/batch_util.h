@@ -1,9 +1,11 @@
 // Small execution-phase helpers shared by the custom batch protocols.
 #pragma once
 
-#include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
+#include "common/move_fn.h"
 #include "replication/cluster.h"
 #include "sim/network.h"
 #include "txn/occ.h"
@@ -12,27 +14,38 @@
 namespace lion {
 namespace batch_util {
 
+/// Fan-in of `pending` completions into one continuation. The closures of
+/// one phase share it; the last Arrive runs `then`.
+struct Join {
+  Join(size_t pending, MoveFn<void()> then)
+      : pending(static_cast<int>(pending)), then(std::move(then)) {}
+
+  void Arrive() {
+    if (--pending == 0) then();
+  }
+
+  int pending;
+  MoveFn<void()> then;
+};
+
 /// Runs the read phase of `txn` from `coord`: local partitions read in one
 /// worker task, remote partitions via one request/response round each
 /// (charged at the serving node). Calls `done` when every partition's reads
 /// completed. Also charges the admission cost at `coord`.
 inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
-                      std::function<void()> done) {
-  const ClusterConfig& cfg = cluster->config();
+                      MoveFn<void()> done) {
   auto parts = txn->Partitions();
-  auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
-  auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
-  SimTime setup = cfg.txn_setup_cost + txn->extra_compute();
+  auto join = std::make_shared<Join>(parts.size(), std::move(done));
+  SimTime setup = cluster->config().txn_setup_cost + txn->extra_compute();
 
   cluster->pool(coord)->Submit(
-      TaskPriority::kNew, setup, [cluster, txn, coord, parts, pending,
-                                  done_shared, cfg]() {
+      TaskPriority::kNew, setup,
+      [cluster, txn, coord, parts = std::move(parts), join]() {
+        const ClusterConfig& cfg = cluster->config();
         for (PartitionId pid : parts) {
           int n_ops = static_cast<int>(txn->OpsOn(pid).size());
           NodeId primary = cluster->router().PrimaryOf(pid);
-          auto one_done = [pending, done_shared]() {
-            if (--(*pending) == 0) (*done_shared)();
-          };
+          auto one_done = [join]() { join->Arrive(); };
           if (primary == coord) {
             cluster->pool(coord)->Submit(TaskPriority::kResume,
                                          n_ops * cfg.op_local_cost,
@@ -47,9 +60,10 @@ inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
                             static_cast<uint64_t>(n_ops) * MessageSizes::kOpResponse;
             cluster->network().Send(
                 coord, primary, req,
-                [cluster, txn, pid, primary, coord, n_ops, resp, one_done, cfg]() {
+                [cluster, txn, pid, primary, coord, n_ops, resp, one_done]() {
                   cluster->pool(primary)->Submit(
-                      TaskPriority::kService, n_ops * cfg.op_service_cost,
+                      TaskPriority::kService,
+                      n_ops * cluster->config().op_service_cost,
                       [cluster, txn, pid, primary, coord, resp, one_done]() {
                         Occ::ReadOps(cluster->store(pid), txn);
                         cluster->network().Send(primary, coord, resp, one_done);
@@ -65,25 +79,24 @@ inline void ReadPhase(Cluster* cluster, Transaction* txn, NodeId coord,
 /// Ignores record locks: callers guarantee isolation (deterministic order
 /// or granule locks). Calls `done` when all partitions applied.
 inline void ApplyWrites(Cluster* cluster, Transaction* txn, NodeId coord,
-                        std::function<void()> done) {
+                        MoveFn<void()> done) {
   const ClusterConfig& cfg = cluster->config();
   auto parts = txn->Partitions();
-  auto pending = std::make_shared<int>(static_cast<int>(parts.size()));
-  auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
+  auto join = std::make_shared<Join>(parts.size(), std::move(done));
   for (PartitionId pid : parts) {
     int writes = 0;
     for (const auto& op : txn->ops())
       if (op.partition == pid && op.type == OpType::kWrite) writes++;
     NodeId primary = cluster->router().PrimaryOf(pid);
     SimTime cost = cfg.log_write_cost + writes * cfg.op_local_cost;
-    auto apply = [cluster, txn, pid, pending, done_shared]() {
+    auto apply = [cluster, txn, pid, join]() {
       PartitionStore* store = cluster->store(pid);
       for (const auto& op : txn->ops()) {
         if (op.partition != pid || op.type != OpType::kWrite) continue;
         store->Apply(op.key, op.write_value);
         cluster->replication().Append(pid, op.key, op.write_value);
       }
-      if (--(*pending) == 0) (*done_shared)();
+      join->Arrive();
     };
     if (primary == coord) {
       cluster->pool(primary)->Submit(TaskPriority::kResume, cost, apply);

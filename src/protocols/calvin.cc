@@ -15,23 +15,33 @@ CalvinProtocol::CalvinProtocol(Cluster* cluster, MetricsCollector* metrics,
   sequencer_ = std::make_unique<WorkerPool>(cluster->sim(), 1);
 }
 
+/// One transaction's deterministic run, shared by its participants'
+/// closures. `pending` counts the outstanding lock grants, then the
+/// outstanding executions; `phase_start` is when the current phase began.
+struct CalvinProtocol::TxnRun {
+  Item item;
+  std::vector<NodeId> participants;
+  int pending = 0;
+  SimTime phase_start = 0;
+};
+
 void CalvinProtocol::ExecuteBatch(std::vector<Item> batch) {
   // The sequencer fixes the order and dispatches; its serial processing is
   // part of the deterministic pipeline's cost.
   for (auto& item : batch) {
-    auto item_shared = std::make_shared<Item>(std::move(item));
     sequencer_->Submit(TaskPriority::kService, config_.sequencer_cost_per_txn,
-                       [this, item_shared]() {
-                         RunDeterministic(std::move(*item_shared));
+                       [this, item = std::move(item)]() mutable {
+                         RunDeterministic(std::move(item));
                        });
   }
 }
 
 void CalvinProtocol::RunDeterministic(Item item) {
-  Transaction* txn = item.txn->get();
+  Transaction* txn = item.txn.get();
   auto parts = txn->Partitions();
+  auto run = std::make_shared<TxnRun>();
+  std::vector<NodeId>& participants = run->participants;
   // Participant nodes (by current primary placement).
-  std::vector<NodeId> participants;
   for (PartitionId pid : parts) {
     NodeId n = cluster_->router().PrimaryOf(pid);
     bool seen = false;
@@ -42,67 +52,9 @@ void CalvinProtocol::RunDeterministic(Item item) {
   txn->set_exec_class(multi_home ? ExecClass::kDistributed
                                  : ExecClass::kSingleNode);
   txn->set_coordinator(participants.empty() ? 0 : participants[0]);
-
-  auto item_shared = std::make_shared<Item>(std::move(item));
-  auto locks_pending = std::make_shared<int>(static_cast<int>(participants.size()));
-  SimTime submitted = cluster_->sim()->Now();
-
-  auto after_locks = [this, txn, participants, item_shared, multi_home,
-                      submitted]() {
-    txn->breakdown().scheduling += cluster_->sim()->Now() - submitted;
-    // Execution: each participant reads its local ops; multi-home txns then
-    // broadcast read results to each other (one communication round).
-    const ClusterConfig& cfg = cluster_->config();
-    auto exec_pending = std::make_shared<int>(static_cast<int>(participants.size()));
-    SimTime exec_start = cluster_->sim()->Now();
-    for (NodeId np : participants) {
-      int local_ops = 0;
-      for (const auto& op : txn->ops())
-        if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
-      cluster_->pool(np)->Submit(
-          TaskPriority::kResume,
-          cfg.txn_setup_cost + local_ops * cfg.op_local_cost,
-          [this, txn, np, participants, multi_home, exec_pending, item_shared,
-           exec_start]() {
-            for (PartitionId pid : txn->Partitions()) {
-              if (cluster_->router().PrimaryOf(pid) == np)
-                Occ::ReadOps(cluster_->store(pid), txn);
-            }
-            auto finish_exec = [this, txn, np, exec_pending, item_shared,
-                                exec_start]() {
-              if (--(*exec_pending) > 0) return;
-              txn->breakdown().execution += cluster_->sim()->Now() - exec_start;
-              // Apply writes at each participant, then epoch-commit.
-              SimTime apply_start = cluster_->sim()->Now();
-              batch_util::ApplyWrites(
-                  cluster_, txn, np, [this, txn, item_shared, apply_start]() {
-                    txn->breakdown().commit +=
-                        cluster_->sim()->Now() - apply_start;
-                    CommitAtEpochEnd(item_shared.get());
-                  });
-            };
-            if (!multi_home) {
-              finish_exec();
-              return;
-            }
-            // Broadcast local reads to the other participants.
-            auto acks = std::make_shared<int>(
-                static_cast<int>(participants.size()) - 1);
-            uint64_t bytes = MessageSizes::kHeader +
-                             static_cast<uint64_t>(txn->ops().size()) *
-                                 MessageSizes::kOpResponse;
-            for (NodeId other : participants) {
-              if (other == np) continue;
-              cluster_->network().Send(np, other, bytes,
-                                       [acks, finish_exec]() {
-                                         if (--(*acks) == 0) finish_exec();
-                                       });
-            }
-          });
-    }
-  };
-  auto after_locks_shared =
-      std::make_shared<std::function<void()>>(std::move(after_locks));
+  run->item = std::move(item);
+  run->pending = static_cast<int>(participants.size());
+  run->phase_start = cluster_->sim()->Now();
 
   // Lock acquisition through each participant's single-threaded manager, in
   // deterministic order (the batch arrives pre-ordered by the sequencer).
@@ -112,12 +64,60 @@ void CalvinProtocol::RunDeterministic(Item item) {
       if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
     lock_managers_[np]->Submit(TaskPriority::kService,
                                local_ops * config_.lock_cost_per_op,
-                               [locks_pending, after_locks_shared]() {
-                                 if (--(*locks_pending) == 0)
-                                   (*after_locks_shared)();
+                               [this, run]() {
+                                 if (--run->pending == 0) Execute(run);
                                });
   }
-  if (participants.empty()) (*after_locks_shared)();
+  if (participants.empty()) Execute(run);
+}
+
+void CalvinProtocol::Execute(const std::shared_ptr<TxnRun>& run) {
+  // Execution: each participant reads its local ops; multi-home txns then
+  // broadcast read results to each other (one communication round).
+  Transaction* txn = run->item.txn.get();
+  txn->breakdown().scheduling += cluster_->sim()->Now() - run->phase_start;
+  const ClusterConfig& cfg = cluster_->config();
+  run->pending = static_cast<int>(run->participants.size());
+  run->phase_start = cluster_->sim()->Now();
+  for (NodeId np : run->participants) {
+    int local_ops = 0;
+    for (const auto& op : txn->ops())
+      if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
+    cluster_->pool(np)->Submit(
+        TaskPriority::kResume,
+        cfg.txn_setup_cost + local_ops * cfg.op_local_cost,
+        [this, run, txn, np]() {
+          for (PartitionId pid : txn->Partitions()) {
+            if (cluster_->router().PrimaryOf(pid) == np)
+              Occ::ReadOps(cluster_->store(pid), txn);
+          }
+          if (run->participants.size() == 1) {
+            FinishExecution(run, np);
+            return;
+          }
+          // Broadcast local reads to the other participants.
+          auto acks = std::make_shared<batch_util::Join>(
+              run->participants.size() - 1,
+              [this, run, np]() { FinishExecution(run, np); });
+          uint64_t bytes = MessageSizes::kHeader +
+                           static_cast<uint64_t>(txn->ops().size()) *
+                               MessageSizes::kOpResponse;
+          for (NodeId other : run->participants) {
+            if (other == np) continue;
+            cluster_->network().Send(np, other, bytes,
+                                     [acks]() { acks->Arrive(); });
+          }
+        });
+  }
+}
+
+void CalvinProtocol::FinishExecution(const std::shared_ptr<TxnRun>& run,
+                                     NodeId np) {
+  if (--run->pending > 0) return;
+  run->item.txn->breakdown().execution +=
+      cluster_->sim()->Now() - run->phase_start;
+  // Apply writes at each participant, then epoch-commit.
+  ApplyAndCommit(std::move(run->item), np);
 }
 
 

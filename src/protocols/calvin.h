@@ -32,7 +32,13 @@ class CalvinProtocol : public BatchProtocol {
   void ExecuteBatch(std::vector<Item> batch) override;
 
  private:
+  struct TxnRun;
+
   void RunDeterministic(Item item);
+  /// Lock grants are in: every participant executes its local reads.
+  void Execute(const std::shared_ptr<TxnRun>& run);
+  /// One participant finished executing; the last one applies the writes.
+  void FinishExecution(const std::shared_ptr<TxnRun>& run, NodeId np);
 
   CalvinConfig config_;
   /// Single-threaded lock manager per node, plus one global sequencer.

@@ -7,9 +7,11 @@
 
 namespace lion {
 
-// Per-transaction validation round state. `locked` mirrors `parts`: only
-// partitions whose ValidateAndLock succeeded hold locks and need a release
-// message on the abort path.
+// Per-transaction state, shared by the closures of each fan-out round
+// (validate, then apply or release); `pending` counts the round's
+// outstanding partitions. `locked` mirrors `parts`: only partitions whose
+// ValidateAndLock succeeded hold locks and need a release message on the
+// abort path.
 struct GeoOccProtocol::TxnState {
   Item item;
   NodeId coord = 0;
@@ -28,7 +30,7 @@ void GeoOccProtocol::ExecuteBatch(std::vector<Item> batch) {
   for (Item& item : batch) {
     auto st = std::make_shared<TxnState>();
     st->item = std::move(item);
-    Transaction* txn = st->item.txn->get();
+    Transaction* txn = st->item.txn.get();
     st->coord = batch_util::HomeNode(cluster_, *txn);
     st->parts = txn->Partitions();
     st->locked.assign(st->parts.size(), 0);
@@ -49,7 +51,7 @@ void GeoOccProtocol::ValidatePhase(const std::shared_ptr<TxnState>& st) {
   // primary. Remote primaries — in a geo deployment, typically the
   // cross-region ones — pay one WAN round-trip; that round-trip is per
   // epoch-boundary, not per lock acquisition.
-  Transaction* txn = st->item.txn->get();
+  Transaction* txn = st->item.txn.get();
   const ClusterConfig& cfg = cluster_->config();
   st->pending = static_cast<int>(st->parts.size());
   SimTime start = cluster_->sim()->Now();
@@ -104,9 +106,9 @@ void GeoOccProtocol::ApplyPhase(const std::shared_ptr<TxnState>& st) {
   // Unanimous yes: install writes, append the replication log, and release
   // locks at every primary; visibility waits for the epoch to close (group
   // commit), so all of an epoch's survivors become visible together.
-  Transaction* txn = st->item.txn->get();
+  Transaction* txn = st->item.txn.get();
   const ClusterConfig& cfg = cluster_->config();
-  auto pending = std::make_shared<int>(static_cast<int>(st->parts.size()));
+  st->pending = static_cast<int>(st->parts.size());
   SimTime start = cluster_->sim()->Now();
 
   for (PartitionId pid : st->parts) {
@@ -115,11 +117,11 @@ void GeoOccProtocol::ApplyPhase(const std::shared_ptr<TxnState>& st) {
     for (const auto& op : txn->ops())
       if (op.partition == pid && op.type == OpType::kWrite) writes++;
     SimTime cost = cfg.log_write_cost + writes * cfg.op_local_cost;
-    auto apply = [this, st, txn, pid, pending, start]() {
+    auto apply = [this, st, txn, pid, start]() {
       Occ::ApplyAndUnlock(cluster_->store(pid), txn, &cluster_->replication());
-      if (--(*pending) == 0) {
+      if (--st->pending == 0) {
         txn->breakdown().commit += cluster_->sim()->Now() - start;
-        CommitAtEpochEnd(&st->item);
+        CommitAtEpochEnd(std::move(st->item));
       }
     };
     if (primary == st->coord) {
@@ -139,24 +141,20 @@ void GeoOccProtocol::ApplyPhase(const std::shared_ptr<TxnState>& st) {
 void GeoOccProtocol::AbortPhase(const std::shared_ptr<TxnState>& st) {
   // Conflict: release whatever locks validation managed to take, then
   // re-queue for the next epoch (abort-and-retry).
-  Transaction* txn = st->item.txn->get();
-  auto release_pending = std::make_shared<int>(0);
-  for (size_t i = 0; i < st->parts.size(); ++i) {
-    if (!st->locked[i]) continue;
-    (*release_pending)++;
-  }
-  auto requeue = [this, st]() { Requeue(std::move(st->item)); };
-  if (*release_pending == 0) {
-    requeue();
+  Transaction* txn = st->item.txn.get();
+  st->pending = 0;
+  for (char locked : st->locked) st->pending += locked;
+  if (st->pending == 0) {
+    Requeue(std::move(st->item));
     return;
   }
   for (size_t i = 0; i < st->parts.size(); ++i) {
     if (!st->locked[i]) continue;
     PartitionId pid = st->parts[i];
     NodeId primary = cluster_->router().PrimaryOf(pid);
-    auto release = [this, txn, pid, release_pending, requeue]() {
+    auto release = [this, st, txn, pid]() {
       Occ::ReleaseLocks(cluster_->store(pid), txn);
-      if (--(*release_pending) == 0) requeue();
+      if (--st->pending == 0) Requeue(std::move(st->item));
     };
     if (primary == st->coord) {
       cluster_->pool(primary)->Submit(TaskPriority::kResume, 0, release);

@@ -17,89 +17,93 @@ HermesProtocol::HermesProtocol(Cluster* cluster, MetricsCollector* metrics,
   }
 }
 
+/// A transaction pulling its remote partitions' mastership to `dst` before
+/// it runs. One migration callback of the chain owns it at a time.
+struct HermesProtocol::Pull {
+  Item item;
+  NodeId dst = kInvalidNode;
+  std::vector<PartitionId> missing;
+};
+
 void HermesProtocol::ExecuteBatch(std::vector<Item> batch) {
   // Prescient reordering: group transactions by partition signature so
   // consecutive ones reuse each other's migrations.
   std::sort(batch.begin(), batch.end(), [](const Item& a, const Item& b) {
-    return (*a.txn)->Partitions() < (*b.txn)->Partitions();
+    return a.txn->Partitions() < b.txn->Partitions();
   });
   for (auto& item : batch) MigrateThenRun(std::move(item));
 }
 
 void HermesProtocol::MigrateThenRun(Item item) {
-  Transaction* txn = item.txn->get();
+  Transaction* txn = item.txn.get();
   NodeId dst = batch_util::HomeNode(cluster_, *txn);
-  auto missing = std::make_shared<std::vector<PartitionId>>();
+  std::vector<PartitionId> missing;
   for (PartitionId pid : txn->Partitions()) {
-    if (cluster_->router().PrimaryOf(pid) != dst) missing->push_back(pid);
+    if (cluster_->router().PrimaryOf(pid) != dst) missing.push_back(pid);
   }
   txn->set_coordinator(dst);
-  txn->set_exec_class(missing->empty() ? ExecClass::kSingleNode
-                                       : ExecClass::kRemastered);
-  auto item_shared = std::make_shared<Item>(std::move(item));
-  MigrateNext(item_shared, dst, missing, 0);
+  txn->set_exec_class(missing.empty() ? ExecClass::kSingleNode
+                                      : ExecClass::kRemastered);
+  MigrateNext(
+      std::make_unique<Pull>(Pull{std::move(item), dst, std::move(missing)}),
+      0);
 }
 
-void HermesProtocol::MigrateNext(std::shared_ptr<Item> item, NodeId dst,
-                                 std::shared_ptr<std::vector<PartitionId>> missing,
-                                 size_t index) {
-  Transaction* txn = item->txn->get();
+void HermesProtocol::MigrateNext(std::unique_ptr<Pull> pull, size_t index) {
   // Placement may have changed while waiting: skip already-local entries.
-  while (index < missing->size() &&
-         cluster_->router().PrimaryOf((*missing)[index]) == dst) {
+  while (index < pull->missing.size() &&
+         cluster_->router().PrimaryOf(pull->missing[index]) == pull->dst) {
     index++;
   }
-  if (index >= missing->size()) {
-    RunLocal(item, dst);
+  if (index >= pull->missing.size()) {
+    RunLocal(std::move(pull->item), pull->dst);
     return;
   }
-  PartitionId pid = (*missing)[index];
-  uint64_t bytes = static_cast<uint64_t>(txn->OpsOn(pid).size()) *
+  // Read what the call needs before the callback takes `pull`.
+  PartitionId pid = pull->missing[index];
+  NodeId dst = pull->dst;
+  uint64_t bytes = static_cast<uint64_t>(pull->item.txn->OpsOn(pid).size()) *
                    cluster_->config().record_bytes;
   migrations_requested_++;
   cluster_->migration().MoveMastershipLight(
-      pid, dst, bytes, [this, item, dst, missing, index, pid](bool ok) {
+      pid, dst, bytes,
+      [this, pull = std::move(pull), index, pid](bool ok) mutable {
         if (!ok) {
           // A migration is in flight; deterministic order means we simply
           // wait and retry (no aborts in Hermes).
           cluster_->remaster().WaitUntilAvailable(
-              pid, [this, item, dst, missing, index]() {
-                MigrateNext(item, dst, missing, index);
+              pid, [this, pull = std::move(pull), index]() mutable {
+                MigrateNext(std::move(pull), index);
               });
           return;
         }
-        MigrateNext(item, dst, missing, index + 1);
+        MigrateNext(std::move(pull), index + 1);
       });
 }
 
-void HermesProtocol::RunLocal(std::shared_ptr<Item> item, NodeId dst) {
-  const ClusterConfig& cfg = cluster_->config();
-  Transaction* txn = item->txn->get();
+void HermesProtocol::RunLocal(Item item, NodeId dst) {
+  Transaction* txn = item.txn.get();
   int total_ops = static_cast<int>(txn->ops().size());
   SimTime lock_submit = cluster_->sim()->Now();
 
   // Serial lock manager grant, then local execution and write application.
   lock_managers_[dst]->Submit(
       TaskPriority::kService, total_ops * config_.lock_cost_per_op,
-      [this, item, dst, txn, total_ops, lock_submit, cfg]() {
+      [this, txn, item = std::move(item), dst, total_ops,
+       lock_submit]() mutable {
         txn->breakdown().scheduling += cluster_->sim()->Now() - lock_submit;
+        const ClusterConfig& cfg = cluster_->config();
         SimTime exec_start = cluster_->sim()->Now();
         cluster_->pool(dst)->Submit(
             TaskPriority::kResume,
             cfg.txn_setup_cost + txn->extra_compute() +
                 total_ops * cfg.op_local_cost,
-            [this, item, dst, txn, exec_start]() {
+            [this, txn, item = std::move(item), dst, exec_start]() mutable {
               for (PartitionId pid : txn->Partitions()) {
                 Occ::ReadOps(cluster_->store(pid), txn);
               }
               txn->breakdown().execution += cluster_->sim()->Now() - exec_start;
-              SimTime apply_start = cluster_->sim()->Now();
-              batch_util::ApplyWrites(cluster_, txn, dst,
-                                      [this, item, txn, apply_start]() {
-                                        txn->breakdown().commit +=
-                                            cluster_->sim()->Now() - apply_start;
-                                        CommitAtEpochEnd(item.get());
-                                      });
+              ApplyAndCommit(std::move(item), dst);
             });
       });
 }

@@ -34,11 +34,11 @@ class HermesProtocol : public BatchProtocol {
   void ExecuteBatch(std::vector<Item> batch) override;
 
  private:
+  struct Pull;
+
   void MigrateThenRun(Item item);
-  void MigrateNext(std::shared_ptr<Item> item, NodeId dst,
-                   std::shared_ptr<std::vector<PartitionId>> missing,
-                   size_t index);
-  void RunLocal(std::shared_ptr<Item> item, NodeId dst);
+  void MigrateNext(std::unique_ptr<Pull> pull, size_t index);
+  void RunLocal(Item item, NodeId dst);
 
   HermesConfig config_;
   std::vector<std::unique_ptr<WorkerPool>> lock_managers_;

@@ -9,28 +9,32 @@ namespace lion {
 LeapProtocol::LeapProtocol(Cluster* cluster, MetricsCollector* metrics)
     : Protocol(cluster, metrics), engine_(cluster, metrics) {}
 
-void LeapProtocol::MigrateNext(std::shared_ptr<Pull> pull, size_t index) {
+void LeapProtocol::MigrateNext(std::unique_ptr<Pull> pull, size_t index) {
   if (index >= pull->missing.size()) {
     RunLocal(pull->parts, pull->coord, std::move(pull->txn),
              std::move(pull->done));
     return;
   }
+  // Read what the call needs before the callback takes `pull`.
   PartitionId pid = pull->missing[index];
+  NodeId coord = pull->coord;
   // Transfer only the working set: the records this transaction touches.
   uint64_t bytes = static_cast<uint64_t>(pull->txn->OpsOn(pid).size()) *
                    cluster_->config().record_bytes;
   migrations_requested_++;
   cluster_->migration().MoveMastershipLight(
-      pid, pull->coord, bytes, [this, pull, index](bool ok) {
+      pid, coord, bytes,
+      [this, pull = std::move(pull), index, pid](bool ok) mutable {
         if (!ok) {
           // Another migration is in flight on this partition: wait for it,
           // then retry the pull (Leap keeps pulling until local).
           cluster_->remaster().WaitUntilAvailable(
-              pull->missing[index],
-              [this, pull, index]() { MigrateNext(pull, index); });
+              pid, [this, pull = std::move(pull), index]() mutable {
+                MigrateNext(std::move(pull), index);
+              });
           return;
         }
-        MigrateNext(pull, index + 1);
+        MigrateNext(std::move(pull), index + 1);
       });
 }
 
@@ -60,7 +64,7 @@ void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   // Pull every remote partition's mastership to the coordinator, one by one
   // (each op waits for its migration), then execute as single-node.
   txn->set_exec_class(ExecClass::kRemastered);
-  auto pull = std::make_shared<Pull>();
+  auto pull = std::make_unique<Pull>();
   pull->txn = std::move(txn);
   pull->done = std::move(done);
   pull->coord = coord;

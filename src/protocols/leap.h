@@ -25,7 +25,7 @@ class LeapProtocol : public Protocol {
 
  private:
   /// A transaction pulling its remote partitions' mastership to `coord`
-  /// before it runs (shared by the migration callbacks of the chain).
+  /// before it runs. One migration callback of the chain owns it at a time.
   struct Pull {
     TxnPtr txn;
     TxnDoneFn done;
@@ -34,7 +34,7 @@ class LeapProtocol : public Protocol {
     std::vector<PartitionId> missing;
   };
 
-  void MigrateNext(std::shared_ptr<Pull> pull, size_t index);
+  void MigrateNext(std::unique_ptr<Pull> pull, size_t index);
   /// Executes on the coordinator: local commit, no prepare round.
   void RunLocal(const std::vector<PartitionId>& parts, NodeId coord,
                 TxnPtr txn, TxnDoneFn done);

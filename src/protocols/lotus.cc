@@ -38,7 +38,7 @@ void LotusProtocol::ExecuteBatch(std::vector<Item> batch) {
   }
 
   for (auto& item : batch) {
-    Transaction* txn = item.txn->get();
+    Transaction* txn = item.txn.get();
 
     // Acquire every touched granule or abort to the next epoch (locks are
     // only released at epoch boundaries, so blocking would deadlock).
@@ -76,21 +76,15 @@ void LotusProtocol::ExecuteBatch(std::vector<Item> batch) {
     txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
                             ? ExecClass::kSingleNode
                             : ExecClass::kDistributed);
-    auto item_shared = std::make_shared<Item>(std::move(item));
     SimTime start = cluster_->sim()->Now();
     // Execution under granule locks; writes apply directly (no validation
     // needed) and commit+replication proceed asynchronously at epoch end.
-    batch_util::ReadPhase(cluster_, txn, coord, [this, txn, coord, item_shared,
-                                                 start]() {
-      txn->breakdown().execution += cluster_->sim()->Now() - start;
-      SimTime apply_start = cluster_->sim()->Now();
-      batch_util::ApplyWrites(cluster_, txn, coord,
-                              [this, txn, item_shared, apply_start]() {
-                                txn->breakdown().commit +=
-                                    cluster_->sim()->Now() - apply_start;
-                                CommitAtEpochEnd(item_shared.get());
-                              });
-    });
+    batch_util::ReadPhase(
+        cluster_, txn, coord,
+        [this, item = std::move(item), coord, start]() mutable {
+          item.txn->breakdown().execution += cluster_->sim()->Now() - start;
+          ApplyAndCommit(std::move(item), coord);
+        });
   }
 }
 

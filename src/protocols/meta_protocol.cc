@@ -85,8 +85,7 @@ void MetaProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
       // switching (a drained partition flips immediately), so the drain
       // that unblocks this queue is always in motion. Stats are recorded
       // at routing time below, so a parked transaction counts once.
-      parked_.push_back(ParkedTxn{
-          std::make_shared<TxnPtr>(std::move(txn)), std::move(done)});
+      parked_.push_back(ParkedTxn{std::move(txn), std::move(done)});
       return;
     }
   }
@@ -223,7 +222,7 @@ void MetaProtocol::CompleteSwitch(PartitionId pid, SimTime now) {
     std::deque<ParkedTxn> pending;
     pending.swap(parked_);
     for (ParkedTxn& item : pending) {
-      Submit(std::move(*item.txn), std::move(item.done));
+      Submit(std::move(item.txn), std::move(item.done));
     }
   }
   if (stopped()) {

@@ -102,9 +102,7 @@ class MetaProtocol : public Protocol {
 
  private:
   struct ParkedTxn {
-    // shared_ptr wrapper: TxnDoneFn closures must stay copyable for
-    // std::function, and TxnPtr is move-only.
-    std::shared_ptr<TxnPtr> txn;
+    TxnPtr txn;
     TxnDoneFn done;
   };
 

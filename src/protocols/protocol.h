@@ -1,7 +1,6 @@
 // Common interface for all transaction processing protocols.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -18,7 +17,10 @@ namespace lion {
 class GeoPlacement;
 
 /// Completion callback: ownership of the transaction returns to the caller.
-using TxnDoneFn = std::function<void(TxnPtr)>;
+/// Its 16-byte buffer holds the closed-loop driver's `[this]` inline and
+/// keeps the type at 32 bytes, so closures that carry a transaction and its
+/// completion (`this` + TxnPtr + TxnDoneFn) still fit a default MoveFn.
+using TxnDoneFn = MoveFn<void(TxnPtr), 16>;
 
 /// A transaction processing protocol (2PC, Leap, Clay, Star, Calvin, Aria,
 /// Hermes, Lotus, Lion). The driver submits transactions; the protocol
@@ -153,8 +155,8 @@ class Protocol {
   /// The completion every engine-driven protocol hands TwoPhaseEngine::Run:
   /// on commit it records the commit and returns the transaction through
   /// `done`; on abort it retries after backoff. It owns the transaction
-  /// outright — `this` + TxnPtr + TxnDoneFn fit MoveFn's inline buffer, so
-  /// building and moving it never allocates.
+  /// outright — `this` + TxnPtr + TxnDoneFn fit MoveFn's 48-byte buffer,
+  /// so building and moving it never allocates.
   MoveFn<void(bool)> CommitOrRetry(TxnPtr txn, TxnDoneFn done) {
     auto fn = [this, txn = std::move(txn),
                done = std::move(done)](bool committed) mutable {

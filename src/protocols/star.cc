@@ -28,40 +28,33 @@ void StarProtocol::ExecuteBatch(std::vector<Item> batch) {
   // after the phase switch.
   std::vector<Item> cross;
   for (auto& item : batch) {
-    Transaction* txn = item.txn->get();
+    Transaction* txn = item.txn.get();
     if (batch_util::IsSingleHome(cluster_, *txn)) {
       NodeId home = batch_util::HomeNode(cluster_, *txn);
       txn->set_exec_class(ExecClass::kSingleNode);
       txn->set_coordinator(home);
-      Transaction* raw = txn;
-      auto item_shared = std::make_shared<Item>(std::move(item));
       SimTime start = cluster_->sim()->Now();
-      batch_util::ReadPhase(cluster_, raw, home, [this, raw, home, item_shared,
-                                                  start]() {
-        raw->breakdown().execution += cluster_->sim()->Now() - start;
-        SimTime apply_start = cluster_->sim()->Now();
-        batch_util::ApplyWrites(cluster_, raw, home,
-                                [this, raw, item_shared, apply_start]() {
-                                  raw->breakdown().commit +=
-                                      cluster_->sim()->Now() - apply_start;
-                                  CommitAtEpochEnd(item_shared.get());
-                                });
-      });
+      batch_util::ReadPhase(
+          cluster_, txn, home,
+          [this, item = std::move(item), home, start]() mutable {
+            item.txn->breakdown().execution += cluster_->sim()->Now() - start;
+            ApplyAndCommit(std::move(item), home);
+          });
     } else {
       cross.push_back(std::move(item));
     }
   }
   if (cross.empty()) return;
   // Phase switch barrier, then route every cross txn to the super node.
-  auto cross_shared = std::make_shared<std::vector<Item>>(std::move(cross));
-  cluster_->sim()->Schedule(config_.phase_switch_delay, [this, cross_shared]() {
-    for (auto& item : *cross_shared) RunOnSuperNode(std::move(item));
-  });
+  cluster_->sim()->Schedule(
+      config_.phase_switch_delay, [this, cross = std::move(cross)]() mutable {
+        for (auto& item : cross) RunOnSuperNode(std::move(item));
+      });
 }
 
 void StarProtocol::RunOnSuperNode(Item item) {
   const ClusterConfig& cfg = cluster_->config();
-  Transaction* txn = item.txn->get();
+  Transaction* txn = item.txn.get();
   super_node_txns_++;
   // All replicas are local on the super node: the transaction executes as a
   // single-node one (the conversion Star achieves via its phase switching).
@@ -73,7 +66,6 @@ void StarProtocol::RunOnSuperNode(Item item) {
   for (const auto& op : txn->ops())
     if (op.type == OpType::kWrite) total_writes++;
 
-  auto item_shared = std::make_shared<Item>(std::move(item));
   SimTime submit = cluster_->sim()->Now();
   SimTime exec_cost = cfg.txn_setup_cost + txn->extra_compute() +
                       total_ops * cfg.op_local_cost;
@@ -81,16 +73,12 @@ void StarProtocol::RunOnSuperNode(Item item) {
 
   // Every cross transaction consumes super-node worker time: the bottleneck.
   cluster_->pool(config_.super_node)
-      ->Submit(TaskPriority::kNew, exec_cost, [this, txn, item_shared, submit,
-                                               apply_cost]() {
-        txn->breakdown().scheduling += 0;
+      ->Submit(TaskPriority::kNew, exec_cost, [this, txn, item = std::move(item),
+                                               submit, apply_cost]() mutable {
         txn->breakdown().execution += cluster_->sim()->Now() - submit;
-        for (PartitionId pid : txn->Partitions()) {
-          (void)pid;
-        }
         cluster_->pool(config_.super_node)
-            ->Submit(TaskPriority::kResume, apply_cost, [this, txn,
-                                                         item_shared]() {
+            ->Submit(TaskPriority::kResume, apply_cost,
+                     [this, txn, item = std::move(item)]() mutable {
               SimTime apply_at = cluster_->sim()->Now();
               for (const auto& op : txn->ops()) {
                 if (op.type != OpType::kWrite) continue;
@@ -99,7 +87,7 @@ void StarProtocol::RunOnSuperNode(Item item) {
                                                op.write_value);
               }
               txn->breakdown().commit += cluster_->sim()->Now() - apply_at;
-              CommitAtEpochEnd(item_shared.get());
+              CommitAtEpochEnd(std::move(item));
             });
       });
 }

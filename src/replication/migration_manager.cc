@@ -1,7 +1,6 @@
 #include "replication/migration_manager.h"
 
 #include <limits>
-#include <memory>
 #include <utility>
 
 namespace lion {
@@ -22,7 +21,7 @@ MigrationManager::MigrationManager(Simulator* sim, Network* network,
       evictions_(0) {}
 
 void MigrationManager::AddReplica(PartitionId pid, NodeId target,
-                                  std::function<void(bool)> done) {
+                                  MoveFn<void(bool)> done) {
   if (!table_->IsNodeUp(target)) {
     done(false);
     return;
@@ -39,23 +38,23 @@ void MigrationManager::AddReplica(PartitionId pid, NodeId target,
   Lsn snapshot_lsn = group->primary_lsn();
   migrated_bytes_ += bytes;
 
-  auto done_shared = std::make_shared<std::function<void(bool)>>(std::move(done));
   // Background copy: snapshot stream + fixed setup. Writes proceed at the
   // primary meanwhile; the new secondary starts at the snapshot LSN and
   // catches up through normal log shipping.
-  sim_->Schedule(config_.migration_base_delay, [this, pid, src, target, bytes,
-                                                snapshot_lsn, done_shared]() {
+  sim_->Schedule(config_.migration_base_delay,
+                 [this, pid, src, target, bytes, snapshot_lsn,
+                  done = std::move(done)]() mutable {
     network_->Send(src, target, bytes, [this, pid, target, snapshot_lsn,
-                                        done_shared]() {
+                                        done = std::move(done)]() mutable {
       if (!table_->IsNodeUp(target)) {
         // The target crashed while the copy streamed: registering its
         // replica would leave a live secondary on a down node.
-        (*done_shared)(false);
+        done(false);
         return;
       }
       table_->mutable_group(pid)->AddSecondary(target, snapshot_lsn);
       migrations_completed_++;
-      (*done_shared)(true);
+      done(true);
     });
   });
 }
@@ -99,7 +98,7 @@ NodeId MigrationManager::EvictIfOverLimit(PartitionId pid, NodeId keep) {
 
 void MigrationManager::MoveMastershipLight(PartitionId pid, NodeId target,
                                            uint64_t accessed_bytes,
-                                           std::function<void(bool)> done) {
+                                           MoveFn<void(bool)> done) {
   ReplicaGroup* group = table_->mutable_group(pid);
   if (group->primary() == target) {
     done(true);
@@ -110,46 +109,11 @@ void MigrationManager::MoveMastershipLight(PartitionId pid, NodeId target,
     done(false);
     return;
   }
-  const uint64_t token = group->BeginReconfig();
-  stores_[pid]->set_write_blocked(true);
-  NodeId src = group->primary();
-  migrated_bytes_ += accessed_bytes;
-
-  auto done_shared = std::make_shared<std::function<void(bool)>>(std::move(done));
-  sim_->Schedule(config_.migration_base_delay, [this, pid, src, target,
-                                                accessed_bytes, token,
-                                                done_shared]() {
-    network_->Send(src, target, accessed_bytes, [this, pid, target, token,
-                                                 done_shared]() {
-      ReplicaGroup* g = table_->mutable_group(pid);
-      if (token != g->reconfig_generation()) {
-        // A failover preempted this transfer and owns the block.
-        (*done_shared)(false);
-        return;
-      }
-      if (!table_->IsNodeUp(target) || g->IsRecovering(target)) {
-        // Target died mid-transfer (or came back still recovering): abort
-        // and unblock at the old primary.
-        g->EndReconfig(token);
-        stores_[pid]->set_write_blocked(false);
-        remaster_->ReleaseWaiters(pid);
-        (*done_shared)(false);
-        return;
-      }
-      g->AddSecondary(target, g->primary_lsn());
-      g->Promote(target);
-      g->EndReconfig(token);
-      stores_[pid]->set_write_blocked(false);
-      migrations_completed_++;
-      EvictIfOverLimit(pid, target);
-      remaster_->ReleaseWaiters(pid);
-      (*done_shared)(true);
-    });
-  });
+  TransferAndPromote(pid, target, accessed_bytes, std::move(done));
 }
 
 void MigrationManager::MovePrimary(PartitionId pid, NodeId target,
-                                   std::function<void(bool)> done) {
+                                   MoveFn<void(bool)> done) {
   if (!table_->IsNodeUp(target)) {
     done(false);
     return;
@@ -175,30 +139,36 @@ void MigrationManager::MovePrimary(PartitionId pid, NodeId target,
   }
   // Full blocking copy: the "migration" whose downtime the paper attributes
   // to Leap/Clay. Writes block for the whole transfer.
+  TransferAndPromote(pid, target, stores_[pid]->SizeBytes(), std::move(done));
+}
+
+void MigrationManager::TransferAndPromote(PartitionId pid, NodeId target,
+                                          uint64_t bytes,
+                                          MoveFn<void(bool)> done) {
+  ReplicaGroup* group = table_->mutable_group(pid);
   const uint64_t token = group->BeginReconfig();
   stores_[pid]->set_write_blocked(true);
   NodeId src = group->primary();
-  uint64_t bytes = stores_[pid]->SizeBytes();
   migrated_bytes_ += bytes;
 
-  auto done_shared = std::make_shared<std::function<void(bool)>>(std::move(done));
-  sim_->Schedule(config_.migration_base_delay, [this, pid, src, target, bytes,
-                                                token, done_shared]() {
+  sim_->Schedule(config_.migration_base_delay,
+                 [this, pid, src, target, bytes, token,
+                  done = std::move(done)]() mutable {
     network_->Send(src, target, bytes, [this, pid, target, token,
-                                        done_shared]() {
+                                        done = std::move(done)]() mutable {
       ReplicaGroup* g = table_->mutable_group(pid);
       if (token != g->reconfig_generation()) {
-        // A failover preempted this migration and owns the block.
-        (*done_shared)(false);
+        // A failover preempted this transfer and owns the block.
+        done(false);
         return;
       }
       if (!table_->IsNodeUp(target) || g->IsRecovering(target)) {
-        // Target died mid-copy (or came back still recovering): abort and
-        // unblock at the old primary.
+        // Target died mid-transfer (or came back still recovering): abort
+        // and unblock at the old primary.
         g->EndReconfig(token);
         stores_[pid]->set_write_blocked(false);
         remaster_->ReleaseWaiters(pid);
-        (*done_shared)(false);
+        done(false);
         return;
       }
       g->AddSecondary(target, g->primary_lsn());
@@ -209,7 +179,7 @@ void MigrationManager::MovePrimary(PartitionId pid, NodeId target,
       EvictIfOverLimit(pid, target);
       // Release operations queued behind the block.
       remaster_->ReleaseWaiters(pid);
-      (*done_shared)(true);
+      done(true);
     });
   });
 }

@@ -2,8 +2,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
+#include "common/move_fn.h"
 #include "common/types.h"
 #include "replication/cluster_config.h"
 #include "replication/remaster_manager.h"
@@ -30,7 +30,7 @@ class MigrationManager {
   /// Asynchronously copies `pid` to `target` and registers it as a
   /// secondary. Non-blocking for foreground transactions. `done(false)` if
   /// the target already holds a replica or a reconfiguration is in flight.
-  void AddReplica(PartitionId pid, NodeId target, std::function<void(bool)> done);
+  void AddReplica(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
   /// Flags the lowest-frequency removable secondary for deletion when the
   /// live replica count exceeds `max_replicas`; returns the flagged node or
@@ -40,7 +40,7 @@ class MigrationManager {
   /// Moves the primary of `pid` to `target`, blocking writes during the
   /// transfer (Leap/Clay semantics). If `target` already has a live
   /// secondary this degenerates to a remaster. `done(false)` on conflict.
-  void MovePrimary(PartitionId pid, NodeId target, std::function<void(bool)> done);
+  void MovePrimary(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
   /// Record-granule mastership transfer (Leap/Hermes style): moves only the
   /// working set (`accessed_bytes`), blocking the partition for the
@@ -48,14 +48,20 @@ class MigrationManager {
   /// MovePrimary this never copies the whole partition, but it blocks
   /// foreground operations every time it runs. `done(false)` on conflict.
   void MoveMastershipLight(PartitionId pid, NodeId target,
-                           uint64_t accessed_bytes,
-                           std::function<void(bool)> done);
+                           uint64_t accessed_bytes, MoveFn<void(bool)> done);
 
   uint64_t migrations_completed() const { return migrations_completed_; }
   uint64_t migrated_bytes() const { return migrated_bytes_; }
   uint64_t evictions() const { return evictions_; }
 
  private:
+  /// The blocking tail shared by MovePrimary and MoveMastershipLight:
+  /// write-blocks `pid`, streams `bytes` from its primary to `target`, then
+  /// promotes `target` and unblocks. `done(false)` if a failover preempted
+  /// the transfer or `target` went down or is recovering when it lands.
+  void TransferAndPromote(PartitionId pid, NodeId target, uint64_t bytes,
+                          MoveFn<void(bool)> done);
+
   Simulator* sim_;
   Network* network_;
   RouterTable* table_;

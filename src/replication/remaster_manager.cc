@@ -1,7 +1,6 @@
 #include "replication/remaster_manager.h"
 
 #include <utility>
-#include <memory>
 
 namespace lion {
 
@@ -23,7 +22,7 @@ bool RemasterManager::IsBlocked(PartitionId pid) const {
 }
 
 void RemasterManager::Remaster(PartitionId pid, NodeId target,
-                               std::function<void(bool)> done) {
+                               MoveFn<void(bool)> done) {
   ReplicaGroup* group = table_->mutable_group(pid);
   if (group->primary() == target) {
     done(true);
@@ -52,18 +51,18 @@ void RemasterManager::Remaster(PartitionId pid, NodeId target,
   NodeId old_primary = group->primary();
 
   SimTime started = sim_->Now();
-  auto done_shared = std::make_shared<std::function<void(bool)>>(std::move(done));
   // Control message to the candidate, then log sync + election time.
   network_->Send(old_primary, target, MessageSizes::kRemasterCtl,
-                 [this, pid, target, sync_time, started, token, done_shared]() {
+                 [this, pid, target, sync_time, started, token,
+                  done = std::move(done)]() mutable {
                    sim_->Schedule(sync_time, [this, pid, target, started, token,
-                                              done_shared]() {
+                                              done = std::move(done)]() mutable {
                      ReplicaGroup* g = table_->mutable_group(pid);
                      if (token != g->reconfig_generation()) {
                        // A failover preempted this remaster; it owns the
                        // partition's block now.
                        remasters_failed_++;
-                       (*done_shared)(false);
+                       done(false);
                        return;
                      }
                      if (!table_->IsNodeUp(target) ||
@@ -76,7 +75,7 @@ void RemasterManager::Remaster(PartitionId pid, NodeId target,
                        g->EndReconfig(token);
                        stores_[pid]->set_write_blocked(false);
                        ReleaseWaiters(pid);
-                       (*done_shared)(false);
+                       done(false);
                        return;
                      }
                      g->Ack(target, g->primary_lsn());
@@ -84,7 +83,7 @@ void RemasterManager::Remaster(PartitionId pid, NodeId target,
                      total_remaster_time_ += sim_->Now() - started;
                      remasters_completed_++;
                      Finish(pid);
-                     (*done_shared)(true);
+                     done(true);
                    });
                  });
 }

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,7 +37,7 @@ class RemasterManager {
   ///
   /// The total duration is remaster_base_delay + lag * remaster_per_entry,
   /// plus the control-message round trip.
-  void Remaster(PartitionId pid, NodeId target, std::function<void(bool)> done);
+  void Remaster(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
   /// True while `pid` is blocked by an in-flight remaster (operations must
   /// wait; see WaitUntilAvailable).

@@ -127,14 +127,15 @@ void ReplicationManager::Ack(PartitionId pid, NodeId dst, Lsn lsn) {
 }
 
 void ReplicationManager::ShipRange(PartitionId pid, NodeId dst, Lsn from,
-                                   Lsn upto, std::function<void()> on_delivered) {
+                                   Lsn upto, MoveFn<void()> on_delivered) {
   ReplicaGroup* group = table_->mutable_group(pid);
   NodeId primary = group->primary();
   uint64_t bytes = MessageSizes::kHeader +
                    static_cast<uint64_t>(upto - from) * MessageSizes::kLogEntry;
   catch_up_entries_shipped_ += upto - from;
   network_->Send(primary, dst, bytes,
-                 [this, pid, dst, upto, done = std::move(on_delivered)]() {
+                 [this, pid, dst, upto,
+                  done = std::move(on_delivered)]() mutable {
                    // The replica may have been dropped or promoted while the
                    // batch was in flight; Ack then no-ops and the injector's
                    // next step re-validates.

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -63,7 +62,7 @@ class ReplicationManager {
   /// `on_delivered` runs. One catch-up batch per call; the failure injector
   /// chains batches and re-validates its generation token between them.
   void ShipRange(PartitionId pid, NodeId dst, Lsn from, Lsn upto,
-                 std::function<void()> on_delivered);
+                 MoveFn<void()> on_delivered);
 
   uint64_t catch_up_entries_shipped() const {
     return catch_up_entries_shipped_;

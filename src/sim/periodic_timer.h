@@ -4,8 +4,9 @@
 // stop/resume idiom.
 #pragma once
 
-#include <functional>
+#include <utility>
 
+#include "common/move_fn.h"
 #include "common/types.h"
 #include "sim/simulator.h"
 
@@ -28,7 +29,7 @@ namespace lion {
 /// tick holds a pointer to this timer.
 class PeriodicTimer {
  public:
-  using TickFn = std::function<void(SimTime now)>;
+  using TickFn = MoveFn<void(SimTime now)>;
 
   /// `sim` may be null only if Start is never called (supports members of
   /// objects constructed against a null substrate in tests).

@@ -27,12 +27,12 @@ class RecordingBatchProtocol : public BatchProtocol {
     batch_sizes.push_back(batch.size());
     flush_times.push_back(cluster_->sim()->Now());
     for (auto& item : batch) {
-      TxnId id = (*item.txn)->id();
+      TxnId id = item.txn->id();
       if (abort_first_ && attempted_.insert(id).second) {
         Requeue(std::move(item));
         continue;
       }
-      CommitAtEpochEnd(&item);
+      CommitAtEpochEnd(std::move(item));
     }
   }
 

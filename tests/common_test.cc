@@ -261,6 +261,14 @@ TEST(MoveFnTest, FatTargetFallsBackToHeap) {
   MoveFn<int()> fn([blob]() { return static_cast<int>(blob[0]); });
   EXPECT_FALSE(fn.uses_inline_storage());
   EXPECT_EQ(fn(), 3);
+  // A 16-byte buffer spills a closure that the default buffer holds inline.
+  unsigned char mid[MoveFn<int(), 16>::kInlineBytes + 8];
+  std::memset(mid, 4, sizeof(mid));
+  auto mid_fn = [mid]() { return static_cast<int>(mid[0]); };
+  static_assert(MoveFn<int()>::kFitsInline<decltype(mid_fn)>);
+  MoveFn<int(), 16> small_buffer(mid_fn);
+  EXPECT_FALSE(small_buffer.uses_inline_storage());
+  EXPECT_EQ(small_buffer(), 4);
 }
 
 TEST(MoveFnTest, MoveTransfersInlineTarget) {
@@ -349,6 +357,18 @@ TEST(MoveFnTest, FitsInlineMatchesStorage) {
   static_assert(!MoveFn<int()>::kFitsInline<decltype(fat)>);
   EXPECT_TRUE(MoveFn<int()>(small).uses_inline_storage());
   EXPECT_FALSE(MoveFn<int()>(fat).uses_inline_storage());
+
+  // The 16-byte buffer of TxnDoneFn: two pointers fit, a third spills.
+  using Small = MoveFn<int(), 16>;
+  static_assert(Small::kInlineBytes == 16 && sizeof(Small) == 32);
+  int a = 1, b = 2, c = 3;
+  auto two = [&a, &b]() { return a + b; };
+  auto three = [&a, &b, &c]() { return a + b + c; };
+  static_assert(Small::kFitsInline<decltype(two)>);
+  static_assert(!Small::kFitsInline<decltype(three)>);
+  EXPECT_TRUE(Small(two).uses_inline_storage());
+  EXPECT_FALSE(Small(three).uses_inline_storage());
+  EXPECT_EQ(Small(three)(), 6);
 }
 
 // --- RingQueue -----------------------------------------------------------------
