@@ -126,6 +126,20 @@ const Case kCases[] = {
      {12000, 1, 5980, 5788, 232, 20286976, 224614, 9961.472, 18874.368}},
     {"HermesHotspot", "Hermes", "ycsb-hotspot-position", 400,
      {12000, 0, 11622, 378, 0, 1326532, 349, 10000, 10000}},
+    // The batch family on TPC-C: NewOrder's inserts are the writes that
+    // Aria's reservation round and Lotus's granule locks skip.
+    {"StarTpcc", "Star", "tpcc", 400,
+     {12000, 0, 5942, 6058, 0, 30633600, 312, 10000, 10000}},
+    {"CalvinTpcc", "Calvin", "tpcc", 400,
+     {11863, 0, 5881, 0, 5982, 33401456, 23493, 10000, 19922.944}},
+    {"AriaTpcc", "Aria", "tpcc", 400,
+     {12000, 0, 5942, 0, 6058, 44057696, 31634, 10000, 10000}},
+    {"LotusTpcc", "Lotus", "tpcc", 400,
+     {678, 11688, 330, 0, 348, 2397248, 1683, 142606.336, 268435.456}},
+    {"GeoOccTpcc", "geo_occ", "tpcc", 400,
+     {9457, 2543, 4710, 0, 4747, 41147744, 38187, 10000, 39845.888}},
+    {"HermesTpcc", "Hermes", "tpcc", 400,
+     {6475, 0, 6475, 0, 0, 17093632, 400, 19922.944, 29360.128}},
 };
 
 class FixedSeedDigestTest : public ::testing::TestWithParam<Case> {};
