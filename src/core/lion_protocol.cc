@@ -15,7 +15,6 @@ struct LionProtocol::Batch {
     TxnDoneFn done;
     TxnPtr txn;
     NodeId dst = kInvalidNode;
-    bool convertible = false;   // single-node feasible at buffering time
     bool used_remaster = false; // issued async remaster requests
     bool remaster_failed = false;
   };
@@ -111,26 +110,32 @@ void LionProtocol::Execute(const std::vector<PartitionId>& parts, NodeId dst,
               CommitOrRetry(std::move(txn), std::move(done)));
 }
 
-void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
-  const std::vector<PartitionId>& parts = parts_;
-  NodeId dst = router_.Route(parts);
-
-  // Classify the three cases of Sec. III against the routed node.
-  std::vector<PartitionId> need_remaster;
-  bool feasible = true;
+bool LionProtocol::ClassifyCase(const Transaction& txn,
+                                const std::vector<PartitionId>& parts,
+                                NodeId dst,
+                                std::vector<PartitionId>* need_remaster) const {
+  need_remaster->clear();
   for (PartitionId p : parts) {
     if (cluster_->router().PrimaryOf(p) == dst) continue;
     if (cluster_->router().HasSecondary(dst, p) &&
         geo_placement_.AllowsPrimaryOn(cluster_->router(), p, dst) &&
-        WorthRemastering(p, dst, txn->OpsOn(p).size())) {
-      need_remaster.push_back(p);
+        WorthRemastering(p, dst, txn.CountOps(p))) {
+      need_remaster->push_back(p);
     } else {
-      feasible = false;  // case 3: some replica missing (or too hot to steal)
-      break;
+      // Case 3: some replica missing (or too hot to steal).
+      need_remaster->clear();
+      return false;
     }
   }
+  return true;
+}
 
-  if (!feasible) {
+void LionProtocol::SubmitStandard(TxnPtr txn, TxnDoneFn done) {
+  const std::vector<PartitionId>& parts = parts_;
+  NodeId dst = router_.Route(parts);
+
+  std::vector<PartitionId> need_remaster;
+  if (!ClassifyCase(*txn, parts, dst, &need_remaster)) {
     // Case 3: regular distributed transaction with 2PC.
     fallback_distributed_++;
     Execute(parts, dst, ExecClass::kDistributed, std::move(txn),
@@ -178,22 +183,11 @@ void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
   Batch::Entry entry;
   entry.dst = dst;
   entry.done = std::move(done);
-  entry.convertible = true;
 
+  // An infeasible (case 3) transaction issues no remasters; the batch
+  // re-derives every entry's class at execution.
   std::vector<PartitionId> need_remaster;
-  for (PartitionId p : parts) {
-    if (cluster_->router().PrimaryOf(p) == dst) continue;
-    Transaction* raw_txn = txn.get();
-    if (cluster_->router().HasSecondary(dst, p) &&
-        geo_placement_.AllowsPrimaryOn(cluster_->router(), p, dst) &&
-        WorthRemastering(p, dst, raw_txn->OpsOn(p).size())) {
-      need_remaster.push_back(p);
-    } else {
-      entry.convertible = false;
-      need_remaster.clear();
-      break;
-    }
-  }
+  ClassifyCase(*txn, parts, dst, &need_remaster);
 
   entry.txn = std::move(txn);
   std::shared_ptr<Batch> batch = current_batch_;

@@ -94,6 +94,17 @@ class LionProtocol : public Protocol {
   /// single remote op is never worthwhile; a 5-op batch usually is.
   bool WorthRemastering(PartitionId pid, NodeId dst, size_t ops_on_pid) const;
 
+  /// Classifies `txn` routed to `dst` into the cases of Sec. III. A primary
+  /// already on `dst` needs nothing; a secondary there that the geo
+  /// constraints allow as primary and that passes WorthRemastering goes to
+  /// `need_remaster`. Any other partition makes the transaction
+  /// distributed (case 3): returns false with `need_remaster` empty. True
+  /// means single-node, directly (case 1, `need_remaster` empty) or after
+  /// remastering (case 2).
+  bool ClassifyCase(const Transaction& txn,
+                    const std::vector<PartitionId>& parts, NodeId dst,
+                    std::vector<PartitionId>* need_remaster) const;
+
   LionOptions options_;
   TwoPhaseEngine engine_;
   TxnRouter router_;

@@ -19,7 +19,6 @@ uint64_t ResKey(PartitionId pid, Key key) {
 
 struct AriaProtocol::BatchState {
   std::vector<Item> items;
-  std::vector<NodeId> coords;
   // key -> lowest reserving txn id (write reservations).
   std::unordered_map<uint64_t, TxnId> write_res;
   int pending = 0;  // items still in execute+reserve
@@ -32,19 +31,13 @@ void AriaProtocol::ExecuteBatch(std::vector<Item> batch) {
   auto state = std::make_shared<BatchState>();
   state->items = std::move(batch);
   state->pending = static_cast<int>(state->items.size());
-  state->coords.resize(state->items.size());
 
   for (size_t i = 0; i < state->items.size(); ++i) {
     Transaction* txn = state->items[i].txn.get();
-    NodeId coord = batch_util::HomeNode(cluster_, *txn);
-    state->coords[i] = coord;
-    txn->set_coordinator(coord);
-    txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
-                            ? ExecClass::kSingleNode
-                            : ExecClass::kDistributed);
+    NodeId coord = AssignCoordinator(txn);
     SimTime start = cluster_->sim()->Now();
     // Execution phase: snapshot reads, fully parallel, no coordination.
-    batch_util::ReadPhase(cluster_, txn, coord, [this, state, i, txn, start]() {
+    ReadPhase(txn, coord, [this, state, i, txn, start]() {
       txn->breakdown().execution += cluster_->sim()->Now() - start;
       ReservePhase(state, i);
     });
@@ -56,45 +49,35 @@ void AriaProtocol::ReservePhase(const std::shared_ptr<BatchState>& state,
   // Reservation: one message per remote participant carrying the write set;
   // the reservation table keeps the smallest txn id per key.
   Transaction* txn = state->items[index].txn.get();
-  NodeId coord = state->coords[index];
+  NodeId coord = txn->coordinator();
   const ClusterConfig& cfg = cluster_->config();
 
-  auto parts = txn->Partitions();
+  const std::vector<PartitionId>& parts = PartitionsOf(*txn);
   auto reserved = std::make_shared<batch_util::Join>(
       parts.size(), [this, state]() {
         if (--state->pending == 0) CommitPhase(state);
       });
-  auto reserve = [state, txn, reserved](PartitionId pid) {
-    for (const auto& op : txn->ops()) {
-      if (op.partition != pid || op.type != OpType::kWrite) continue;
-      if (op.is_insert) continue;  // unique keys need no reservation
-      uint64_t k = ResKey(pid, op.key);
-      auto it = state->write_res.find(k);
-      if (it == state->write_res.end() || txn->id() < it->second) {
-        state->write_res[k] = txn->id();
-      }
-    }
-    reserved->Arrive();
-  };
-
   for (PartitionId pid : parts) {
-    NodeId primary = cluster_->router().PrimaryOf(pid);
-    int writes = 0;
-    for (const auto& op : txn->ops())
-      if (op.partition == pid && op.type == OpType::kWrite) writes++;
+    int writes = txn->CountOps(pid, OpType::kWrite);
     SimTime cost = writes * cfg.validation_cost_per_op;
-    if (primary == coord) {
-      cluster_->pool(coord)->Submit(TaskPriority::kResume, cost,
-                                    [reserve, pid]() { reserve(pid); });
-    } else {
-      uint64_t bytes = MessageSizes::kHeader +
-                       static_cast<uint64_t>(writes) * MessageSizes::kOpRequest;
-      cluster_->network().Send(
-          coord, primary, bytes, [this, primary, cost, reserve, pid]() {
-            cluster_->pool(primary)->Submit(TaskPriority::kService, cost,
-                                            [reserve, pid]() { reserve(pid); });
-          });
-    }
+    batch_util::AtPrimary(
+        cluster_, coord, pid,
+        {cost, cost,
+         MessageSizes::kHeader +
+             static_cast<uint64_t>(writes) * MessageSizes::kOpRequest,
+         0},
+        [state, txn, pid]() {
+          for (const auto& op : txn->ops()) {
+            if (op.partition != pid || op.type != OpType::kWrite) continue;
+            if (op.is_insert) continue;  // unique keys need no reservation
+            uint64_t k = ResKey(pid, op.key);
+            auto it = state->write_res.find(k);
+            if (it == state->write_res.end() || txn->id() < it->second) {
+              state->write_res[k] = txn->id();
+            }
+          }
+        },
+        [reserved]() { reserved->Arrive(); });
   }
 }
 
@@ -120,7 +103,8 @@ void AriaProtocol::CommitPhase(const std::shared_ptr<BatchState>& state) {
       Requeue(std::move(item));
       continue;
     }
-    ApplyAndCommit(std::move(item), state->coords[i]);
+    NodeId coord = txn->coordinator();
+    ApplyAndCommit(std::move(item), coord);
   }
 }
 

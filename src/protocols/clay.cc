@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "protocols/twopc.h"
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -76,7 +74,7 @@ void ClayProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   std::vector<PartitionId> parts = txn->Partitions();
   for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
 
-  NodeId coord = TwoPcProtocol::RouteToMostPrimaries(parts, cluster_->router());
+  NodeId coord = cluster_->router().MostPrimariesNode(parts);
   Transaction* raw = txn.get();
   engine_.Run(raw, parts, coord, TwoPhaseEngine::Options{},
               CommitOrRetry(std::move(txn), std::move(done)));

@@ -34,7 +34,6 @@ class GeoOccProtocol : public BatchProtocol {
 
   void ValidatePhase(const std::shared_ptr<TxnState>& st);
   void FinishValidation(const std::shared_ptr<TxnState>& st);
-  void ApplyPhase(const std::shared_ptr<TxnState>& st);
   void AbortPhase(const std::shared_ptr<TxnState>& st);
 
   uint64_t validation_aborts_ = 0;

@@ -1,8 +1,8 @@
 #include "protocols/hermes.h"
 
 #include <algorithm>
+#include <utility>
 
-#include "protocols/batch_util.h"
 #include "txn/occ.h"
 
 #include "harness/registry.h"
@@ -27,26 +27,37 @@ struct HermesProtocol::Pull {
 
 void HermesProtocol::ExecuteBatch(std::vector<Item> batch) {
   // Prescient reordering: group transactions by partition signature so
-  // consecutive ones reuse each other's migrations.
-  std::sort(batch.begin(), batch.end(), [](const Item& a, const Item& b) {
-    return a.txn->Partitions() < b.txn->Partitions();
+  // consecutive ones reuse each other's migrations. Each signature is built
+  // once and the sort compares only signatures.
+  std::vector<std::pair<std::vector<PartitionId>, Item>> keyed;
+  keyed.reserve(batch.size());
+  for (Item& item : batch) {
+    std::vector<PartitionId> signature = item.txn->Partitions();
+    keyed.emplace_back(std::move(signature), std::move(item));
+  }
+  std::sort(keyed.begin(), keyed.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
   });
-  for (auto& item : batch) MigrateThenRun(std::move(item));
+  for (auto& [parts, item] : keyed) {
+    MigrateThenRun(std::move(item), std::move(parts));
+  }
 }
 
-void HermesProtocol::MigrateThenRun(Item item) {
+void HermesProtocol::MigrateThenRun(Item item,
+                                    std::vector<PartitionId> parts) {
   Transaction* txn = item.txn.get();
-  NodeId dst = batch_util::HomeNode(cluster_, *txn);
-  std::vector<PartitionId> missing;
-  for (PartitionId pid : txn->Partitions()) {
-    if (cluster_->router().PrimaryOf(pid) != dst) missing.push_back(pid);
-  }
+  NodeId dst = cluster_->router().MostPrimariesNode(parts);
+  // What remains of `parts` is what must migrate to dst.
+  parts.erase(std::remove_if(parts.begin(), parts.end(),
+                             [&](PartitionId pid) {
+                               return cluster_->router().PrimaryOf(pid) == dst;
+                             }),
+              parts.end());
   txn->set_coordinator(dst);
-  txn->set_exec_class(missing.empty() ? ExecClass::kSingleNode
-                                      : ExecClass::kRemastered);
+  txn->set_exec_class(parts.empty() ? ExecClass::kSingleNode
+                                    : ExecClass::kRemastered);
   MigrateNext(
-      std::make_unique<Pull>(Pull{std::move(item), dst, std::move(missing)}),
-      0);
+      std::make_unique<Pull>(Pull{std::move(item), dst, std::move(parts)}), 0);
 }
 
 void HermesProtocol::MigrateNext(std::unique_ptr<Pull> pull, size_t index) {
@@ -62,7 +73,7 @@ void HermesProtocol::MigrateNext(std::unique_ptr<Pull> pull, size_t index) {
   // Read what the call needs before the callback takes `pull`.
   PartitionId pid = pull->missing[index];
   NodeId dst = pull->dst;
-  uint64_t bytes = static_cast<uint64_t>(pull->item.txn->OpsOn(pid).size()) *
+  uint64_t bytes = static_cast<uint64_t>(pull->item.txn->CountOps(pid)) *
                    cluster_->config().record_bytes;
   migrations_requested_++;
   cluster_->migration().MoveMastershipLight(
@@ -99,7 +110,7 @@ void HermesProtocol::RunLocal(Item item, NodeId dst) {
             cfg.txn_setup_cost + txn->extra_compute() +
                 total_ops * cfg.op_local_cost,
             [this, txn, item = std::move(item), dst, exec_start]() mutable {
-              for (PartitionId pid : txn->Partitions()) {
+              for (PartitionId pid : PartitionsOf(*txn)) {
                 Occ::ReadOps(cluster_->store(pid), txn);
               }
               txn->breakdown().execution += cluster_->sim()->Now() - exec_start;

@@ -36,7 +36,9 @@ class HermesProtocol : public BatchProtocol {
  private:
   struct Pull;
 
-  void MigrateThenRun(Item item);
+  /// Pulls the mastership of `parts` (the transaction's partitions) that
+  /// lie elsewhere to the node holding most of them, then runs there.
+  void MigrateThenRun(Item item, std::vector<PartitionId> parts);
   void MigrateNext(std::unique_ptr<Pull> pull, size_t index);
   void RunLocal(Item item, NodeId dst);
 

@@ -1,7 +1,5 @@
 #include "protocols/leap.h"
 
-#include "protocols/twopc.h"
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -19,7 +17,7 @@ void LeapProtocol::MigrateNext(std::unique_ptr<Pull> pull, size_t index) {
   PartitionId pid = pull->missing[index];
   NodeId coord = pull->coord;
   // Transfer only the working set: the records this transaction touches.
-  uint64_t bytes = static_cast<uint64_t>(pull->txn->OpsOn(pid).size()) *
+  uint64_t bytes = static_cast<uint64_t>(pull->txn->CountOps(pid)) *
                    cluster_->config().record_bytes;
   migrations_requested_++;
   cluster_->migration().MoveMastershipLight(
@@ -48,8 +46,7 @@ void LeapProtocol::RunLocal(const std::vector<PartitionId>& parts,
 
 void LeapProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   txn->PartitionsInto(&parts_);
-  NodeId coord =
-      TwoPcProtocol::RouteToMostPrimaries(parts_, cluster_->router());
+  NodeId coord = cluster_->router().MostPrimariesNode(parts_);
   for (PartitionId pid : parts_) cluster_->router().RecordAccess(pid);
 
   std::vector<PartitionId> missing;

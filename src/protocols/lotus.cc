@@ -1,7 +1,5 @@
 #include "protocols/lotus.h"
 
-#include "protocols/batch_util.h"
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -71,20 +69,16 @@ void LotusProtocol::ExecuteBatch(std::vector<Item> batch) {
       }
     }
 
-    NodeId coord = batch_util::HomeNode(cluster_, *txn);
-    txn->set_coordinator(coord);
-    txn->set_exec_class(batch_util::IsSingleHome(cluster_, *txn)
-                            ? ExecClass::kSingleNode
-                            : ExecClass::kDistributed);
+    NodeId coord = AssignCoordinator(txn);
     SimTime start = cluster_->sim()->Now();
     // Execution under granule locks; writes apply directly (no validation
     // needed) and commit+replication proceed asynchronously at epoch end.
-    batch_util::ReadPhase(
-        cluster_, txn, coord,
-        [this, item = std::move(item), coord, start]() mutable {
-          item.txn->breakdown().execution += cluster_->sim()->Now() - start;
-          ApplyAndCommit(std::move(item), coord);
-        });
+    ReadPhase(txn, coord,
+              [this, item = std::move(item), coord, start]() mutable {
+                item.txn->breakdown().execution +=
+                    cluster_->sim()->Now() - start;
+                ApplyAndCommit(std::move(item), coord);
+              });
   }
 }
 

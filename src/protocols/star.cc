@@ -1,6 +1,6 @@
 #include "protocols/star.h"
 
-#include "protocols/batch_util.h"
+#include "txn/occ.h"
 
 #include "harness/registry.h"
 
@@ -29,20 +29,18 @@ void StarProtocol::ExecuteBatch(std::vector<Item> batch) {
   std::vector<Item> cross;
   for (auto& item : batch) {
     Transaction* txn = item.txn.get();
-    if (batch_util::IsSingleHome(cluster_, *txn)) {
-      NodeId home = batch_util::HomeNode(cluster_, *txn);
-      txn->set_exec_class(ExecClass::kSingleNode);
-      txn->set_coordinator(home);
-      SimTime start = cluster_->sim()->Now();
-      batch_util::ReadPhase(
-          cluster_, txn, home,
-          [this, item = std::move(item), home, start]() mutable {
-            item.txn->breakdown().execution += cluster_->sim()->Now() - start;
-            ApplyAndCommit(std::move(item), home);
-          });
-    } else {
+    NodeId home = AssignCoordinator(txn);
+    if (txn->exec_class() != ExecClass::kSingleNode) {
       cross.push_back(std::move(item));
+      continue;
     }
+    SimTime start = cluster_->sim()->Now();
+    ReadPhase(txn, home,
+              [this, item = std::move(item), home, start]() mutable {
+                item.txn->breakdown().execution +=
+                    cluster_->sim()->Now() - start;
+                ApplyAndCommit(std::move(item), home);
+              });
   }
   if (cross.empty()) return;
   // Phase switch barrier, then route every cross txn to the super node.
@@ -63,8 +61,8 @@ void StarProtocol::RunOnSuperNode(Item item) {
 
   int total_ops = static_cast<int>(txn->ops().size());
   int total_writes = 0;
-  for (const auto& op : txn->ops())
-    if (op.type == OpType::kWrite) total_writes++;
+  for (PartitionId pid : PartitionsOf(*txn))
+    total_writes += txn->CountOps(pid, OpType::kWrite);
 
   SimTime submit = cluster_->sim()->Now();
   SimTime exec_cost = cfg.txn_setup_cost + txn->extra_compute() +
@@ -80,11 +78,9 @@ void StarProtocol::RunOnSuperNode(Item item) {
             ->Submit(TaskPriority::kResume, apply_cost,
                      [this, txn, item = std::move(item)]() mutable {
               SimTime apply_at = cluster_->sim()->Now();
-              for (const auto& op : txn->ops()) {
-                if (op.type != OpType::kWrite) continue;
-                cluster_->store(op.partition)->Apply(op.key, op.write_value);
-                cluster_->replication().Append(op.partition, op.key,
-                                               op.write_value);
+              for (PartitionId pid : PartitionsOf(*txn)) {
+                Occ::ApplyAndUnlock(cluster_->store(pid), txn,
+                                    &cluster_->replication());
               }
               txn->breakdown().commit += cluster_->sim()->Now() - apply_at;
               CommitAtEpochEnd(std::move(item));

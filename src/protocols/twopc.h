@@ -18,12 +18,6 @@ class TwoPcProtocol : public Protocol {
   std::string name() const override { return "2PC"; }
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override;
 
-  /// Picks the node hosting the most of the primaries of `parts` (a
-  /// transaction's Partitions(); ties: lowest id). Shared with other
-  /// primary-affinity protocols.
-  static NodeId RouteToMostPrimaries(const std::vector<PartitionId>& parts,
-                                     const RouterTable& table);
-
  private:
   TwoPhaseEngine engine_;
   // The submitted transaction's partitions; reused across submissions.

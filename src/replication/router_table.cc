@@ -25,6 +25,26 @@ void RouterTable::InitRoundRobin(int replicas) {
   }
 }
 
+NodeId RouterTable::MostPrimariesNode(const std::vector<PartitionId>& parts,
+                                      int* hosted) const {
+  // Per-node tallies on the stack; only unusually large clusters spill.
+  constexpr int kStackNodes = 64;
+  int stack_count[kStackNodes] = {};
+  std::vector<int> heap_count;
+  int* count = stack_count;
+  if (num_nodes_ > kStackNodes) {
+    heap_count.assign(num_nodes_, 0);
+    count = heap_count.data();
+  }
+  for (PartitionId pid : parts) count[PrimaryOf(pid)]++;
+  NodeId best = 0;
+  for (NodeId n = 1; n < num_nodes_; ++n) {
+    if (count[n] > count[best]) best = n;
+  }
+  if (hosted != nullptr) *hosted = count[best];
+  return best;
+}
+
 void RouterTable::RecordAccess(PartitionId pid, double weight) {
   freq_[pid] += weight;
   max_freq_ = std::max(max_freq_, freq_[pid]);

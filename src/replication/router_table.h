@@ -41,6 +41,13 @@ class RouterTable {
     return groups_[pid].HasSecondary(node);
   }
 
+  /// The coordinator rule of every primary-affinity protocol: the node
+  /// hosting the most primaries of `parts` (a transaction's Partitions();
+  /// ties: lowest id). If `hosted` is non-null it receives that node's
+  /// count, so `*hosted == parts.size()` means one node holds them all.
+  NodeId MostPrimariesNode(const std::vector<PartitionId>& parts,
+                           int* hosted = nullptr) const;
+
   /// Bumps the access counter of `pid` (called once per touching txn).
   void RecordAccess(PartitionId pid, double weight = 1.0);
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/types.h"
@@ -85,18 +86,13 @@ class Transaction {
     parts->erase(std::unique(parts->begin(), parts->end()), parts->end());
   }
 
-  /// Operations targeting `pid`, in plan order.
-  std::vector<Operation*> OpsOn(PartitionId pid) {
-    std::vector<Operation*> out;
-    for (auto& op : ops_)
-      if (op.partition == pid) out.push_back(&op);
-    return out;
-  }
-
-  bool HasWriteOn(PartitionId pid) const {
+  /// Number of operations on `pid`; with `type`, only those of that type.
+  int CountOps(PartitionId pid,
+               std::optional<OpType> type = std::nullopt) const {
+    int n = 0;
     for (const auto& op : ops_)
-      if (op.partition == pid && op.type == OpType::kWrite) return true;
-    return false;
+      if (op.partition == pid && (!type || op.type == *type)) n++;
+    return n;
   }
 
   /// Additional coordinator-side compute (TPC-C business logic).

@@ -1,7 +1,9 @@
-// Direct tests of the shared BatchProtocol machinery via a minimal concrete
-// subclass: epoch-aligned flushing, size-cap flushing, requeue-on-abort, and
-// epoch-end commit visibility.
+// Direct tests of the shared BatchProtocol machinery via minimal concrete
+// subclasses: epoch-aligned flushing, size-cap flushing, requeue-on-abort,
+// epoch-end commit visibility, and the drain of a stopped protocol.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "protocols/batch_protocol.h"
 
@@ -39,6 +41,36 @@ class RecordingBatchProtocol : public BatchProtocol {
  private:
   bool abort_first_;
   std::set<TxnId> attempted_;
+};
+
+/// Test double for a lock held to the epoch end (Lotus's granules): the
+/// first item to run in an epoch takes the one lock, and every other item
+/// of that epoch conflicts and re-queues.
+class EpochLockBatchProtocol : public BatchProtocol {
+ public:
+  EpochLockBatchProtocol(Cluster* cluster, MetricsCollector* metrics)
+      : BatchProtocol(cluster, metrics) {}
+
+  std::string name() const override { return "test-epoch-lock"; }
+
+  std::vector<SimTime> flush_times;
+
+ protected:
+  void ExecuteBatch(std::vector<Item> batch) override {
+    flush_times.push_back(cluster_->sim()->Now());
+    for (auto& item : batch) {
+      if (locked_) {
+        Requeue(std::move(item));
+        continue;
+      }
+      locked_ = true;
+      cluster_->replication().OnEpochEnd([this]() { locked_ = false; });
+      CommitAtEpochEnd(std::move(item));
+    }
+  }
+
+ private:
+  bool locked_ = false;
 };
 
 ClusterConfig Cfg() {
@@ -133,6 +165,38 @@ TEST(BatchProtocolTest, CommitVisibilityAtEpochBoundary) {
   sim.RunUntil(5 * cfg.epoch_interval);
   // Flushed at epoch 1, visible at epoch 2's boundary.
   EXPECT_EQ(done_at, 2 * cfg.epoch_interval);
+}
+
+TEST(BatchProtocolTest, StoppedProtocolDrainsOneFlushPerInstant) {
+  Simulator sim;
+  ClusterConfig cfg = Cfg();
+  Cluster cluster(&sim, cfg);
+  cluster.Start();
+  MetricsCollector metrics;
+  EpochLockBatchProtocol proto(&cluster, &metrics);
+  proto.Start();
+  constexpr int kTxns = 5;
+  int done = 0;
+  for (int i = 0; i < kTxns; ++i) {
+    proto.Submit(Txn(i + 1), [&](TxnPtr) { done++; });
+  }
+  // Stop flushes the buffer: one item takes the lock and the rest re-queue.
+  // With no epoch tick left, the retries drain through post-stop flushes,
+  // one item per epoch. A second flush at the same instant would re-run
+  // the retries inside the epoch that just aborted them, and every such
+  // re-run schedules more flushes.
+  proto.Stop();
+  for (int epoch = 1; epoch <= 4 * kTxns && done < kTxns; ++epoch) {
+    sim.RunUntil(epoch * cfg.epoch_interval);
+  }
+  EXPECT_EQ(done, kTxns);
+  EXPECT_EQ(metrics.committed(), static_cast<uint64_t>(kTxns));
+  std::vector<SimTime> instants = proto.flush_times;
+  instants.erase(std::unique(instants.begin(), instants.end()),
+                 instants.end());
+  EXPECT_EQ(instants.size(), proto.flush_times.size())
+      << "two flushes ran at the same instant";
+  EXPECT_LE(proto.flush_times.size(), static_cast<size_t>(kTxns) + 1);
 }
 
 }  // namespace

@@ -136,6 +136,21 @@ TEST(RouterTableTest, PrimaryLoadSumsFrequencies) {
   EXPECT_EQ(table.PrimariesOn(0).size(), 2u);
 }
 
+TEST(RouterTableTest, MostPrimariesNode) {
+  RouterTable table(3, 6);  // primaries: p -> p % 3
+  int hosted = -1;
+  // Partitions 0,3 -> node 0; partition 1 -> node 1.
+  EXPECT_EQ(table.MostPrimariesNode({0, 1, 3}, &hosted), 0);
+  EXPECT_EQ(hosted, 2);
+  // All on node 2: one node hosts every primary.
+  EXPECT_EQ(table.MostPrimariesNode({2, 5}, &hosted), 2);
+  EXPECT_EQ(hosted, 2);
+  // A tie goes to the lowest node id.
+  EXPECT_EQ(table.MostPrimariesNode({1, 2}, &hosted), 1);
+  EXPECT_EQ(hosted, 1);
+  EXPECT_EQ(table.MostPrimariesNode({5, 4}), 1);
+}
+
 // --- ReplicationManager (epoch group commit) ----------------------------------
 
 TEST(ReplicationTest, EpochShipsLogAndAdvancesSecondaryLsn) {

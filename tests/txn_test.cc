@@ -46,19 +46,24 @@ TEST(TransactionTest, PartitionsAreSortedUnique) {
   EXPECT_EQ(txn->Partitions(), (std::vector<PartitionId>{1, 3}));
 }
 
-TEST(TransactionTest, OpsOnFiltersByPartition) {
+TEST(TransactionTest, CountOpsFiltersByPartition) {
   auto txn = MakeTxn(1, {{3, 1, OpType::kRead, 0},
                          {1, 2, OpType::kWrite, 5},
                          {3, 9, OpType::kRead, 0}});
-  EXPECT_EQ(txn->OpsOn(3).size(), 2u);
-  EXPECT_EQ(txn->OpsOn(1).size(), 1u);
-  EXPECT_EQ(txn->OpsOn(7).size(), 0u);
+  EXPECT_EQ(txn->CountOps(3), 2);
+  EXPECT_EQ(txn->CountOps(1), 1);
+  EXPECT_EQ(txn->CountOps(7), 0);
 }
 
-TEST(TransactionTest, HasWriteOn) {
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0}, {1, 2, OpType::kWrite, 5}});
-  EXPECT_FALSE(txn->HasWriteOn(0));
-  EXPECT_TRUE(txn->HasWriteOn(1));
+TEST(TransactionTest, CountOpsFiltersByType) {
+  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0},
+                         {1, 2, OpType::kWrite, 5},
+                         {1, 3, OpType::kRead, 0},
+                         {1, 4, OpType::kWrite, 6}});
+  EXPECT_EQ(txn->CountOps(0, OpType::kWrite), 0);
+  EXPECT_EQ(txn->CountOps(0, OpType::kRead), 1);
+  EXPECT_EQ(txn->CountOps(1, OpType::kWrite), 2);
+  EXPECT_EQ(txn->CountOps(1, OpType::kRead), 1);
 }
 
 TEST(TransactionTest, ResetForRestartClearsRuntime) {
@@ -297,16 +302,6 @@ TEST(TwoPhaseEngineTest, BreakdownCoversLatency) {
 }
 
 // --- 2PC protocol + driver end to end -------------------------------------------
-
-TEST(TwoPcProtocolTest, RouteToMostPrimaries) {
-  RouterTable table(3, 6);
-  table.InitRoundRobin(2);
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0},
-                         {3, 1, OpType::kRead, 0},
-                         {1, 1, OpType::kRead, 0}});
-  // Partitions 0,3 -> node 0; partition 1 -> node 1.
-  EXPECT_EQ(TwoPcProtocol::RouteToMostPrimaries(txn->Partitions(), table), 0);
-}
 
 TEST(TwoPcProtocolTest, ClosedLoopCommitsTransactions) {
   Simulator sim;
