@@ -11,7 +11,8 @@
 
 namespace lion {
 
-template <typename Signature, size_t InlineBytes = 48>
+template <typename Signature, size_t InlineBytes = 48,
+          size_t InlineAlign = alignof(std::max_align_t)>
 class MoveFn;
 
 /// The one callable type of the simulated path: events, worker tasks and
@@ -24,21 +25,24 @@ class MoveFn;
 /// move constructor) live in an inline small buffer: constructing,
 /// invoking, and destroying such a MoveFn never touches the allocator.
 /// This is the simulator's per-event hot path — a typical scheduler
-/// closure (`this` + TxnPtr + a 32-byte TxnDoneFn = 48 bytes) stays
+/// closure (`this` + TxnPtr + a 24-byte TxnDoneFn = 40 bytes) stays
 /// inline, so scheduling an event is allocation-free. Fat closures fall
 /// back to one heap allocation, exactly like the old unique_ptr design.
 /// Dispatch is a three-entry static vtable (invoke / relocate / destroy)
 /// instead of a virtual base, which keeps the empty state a null pointer
 /// and relocation a single indirect call.
 ///
-/// `InlineBytes` sizes the small buffer. The default 48 fits the
-/// scheduler's closures; a MoveFn<…, 48> is 64 bytes, so it never fits
-/// inline in another default MoveFn. A callback that rides inside other
-/// closures can pick a smaller buffer: TxnDoneFn uses 16 bytes (32 bytes
-/// in all), enough for the closed-loop driver's `[this]`, so `this` +
-/// TxnPtr + TxnDoneFn still fits one default buffer.
-template <typename R, typename... Args, size_t InlineBytes>
-class MoveFn<R(Args...), InlineBytes> {
+/// `InlineBytes` sizes the small buffer and `InlineAlign` aligns it. The
+/// defaults (48 bytes, max_align_t) fit the scheduler's closures; a
+/// MoveFn<…, 48> is 64 bytes, so it never fits inline in another default
+/// MoveFn. A callback that rides inside other closures can pick a smaller,
+/// pointer-aligned buffer: TxnDoneFn uses 16 bytes aligned to 8 (24 bytes
+/// in all), enough for the closed-loop driver's `[this]`, so `this` plus a
+/// batch item (TxnPtr + TxnDoneFn) and a timestamp still fits one default
+/// buffer.
+template <typename R, typename... Args, size_t InlineBytes,
+          size_t InlineAlign>
+class MoveFn<R(Args...), InlineBytes, InlineAlign> {
  public:
   /// Small-buffer capacity. Change the default deliberately — every pending
   /// event's closure carries this buffer.
@@ -50,7 +54,7 @@ class MoveFn<R(Args...), InlineBytes> {
   /// does). Hot paths static_assert this on their closures.
   template <typename F>
   static constexpr bool kFitsInline =
-      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t) &&
+      sizeof(F) <= kInlineBytes && alignof(F) <= InlineAlign &&
       std::is_nothrow_move_constructible_v<F>;
 
   MoveFn() = default;
@@ -160,7 +164,7 @@ class MoveFn<R(Args...), InlineBytes> {
     }
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(InlineAlign) unsigned char storage_[kInlineBytes];
   const VTable* vtable_ = nullptr;
 };
 

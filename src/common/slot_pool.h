@@ -20,7 +20,7 @@ template <typename T>
 class SlotPool {
  public:
   /// Stores `value` and returns its slot index.
-  uint32_t Park(T value) {
+  uint32_t Park(T&& value) {
     if (!free_.empty()) {
       uint32_t slot = free_.back();
       free_.pop_back();

@@ -8,13 +8,13 @@ namespace {
 const std::unordered_map<PartitionId, double> kNoNeighbors;
 }  // namespace
 
-void HeatGraph::AddAccess(const std::vector<PartitionId>& parts, double weight) {
-  for (PartitionId p : parts) {
-    vertices_[p] += weight;
+void HeatGraph::AddAccess(const PartitionId* parts, size_t n, double weight) {
+  for (size_t i = 0; i < n; ++i) {
+    vertices_[parts[i]] += weight;
     total_vertex_weight_ += weight;
   }
-  for (size_t i = 0; i < parts.size(); ++i) {
-    for (size_t j = i + 1; j < parts.size(); ++j) {
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j) {
       PartitionId u = parts[i], v = parts[j];
       if (u == v) continue;
       auto& uv = adj_[u][v];

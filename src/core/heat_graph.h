@@ -14,10 +14,15 @@ namespace lion {
 /// between partition pairs touched by the same transaction.
 class HeatGraph {
  public:
-  /// Adds one transaction's partition set with the given weight: every
-  /// partition's vertex weight grows by `weight`, and every pair gains
-  /// `weight` of edge weight. `parts` must be deduplicated.
-  void AddAccess(const std::vector<PartitionId>& parts, double weight = 1.0);
+  /// Adds one transaction's partition set, the `n` partitions at `parts`,
+  /// with the given weight: every partition's vertex weight grows by
+  /// `weight`, and every pair gains `weight` of edge weight. The set must be
+  /// deduplicated.
+  void AddAccess(const PartitionId* parts, size_t n, double weight);
+
+  void AddAccess(const std::vector<PartitionId>& parts, double weight = 1.0) {
+    AddAccess(parts.data(), parts.size(), weight);
+  }
 
   double VertexWeight(PartitionId v) const;
   double EdgeWeight(PartitionId u, PartitionId v) const;

@@ -10,10 +10,8 @@ namespace lion {
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {
-    // `done` leads: TxnDoneFn is 16-byte aligned, so this order packs an
-    // entry into 48 bytes (64 with `txn` first).
-    TxnDoneFn done;
     TxnPtr txn;
+    TxnDoneFn done;
     NodeId dst = kInvalidNode;
     bool used_remaster = false; // issued async remaster requests
     bool remaster_failed = false;

@@ -15,6 +15,7 @@ Planner::Planner(Cluster* cluster, PlannerConfig config,
       clump_generator_(config.clump),
       plan_generator_(config.plan),
       schism_(config.plan.epsilon),
+      history_(config.history_capacity),
       tick_timer_(cluster->sim(), [this](SimTime) { RunOnce(); }) {
   for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {
     adaptors_.push_back(std::make_unique<Adaptor>(cluster_, n));
@@ -26,8 +27,7 @@ void Planner::Start() { tick_timer_.Start(config_.interval); }
 void Planner::Stop() { tick_timer_.Stop(); }
 
 void Planner::RecordTxn(const std::vector<PartitionId>& parts, SimTime now) {
-  history_.push_back(parts);
-  if (history_.size() > config_.history_capacity) history_.pop_front();
+  history_.Push(parts.data(), parts.size());
   if (predictor_ != nullptr) predictor_->OnTxn(parts, now);
 }
 
@@ -37,7 +37,9 @@ void Planner::RunOnce() {
   // 1. Workload analysis: heat graph over the last B transactions, plus the
   //    K predicted ones injected by the predictor (Fig. 5c).
   HeatGraph graph;
-  for (const auto& parts : history_) graph.AddAccess(parts, 1.0);
+  history_.ForEach([&graph](const PartitionId* parts, size_t n) {
+    graph.AddAccess(parts, n, 1.0);
+  });
   if (predictor_ != nullptr) {
     predictor_->AugmentGraph(&graph, cluster_->sim()->Now());
   }

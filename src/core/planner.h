@@ -2,13 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "common/types.h"
 #include "core/adaptor.h"
 #include "core/clump.h"
+#include "core/history_ring.h"
 #include "core/plan.h"
 #include "core/plan_generator.h"
 #include "core/predictor_interface.h"
@@ -86,7 +86,7 @@ class Planner {
   PlanGenerator plan_generator_;
   SchismPartitioner schism_;
   std::vector<std::unique_ptr<Adaptor>> adaptors_;
-  std::deque<std::vector<PartitionId>> history_;
+  HistoryRing history_;  // the last B transactions' partition sets
   uint64_t plans_generated_ = 0;
   uint64_t entries_dispatched_ = 0;
   PeriodicTimer tick_timer_;

@@ -536,8 +536,6 @@ const ConfigSchema& ClayConfigSchema() {
     b.Field("clump_budget", &ClayConfig::clump_budget,
             "partitions moved per repartitioning round",
             check::AtLeast<int>(1));
-    b.Field("history_capacity", &ClayConfig::history_capacity,
-            "co-access history window", check::AtLeast<uint64_t>(1));
     return std::move(b).Build();
   }();
   return schema;

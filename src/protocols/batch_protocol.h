@@ -52,6 +52,8 @@ class BatchProtocol : public Protocol {
  protected:
   /// A buffered transaction and its completion. Move-only: an item moves
   /// through its protocol's phase closures until it commits or re-queues.
+  /// At 32 bytes, `this` + an item + a timestamp fits MoveFn's buffer, so
+  /// the apply and epoch-commit closures below never allocate.
   struct Item {
     TxnPtr txn;
     TxnDoneFn done;
@@ -136,13 +138,14 @@ class BatchProtocol : public Protocol {
   /// Commits `item` once the current epoch closes (group visibility).
   void CommitAtEpochEnd(Item item) {
     SimTime wait_start = cluster_->sim()->Now();
-    cluster_->replication().OnEpochEnd(
-        [this, item = std::move(item), wait_start]() mutable {
-          item.txn->breakdown().replication +=
-              cluster_->sim()->Now() - wait_start;
-          metrics_->OnCommit(*item.txn, cluster_->sim()->Now());
-          item.done(std::move(item.txn));
-        });
+    auto commit = [this, item = std::move(item), wait_start]() mutable {
+      item.txn->breakdown().replication += cluster_->sim()->Now() - wait_start;
+      metrics_->OnCommit(*item.txn, cluster_->sim()->Now());
+      item.done(std::move(item.txn));
+    };
+    static_assert(MoveFn<void()>::kFitsInline<decltype(commit)>,
+                  "the epoch-commit closure must not allocate");
+    cluster_->replication().OnEpochEnd(std::move(commit));
   }
 
   /// Installs the item's writes from `coord`, one task per partition at
@@ -154,11 +157,14 @@ class BatchProtocol : public Protocol {
     Transaction* txn = item.txn.get();
     const std::vector<PartitionId>& parts = PartitionsOf(*txn);
     SimTime apply_start = cluster_->sim()->Now();
-    auto join = std::make_shared<batch_util::Join>(
-        parts.size(), [this, item = std::move(item), apply_start]() mutable {
-          item.txn->breakdown().commit += cluster_->sim()->Now() - apply_start;
-          CommitAtEpochEnd(std::move(item));
-        });
+    auto commit = [this, item = std::move(item), apply_start]() mutable {
+      item.txn->breakdown().commit += cluster_->sim()->Now() - apply_start;
+      CommitAtEpochEnd(std::move(item));
+    };
+    static_assert(MoveFn<void()>::kFitsInline<decltype(commit)>,
+                  "the apply fan-in's continuation must not allocate");
+    auto join =
+        std::make_shared<batch_util::Join>(parts.size(), std::move(commit));
     const ClusterConfig& cfg = cluster_->config();
     for (PartitionId pid : parts) {
       int writes = txn->CountOps(pid, OpType::kWrite);

@@ -16,10 +16,25 @@ CalvinProtocol::CalvinProtocol(Cluster* cluster, MetricsCollector* metrics,
 }
 
 /// One transaction's deterministic run, shared by its participants'
-/// closures. `pending` counts the outstanding lock grants, then the
+/// closures. `parts` lists the touched partitions once, with their op
+/// counts; `pending` counts the outstanding lock grants, then the
 /// outstanding executions; `phase_start` is when the current phase began.
 struct CalvinProtocol::TxnRun {
+  struct Part {
+    PartitionId pid;
+    int ops;
+  };
+
+  /// Ops on the partitions whose primary is currently `node`.
+  int OpsAt(const RouterTable& router, NodeId node) const {
+    int n = 0;
+    for (const Part& part : parts)
+      if (router.PrimaryOf(part.pid) == node) n += part.ops;
+    return n;
+  }
+
   Item item;
+  std::vector<Part> parts;  // ascending by pid
   std::vector<NodeId> participants;
   int pending = 0;
   SimTime phase_start = 0;
@@ -38,12 +53,13 @@ void CalvinProtocol::ExecuteBatch(std::vector<Item> batch) {
 
 void CalvinProtocol::RunDeterministic(Item item) {
   Transaction* txn = item.txn.get();
-  auto parts = txn->Partitions();
   auto run = std::make_shared<TxnRun>();
+  for (PartitionId pid : PartitionsOf(*txn))
+    run->parts.push_back({pid, txn->CountOps(pid)});
   std::vector<NodeId>& participants = run->participants;
   // Participant nodes (by current primary placement).
-  for (PartitionId pid : parts) {
-    NodeId n = cluster_->router().PrimaryOf(pid);
+  for (const TxnRun::Part& part : run->parts) {
+    NodeId n = cluster_->router().PrimaryOf(part.pid);
     bool seen = false;
     for (NodeId p : participants) seen |= (p == n);
     if (!seen) participants.push_back(n);
@@ -59,9 +75,7 @@ void CalvinProtocol::RunDeterministic(Item item) {
   // Lock acquisition through each participant's single-threaded manager, in
   // deterministic order (the batch arrives pre-ordered by the sequencer).
   for (NodeId np : participants) {
-    int local_ops = 0;
-    for (const auto& op : txn->ops())
-      if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
+    int local_ops = run->OpsAt(cluster_->router(), np);
     lock_managers_[np]->Submit(TaskPriority::kService,
                                local_ops * config_.lock_cost_per_op,
                                [this, run]() {
@@ -80,16 +94,14 @@ void CalvinProtocol::Execute(const std::shared_ptr<TxnRun>& run) {
   run->pending = static_cast<int>(run->participants.size());
   run->phase_start = cluster_->sim()->Now();
   for (NodeId np : run->participants) {
-    int local_ops = 0;
-    for (const auto& op : txn->ops())
-      if (cluster_->router().PrimaryOf(op.partition) == np) local_ops++;
+    int local_ops = run->OpsAt(cluster_->router(), np);
     cluster_->pool(np)->Submit(
         TaskPriority::kResume,
         cfg.txn_setup_cost + local_ops * cfg.op_local_cost,
         [this, run, txn, np]() {
-          for (PartitionId pid : txn->Partitions()) {
-            if (cluster_->router().PrimaryOf(pid) == np)
-              Occ::ReadOps(cluster_->store(pid), txn);
+          for (const TxnRun::Part& part : run->parts) {
+            if (cluster_->router().PrimaryOf(part.pid) == np)
+              Occ::ReadOps(cluster_->store(part.pid), txn);
           }
           if (run->participants.size() == 1) {
             FinishExecution(run, np);

@@ -44,9 +44,8 @@ void ClayProtocol::Monitor() {
   }
   if (load[hottest] <= avg * (1.0 + config_.epsilon)) return;  // balanced
 
-  // Build the migrating clump: the hottest partitions mastered on the
-  // overloaded node, each pulled together with its strongest co-accessed
-  // partner from recent history.
+  // Build the migrating clump: the `clump_budget` partitions mastered on
+  // the overloaded node with the highest access frequency.
   std::vector<PartitionId> on_hot = cluster_->router().PrimariesOn(hottest);
   std::sort(on_hot.begin(), on_hot.end(), [this](PartitionId a, PartitionId b) {
     return cluster_->router().RawFrequency(a) > cluster_->router().RawFrequency(b);
@@ -71,15 +70,13 @@ void ClayProtocol::Monitor() {
 }
 
 void ClayProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
-  std::vector<PartitionId> parts = txn->Partitions();
-  for (PartitionId pid : parts) cluster_->router().RecordAccess(pid);
+  txn->PartitionsInto(&parts_);
+  for (PartitionId pid : parts_) cluster_->router().RecordAccess(pid);
 
-  NodeId coord = cluster_->router().MostPrimariesNode(parts);
+  NodeId coord = cluster_->router().MostPrimariesNode(parts_);
   Transaction* raw = txn.get();
-  engine_.Run(raw, parts, coord, TwoPhaseEngine::Options{},
+  engine_.Run(raw, parts_, coord, TwoPhaseEngine::Options{},
               CommitOrRetry(std::move(txn), std::move(done)));
-  history_.push_back(std::move(parts));
-  if (history_.size() > config_.history_capacity) history_.pop_front();
 }
 
 

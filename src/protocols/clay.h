@@ -1,7 +1,6 @@
 // Clay baseline: load-triggered online repartitioning (Sec. II-B1).
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "protocols/protocol.h"
@@ -17,13 +16,12 @@ struct ClayConfig {
   double epsilon = 0.20;
   /// Partitions moved per repartitioning round (the migrating "clump").
   int clump_budget = 3;
-  /// Co-access history window used to extend the clump.
-  size_t history_capacity = 8000;
 };
 
 /// Clay monitors per-node load and, upon detecting imbalance, migrates a
-/// clump of hot partitions (plus their strongest co-accessed partners) from
-/// the overloaded node to the least-loaded one. Per the paper's evaluation
+/// clump of the overloaded node's hottest primaries to the least-loaded
+/// node. (Clay proper extends the clump with co-accessed partners; this
+/// baseline does not.) Per the paper's evaluation
 /// setup, movement uses asynchronous replication + remastering like Lion.
 /// Transactions themselves always run through standard OCC+2PC: Clay only
 /// repartitions for load balance, so it cannot eliminate all distributed
@@ -46,7 +44,7 @@ class ClayProtocol : public Protocol {
   TwoPhaseEngine engine_;
   ClayConfig config_;
   std::vector<SimTime> prev_busy_;
-  std::deque<std::vector<PartitionId>> history_;
+  std::vector<PartitionId> parts_;  // SubmitTxn's partition-list buffer
   uint64_t repartitions_ = 0;
   PeriodicTimer monitor_timer_;
 };

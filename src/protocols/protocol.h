@@ -17,10 +17,11 @@ namespace lion {
 class GeoPlacement;
 
 /// Completion callback: ownership of the transaction returns to the caller.
-/// Its 16-byte buffer holds the closed-loop driver's `[this]` inline and
-/// keeps the type at 32 bytes, so closures that carry a transaction and its
-/// completion (`this` + TxnPtr + TxnDoneFn) still fit a default MoveFn.
-using TxnDoneFn = MoveFn<void(TxnPtr), 16>;
+/// Its pointer-aligned 16-byte buffer holds the closed-loop driver's
+/// `[this]` inline and keeps the type at 24 bytes, so closures that carry a
+/// transaction and its completion (`this` + TxnPtr + TxnDoneFn, plus a
+/// timestamp) still fit a default MoveFn.
+using TxnDoneFn = MoveFn<void(TxnPtr), 16, alignof(void*)>;
 
 /// A transaction processing protocol (2PC, Leap, Clay, Star, Calvin, Aria,
 /// Hermes, Lotus, Lion). The driver submits transactions; the protocol

@@ -1,7 +1,6 @@
 #include "sim/worker_pool.h"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 namespace lion {
@@ -22,34 +21,33 @@ double WorkerPool::Load() const {
 void WorkerPool::Submit(TaskPriority priority, SimTime duration,
                         MoveFn<void()> on_done) {
   if (duration < 0) duration = 0;
-  queues_[static_cast<int>(priority)].push_back(Task{duration, std::move(on_done)});
+  // Park the callback in a recycled slot: a MoveFn captured inside another
+  // event closure could never fit the event's inline buffer (it carries its
+  // own), but a slot index is one word.
+  uint32_t slot = inflight_.Park(std::move(on_done));
+  queues_[static_cast<int>(priority)].push_back(Task{duration, slot});
   TryDispatch();
+  assert(inflight_.in_use() == static_cast<size_t>(busy_) + queued_tasks());
 }
 
 void WorkerPool::TryDispatch() {
   while (busy_ < workers_) {
-    Task task;
-    bool found = false;
+    RingQueue<Task>* next = nullptr;
     for (auto& queue : queues_) {
       if (!queue.empty()) {
-        task = queue.pop_front();
-        found = true;
+        next = &queue;
         break;
       }
     }
-    if (!found) return;
-    RunTask(std::move(task));
+    if (next == nullptr) return;
+    RunTask(next->pop_front());
   }
 }
 
 void WorkerPool::RunTask(Task task) {
   busy_++;
   busy_time_ += task.duration;
-  // Park the callback in a recycled slot: a MoveFn captured inside another
-  // event closure could never fit the event's inline buffer (it carries its
-  // own), but a slot index is one word.
-  uint32_t slot = inflight_.Park(std::move(task.on_done));
-  sim_->Schedule(task.duration, [this, slot]() {
+  sim_->Schedule(task.duration, [this, slot = task.slot]() {
     busy_--;
     completed_++;
     // Take before running: the callback may submit follow-up tasks, which

@@ -29,8 +29,9 @@ class WorkerPool {
 
   /// Enqueues a task needing `duration` ns of worker time; `on_done` runs
   /// when the task's service completes. Move-only: the callback is parked
-  /// in a recycled slot while the task is in flight, so the completion
-  /// event's closure is two words and submission never allocates.
+  /// once, in a recycled slot, and stays there until it runs, so a queued
+  /// task is its duration and slot index, the completion event's closure is
+  /// two words, and submission never allocates.
   void Submit(TaskPriority priority, SimTime duration,
               MoveFn<void()> on_done);
 
@@ -48,9 +49,10 @@ class WorkerPool {
   double Load() const;
 
  private:
+  /// A queued task: 16 bytes; its callback waits in `inflight_`.
   struct Task {
     SimTime duration = 0;
-    MoveFn<void()> on_done;
+    uint32_t slot = 0;
   };
 
   void TryDispatch();
@@ -62,9 +64,10 @@ class WorkerPool {
   SimTime busy_time_;
   uint64_t completed_;
   RingQueue<Task> queues_[3];
-  // Callbacks of dispatched (in-flight) tasks; completion events reference
-  // their slot instead of owning the callback, which keeps the per-task
-  // completion closure inline in MoveFn's small buffer.
+  // Callbacks of queued and running tasks. Tasks and completion events
+  // reference their slot instead of owning the callback, so the callback is
+  // moved once on submission and once to run, and the completion closure
+  // stays inline in MoveFn's small buffer.
   SlotPool<MoveFn<void()>> inflight_;
 };
 

@@ -111,6 +111,18 @@ class PartitionStore {
 
   bool Contains(Key key) const { return FindRecord(key) != nullptr; }
 
+  /// Starts loading `key`'s record into the cache: the record itself in the
+  /// dense range, otherwise the key's home slot in the sparse table. Changes
+  /// no state and indexes only in range. TwoPhaseEngine::Run issues it for
+  /// every op at admission, so the read task finds its records cached.
+  void Prefetch(Key key) const {
+    if (key < dense_.size()) {
+      __builtin_prefetch(&dense_[key]);
+    } else {
+      __builtin_prefetch(sparse_.HomeSlot(key));
+    }
+  }
+
   /// Write-block flag used during remastering/migration: protocols consult
   /// this before issuing writes to the partition.
   bool write_blocked() const { return write_blocked_; }
@@ -143,6 +155,9 @@ class PartitionStore {
     }
 
     Record& GetOrInsert(Key key);
+
+    /// Where a probe for `key` starts.
+    const void* HomeSlot(Key key) const { return &slots_[IndexFor(key)]; }
 
     /// Grows (never shrinks) to hold `count` keys without further rehashes.
     void Reserve(size_t count);

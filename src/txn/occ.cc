@@ -5,17 +5,7 @@ namespace lion {
 void Occ::ReadOps(PartitionStore* store, Transaction* txn) {
   PartitionId pid = store->id();
   for (auto& op : txn->ops()) {
-    if (op.partition != pid) continue;
-    Value value = 0;
-    Version version = 0;
-    if (store->Read(op.key, &value, &version).ok()) {
-      op.read_value = value;
-      op.read_version = version;
-    } else {
-      op.read_value = 0;
-      op.read_version = 0;
-    }
-    op.executed = true;
+    if (op.partition == pid) op.read_version = store->VersionOf(op.key);
   }
 }
 

@@ -19,7 +19,8 @@ namespace lion {
 ///   abort     : ReleaseLocks undoes a successful validation.
 class Occ {
  public:
-  /// Performs the partition-local reads of `txn`, recording value+version.
+  /// Performs the partition-local reads of `txn`, recording the version
+  /// each one observed (0 for an absent key).
   static void ReadOps(PartitionStore* store, Transaction* txn);
 
   /// Validates reads and locks writes for ops of `txn` on this partition.

@@ -13,23 +13,23 @@ namespace lion {
 
 enum class OpType : uint8_t { kRead, kWrite };
 
-/// One read or write in a transaction's logical plan, plus its runtime
-/// execution state (value/version observed for OCC).
+/// One read or write in a transaction's logical plan, plus the version its
+/// read observed (OCC's runtime state). Fields are ordered widest first so
+/// an operation packs into 32 bytes: a whole epoch of transactions is in
+/// flight in batch mode, so this size sets much of the simulator's memory.
 struct Operation {
-  PartitionId partition = kInvalidPartition;
   Key key = 0;
+  Value write_value = 0;
+  /// Version observed by the read (Occ::ReadOps); reset on restart.
+  Version read_version = 0;
+  PartitionId partition = kInvalidPartition;
   OpType type = OpType::kRead;
   /// Write of a brand-new unique key (e.g. TPC-C ORDER/ORDER-LINE rows).
   /// Inserts cannot conflict with other transactions' accesses, so granule
   /// lockers skip them.
   bool is_insert = false;
-  Value write_value = 0;
-
-  // Runtime state, reset on restart.
-  Value read_value = 0;
-  Version read_version = 0;
-  bool executed = false;
 };
+static_assert(sizeof(Operation) == 32, "Operation should pack into 32 bytes");
 
 /// How the transaction ultimately executed — the paper's three cases
 /// (Sec. III): directly on one node, on one node after remastering, or as a
@@ -101,11 +101,7 @@ class Transaction {
 
   /// Clears runtime state so the transaction can re-execute after an abort.
   void ResetForRestart() {
-    for (auto& op : ops_) {
-      op.read_value = 0;
-      op.read_version = 0;
-      op.executed = false;
-    }
+    for (auto& op : ops_) op.read_version = 0;
     restarts_++;
   }
 

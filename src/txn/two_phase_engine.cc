@@ -125,6 +125,7 @@ void TwoPhaseEngine::Run(Transaction* txn,
   ctx->parts.clear();
   for (PartitionId pid : parts) ctx->parts.push_back(Ctx::Part{pid});
   for (const auto& op : txn->ops()) {
+    cluster_->store(op.partition)->Prefetch(op.key);
     for (Ctx::Part& part : ctx->parts) {
       if (part.pid == op.partition) {
         part.ops++;

@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "core/planner.h"
 #include "metrics/metrics.h"
 #include "protocols/protocol.h"
 #include "replication/cluster.h"
@@ -147,6 +148,19 @@ TEST_F(EngineAllocTest, GroupCommitTxnsAllocateNothing) {
   opts.group_commit_visibility = true;
   double per_txn = SteadyStateAllocsPerTxn({0, 1}, opts);
   EXPECT_LE(per_txn, kMaxAllocsPerTxn);
+}
+
+// Lion's workload analyzer records every routed transaction's partition set;
+// once its history holds B of them, recording one more only overwrites.
+TEST_F(EngineAllocTest, PlannerHistoryAllocatesNothingOnceFull) {
+  PlannerConfig pcfg;
+  pcfg.history_capacity = 1000;
+  Planner planner(&cluster_, pcfg);
+  const std::vector<PartitionId> parts = {0, 3, 4};
+  for (size_t i = 0; i < pcfg.history_capacity; ++i) planner.RecordTxn(parts, 0);
+  const uint64_t before = g_allocs;
+  for (int i = 0; i < 10000; ++i) planner.RecordTxn(parts, 0);
+  EXPECT_EQ(g_allocs - before, 0u);
 }
 
 // Exposes the protocol-side completion for inspection.

@@ -272,9 +272,9 @@ TEST(ConfigFlagGroupsTest, GroupsFollowDeclarationStructure) {
     has_net_leaf |= f.first == "cluster.net.one_way_latency_us";
   }
   EXPECT_TRUE(has_net_leaf);
-  ASSERT_EQ(clay->flags.size(), 4u);
+  ASSERT_EQ(clay->flags.size(), 3u);
   EXPECT_EQ(clay->flags[0].first, "clay.monitor_interval_ms");
-  EXPECT_EQ(clay->flags[3].first, "clay.history_capacity");
+  EXPECT_EQ(clay->flags[2].first, "clay.clump_budget");
 
   // The groups flatten back to exactly ListPaths (same leaves, same order
   // within groups).

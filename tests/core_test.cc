@@ -6,6 +6,7 @@
 #include "core/clump.h"
 #include "core/cost_model.h"
 #include "core/heat_graph.h"
+#include "core/history_ring.h"
 #include "core/lion_protocol.h"
 #include "core/plan_generator.h"
 #include "core/planner.h"
@@ -75,6 +76,52 @@ TEST(HeatGraphTest, ClearResets) {
   EXPECT_EQ(g.num_vertices(), 0u);
   EXPECT_EQ(g.num_edges(), 0u);
   EXPECT_DOUBLE_EQ(g.total_vertex_weight(), 0.0);
+}
+
+// --- HistoryRing ---------------------------------------------------------------
+
+using PartitionSets = std::vector<std::vector<PartitionId>>;
+
+PartitionSets HeldSets(const HistoryRing& ring) {
+  PartitionSets sets;
+  ring.ForEach([&sets](const PartitionId* parts, size_t n) {
+    sets.emplace_back(parts, parts + n);
+  });
+  return sets;
+}
+
+void Push(HistoryRing* ring, const std::vector<PartitionId>& parts) {
+  ring->Push(parts.data(), parts.size());
+}
+
+TEST(HistoryRingTest, KeepsTheLastSetsOldestFirst) {
+  HistoryRing ring(3);
+  Push(&ring, {0});
+  Push(&ring, {1, 2});
+  Push(&ring, {});
+  EXPECT_EQ(HeldSets(ring), (PartitionSets{{0}, {1, 2}, {}}));
+  Push(&ring, {3, 4, 5});  // evicts {0}
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(HeldSets(ring), (PartitionSets{{1, 2}, {}, {3, 4, 5}}));
+
+  // Many more pushes: the ring index wraps again and again, and the buffer
+  // slides its live sets back to the front.
+  for (PartitionId i = 0; i < 100; ++i) Push(&ring, {i, i + 1});
+  EXPECT_EQ(HeldSets(ring), (PartitionSets{{97, 98}, {98, 99}, {99, 100}}));
+
+  // A set far longer than the buffer so far comes back intact, between its
+  // neighbours, also once it is the oldest.
+  std::vector<PartitionId> long_set(1000);
+  for (size_t i = 0; i < long_set.size(); ++i) {
+    long_set[i] = static_cast<PartitionId>(i);
+  }
+  Push(&ring, long_set);
+  Push(&ring, {7});
+  EXPECT_EQ(HeldSets(ring), (PartitionSets{{99, 100}, long_set, {7}}));
+  Push(&ring, {8, 9});
+  EXPECT_EQ(HeldSets(ring), (PartitionSets{long_set, {7}, {8, 9}}));
+  EXPECT_EQ(ring.size(), 3u);
+  EXPECT_EQ(ring.capacity(), 3u);
 }
 
 // --- Workload analysis: the paper's Fig. 3 example ------------------------------

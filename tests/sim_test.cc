@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "sim/network.h"
@@ -244,6 +245,32 @@ TEST(WorkerPoolTest, PriorityOrdering) {
   pool.Submit(TaskPriority::kService, 10, [&]() { order.push_back('s'); });
   sim.RunUntilIdle();
   EXPECT_EQ(order, (std::vector<char>{'x', 's', 'r', 'n'}));
+}
+
+TEST(WorkerPoolTest, DeepQueuesRunByPriorityThenFifo) {
+  Simulator sim;
+  WorkerPool pool(&sim, 1);
+  // Occupy the worker, then queue 300 tasks, the three classes interleaved:
+  // 100 per class, far past the task rings' initial capacity.
+  pool.Submit(TaskPriority::kNew, 10, []() {});
+  std::vector<std::pair<int, int>> order;  // (class, index within class)
+  std::vector<std::pair<int, int>> expected;
+  int queued[3] = {0, 0, 0};
+  for (int i = 0; i < 300; ++i) {
+    int cls = i % 3;
+    int index = queued[cls]++;
+    pool.Submit(static_cast<TaskPriority>(cls), 1 + i % 7,
+                [&order, cls, index]() { order.emplace_back(cls, index); });
+  }
+  EXPECT_EQ(pool.queued_tasks(), 300u);
+  for (int cls = 0; cls < 3; ++cls) {
+    for (int index = 0; index < queued[cls]; ++index) {
+      expected.emplace_back(cls, index);
+    }
+  }
+  sim.RunUntilIdle();
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(pool.completed_tasks(), 301u);
 }
 
 TEST(WorkerPoolTest, BusyTimeAccumulates) {

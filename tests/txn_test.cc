@@ -68,13 +68,9 @@ TEST(TransactionTest, CountOpsFiltersByType) {
 
 TEST(TransactionTest, ResetForRestartClearsRuntime) {
   auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0}});
-  txn->ops()[0].read_value = 9;
   txn->ops()[0].read_version = 4;
-  txn->ops()[0].executed = true;
   txn->ResetForRestart();
-  EXPECT_EQ(txn->ops()[0].read_value, 0u);
   EXPECT_EQ(txn->ops()[0].read_version, 0u);
-  EXPECT_FALSE(txn->ops()[0].executed);
   EXPECT_EQ(txn->restarts(), 1);
 }
 
@@ -98,9 +94,7 @@ TEST(OccTest, ReadOpsRecordsValueAndVersion) {
   PartitionStore store(0, 100, 100);
   auto txn = MakeTxn(1, {{0, 7, OpType::kRead, 0}});
   Occ::ReadOps(&store, txn.get());
-  EXPECT_EQ(txn->ops()[0].read_value, 7u);
   EXPECT_EQ(txn->ops()[0].read_version, 1u);
-  EXPECT_TRUE(txn->ops()[0].executed);
 }
 
 TEST(OccTest, ValidateSucceedsWhenUnchanged) {
