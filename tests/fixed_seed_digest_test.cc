@@ -1,9 +1,11 @@
 // Pinned fixed-seed digests of every protocol family: the engine-backed
-// protocols (2PC, Lion, Lion(B), Leap, Clay), the epoch-batch protocols
-// (Star, Calvin, Aria, Lotus, geo_occ, Hermes) and the meta protocol. Each
-// case is a short deterministic experiment whose modeled outcome — commits,
-// aborts, execution classes, network traffic and latency percentiles — is
-// compared field by field against constants recorded from an earlier build.
+// protocols (2PC, Lion, Lion(B), Lion(S), Leap, Clay), the epoch-batch
+// protocols (Star, Calvin, Aria, Lotus, geo_occ, Hermes), the meta protocol,
+// and the replica-provision paths (copy, eviction, remaster, blocking
+// migration, failover, recovery). Each case is a short deterministic
+// experiment whose modeled outcome — commits, aborts, execution classes,
+// network traffic and latency percentiles — is compared field by field
+// against constants recorded from an earlier build.
 // Host-side refactors (closure layout, callback types, context pooling,
 // allocation strategy) must leave every one of them unchanged: any drift in
 // event order, RNG draws or message accounting fails here. A mismatch
@@ -40,6 +42,8 @@ struct Case {
   const char* workload;
   int concurrency;
   Digest expected;
+  /// Applied on top of CaseConfig's common settings; null for most cases.
+  void (*config_override)(ExperimentConfig*) = nullptr;
 };
 
 void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
@@ -67,6 +71,7 @@ ExperimentConfig CaseConfig(const Case& c) {
   cfg.lion.planner.min_history = 32;
   cfg.predictor.sample_interval = 50 * kMillisecond;
   cfg.predictor.train_epochs = 2;
+  if (c.config_override != nullptr) c.config_override(&cfg);
   return cfg;
 }
 
@@ -140,6 +145,25 @@ const Case kCases[] = {
      {9457, 2543, 4710, 0, 4747, 41147744, 38187, 10000, 39845.888}},
     {"HermesTpcc", "Hermes", "tpcc", 400,
      {6475, 0, 6475, 0, 0, 17093632, 400, 19922.944, 29360.128}},
+    // The reconfiguration paths, each under a per-case override. ClayYcsb's
+    // 500 ms monitor never fires in a 400 ms run; at 100 ms Clay copies
+    // replicas, evicts at a binding cap of 2 and remasters. Lion(S) moves
+    // primaries by full blocking copies. The chaos case fails node 1 over,
+    // forces a migration and recovers the node under Lion.
+    {"ClayMonitorYcsb", "Clay", "ycsb", 24,
+     {89748, 558, 65628, 0, 24120, 31966160, 339437, 24.576, 229.376},
+     [](ExperimentConfig* cfg) {
+       cfg->clay.monitor_interval = 100 * kMillisecond;
+       cfg->cluster.max_replicas = 2;
+     }},
+    {"LionSHotspot", "Lion(S)", "ycsb-hotspot-position", 24,
+     {134647, 607, 134604, 7, 36, 15313392, 609, 49.152, 94.208}},
+    {"LionChaosYcsb", "Lion", "ycsb", 24,
+     {174933, 355, 170428, 1, 4504, 9370248, 27510, 34.816, 172.032},
+     [](ExperimentConfig* cfg) {
+       cfg->chaos.schedule = {"150ms crash 1", "200ms migrate 2 0",
+                              "300ms recover 1"};
+     }},
 };
 
 class FixedSeedDigestTest : public ::testing::TestWithParam<Case> {};
