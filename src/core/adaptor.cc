@@ -6,13 +6,8 @@ void Adaptor::Apply(const PlanEntry& entry) {
   switch (entry.action) {
     case PlanAction::kAddReplica: {
       adds_started_++;
-      NodeId target = node_;
-      PartitionId pid = entry.pid;
-      cluster_->migration().AddReplica(pid, target, [this, pid, target](bool ok) {
-        if (!ok) return;
-        adds_completed_++;
-        // Enforce the user's replica limit: flag the least useful replica.
-        cluster_->migration().EvictIfOverLimit(pid, target);
+      cluster_->migration().AddReplica(entry.pid, node_, [this](bool ok) {
+        if (ok) adds_completed_++;
       });
       break;
     }

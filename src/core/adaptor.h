@@ -11,8 +11,8 @@ namespace lion {
 
 /// The adaptor component running on each executor node. It receives plan
 /// entries from the planner and adjusts the local replica layout by invoking
-/// the replica-manipulation machinery: AddRepReqHandler (background copy),
-/// remastering, and max-replica eviction.
+/// the replica-manipulation machinery: AddRepReqHandler (background copy,
+/// which evicts at the max-replica limit) and remastering.
 class Adaptor {
  public:
   Adaptor(Cluster* cluster, NodeId node) : cluster_(cluster), node_(node) {}

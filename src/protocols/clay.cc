@@ -60,10 +60,9 @@ void ClayProtocol::Monitor() {
     if (cluster_->router().HasSecondary(target, pid)) {
       cluster_->remaster().Remaster(pid, target, [](bool) {});
     } else {
+      // AddReplica has enforced the replica cap by the time `done` runs.
       cluster_->migration().AddReplica(pid, target, [this, pid, target](bool ok) {
-        if (!ok) return;
-        cluster_->migration().EvictIfOverLimit(pid, target);
-        cluster_->remaster().Remaster(pid, target, [](bool) {});
+        if (ok) cluster_->remaster().Remaster(pid, target, [](bool) {});
       });
     }
   }

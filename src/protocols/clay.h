@@ -22,7 +22,8 @@ struct ClayConfig {
 /// clump of the overloaded node's hottest primaries to the least-loaded
 /// node. (Clay proper extends the clump with co-accessed partners; this
 /// baseline does not.) Per the paper's evaluation
-/// setup, movement uses asynchronous replication + remastering like Lion.
+/// setup, movement uses asynchronous replication + remastering like Lion;
+/// the copy evicts a replica when it exceeds cluster.max_replicas.
 /// Transactions themselves always run through standard OCC+2PC: Clay only
 /// repartitions for load balance, so it cannot eliminate all distributed
 /// transactions (Sec. VI-C1).

@@ -71,7 +71,7 @@ class Protocol {
   /// an unavailable partition — down primary, or primaries split by an
   /// active network partition — is deferred with a bounded deterministic
   /// linear backoff instead of blocking forever behind the partition's
-  /// write block. After `chaos.max_unavailable_retries` deferrals it is
+  /// block. After `chaos.max_unavailable_retries` deferrals it is
   /// counted via MetricsCollector::OnAbortUnavailable and handed back
   /// through `done` (freeing the closed-loop slot). Retries re-enter here,
   /// so each one re-checks availability against the healed/failed-over

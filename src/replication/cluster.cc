@@ -25,7 +25,7 @@ Cluster::Cluster(Simulator* sim, const ClusterConfig& config)
   replication_ = std::make_unique<ReplicationManager>(sim_, &network_, &router_,
                                                       raw_stores, config_);
   remaster_ = std::make_unique<RemasterManager>(sim_, &network_, &router_,
-                                                raw_stores, config_);
+                                                config_);
   migration_ = std::make_unique<MigrationManager>(
       sim_, &network_, &router_, raw_stores, remaster_.get(), config_);
 }

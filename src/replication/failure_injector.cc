@@ -107,10 +107,9 @@ void FailureInjector::Failover(PartitionId pid, NodeId dead) {
   // BeginReconfig bumps the group's reconfiguration generation, so a
   // migration or remaster completion already in flight for this partition
   // finds its token stale and backs off instead of fighting the failover
-  // for the write block.
+  // for the block.
   const ClusterConfig& cfg = cluster_->config();
   const uint64_t token = group->BeginReconfig();
-  cluster_->store(pid)->set_write_blocked(true);
   Lsn lag = group->primary_lsn() - best_lsn;
   SimTime delay = cfg.remaster_base_delay +
                   static_cast<SimTime>(lag) * cfg.remaster_per_entry;
@@ -148,16 +147,13 @@ void FailureInjector::Failover(PartitionId pid, NodeId dead) {
       stale_elections_++;
       g->SetRecovering(candidate, false);
     }
-    g->Ack(candidate, g->primary_lsn());
     if (RecoveryLog* log = cluster_->recovery_log()) {
       log->NoteApplied(candidate, pid, g->primary_lsn());
     }
     g->Promote(candidate);
     g->RemoveSecondary(dead);  // the old primary's copy died with the node
-    g->EndReconfig(token);
-    cluster_->store(pid)->set_write_blocked(false);
     failovers_completed_++;
-    cluster_->remaster().ReleaseWaiters(pid);
+    cluster_->remaster().EndReconfig(pid, token);
     ResumeParkedCatchUps(pid);
     ReprovisionGeo();
   });
@@ -169,7 +165,6 @@ void FailureInjector::MarkUnavailable(PartitionId pid) {
   // fresh reconfiguration generation invalidates any in-flight migration /
   // remaster completion so it cannot unblock the partition underneath us.
   group->BeginReconfig();
-  cluster_->store(pid)->set_write_blocked(true);
   if (std::find(unavailable_.begin(), unavailable_.end(), pid) ==
       unavailable_.end()) {
     unavailable_.push_back(pid);
@@ -198,9 +193,9 @@ void FailureInjector::RecoverNode(NodeId node) {
         Lsn durable = it != crash_image_[node].end() ? it->second : 0;
         if (durable < group->primary_lsn()) stale_elections_++;
       }
-      group->set_reconfig_in_progress(false);
-      cluster_->store(pid)->set_write_blocked(false);
-      cluster_->remaster().ReleaseWaiters(pid);
+      // MarkUnavailable took the current generation; nothing supersedes it
+      // while the partition has no live copy.
+      cluster_->remaster().EndReconfig(pid, group->reconfig_generation());
       ResumeParkedCatchUps(pid);
     } else {
       still_unavailable.push_back(pid);

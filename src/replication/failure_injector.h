@@ -43,7 +43,7 @@ class FailureInjector {
   /// live secondary become unavailable until RecoverNode. A partition
   /// already mid-reconfiguration (migration or remaster in flight) is taken
   /// over cleanly: the stale completion is invalidated through the group's
-  /// reconfiguration generation and the failover owns the write block, so
+  /// reconfiguration generation and the failover owns the block, so
   /// nothing double-blocks and no waiter is leaked.
   ///
   /// With a recovery log attached this is a *clean* crash: the node's whole

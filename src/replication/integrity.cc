@@ -88,26 +88,22 @@ IntegrityReport CheckClusterIntegrity(Cluster* cluster,
 
     // A down primary after quiesce means a failover never completed; that
     // is only legal for partitions with no surviving copy, which must be
-    // tracked as unavailable and stay write-blocked.
+    // tracked as unavailable and stay blocked.
     if (is_down(primary) && !marked_unavailable) {
       report.violations.push_back(PidLabel(pid) + ": primary on down node " +
                                   std::to_string(primary) +
                                   " without an unavailable marker");
     }
 
-    // No write-blocked partition outlives its failover: after the drain the
-    // only legitimately blocked partitions are the unavailable ones.
-    if (store->write_blocked() && !marked_unavailable) {
-      report.violations.push_back(PidLabel(pid) +
-                                  ": write-blocked after quiesce");
-    }
+    // No blocked partition outlives its reconfiguration: after the drain
+    // the only legitimately blocked partitions are the unavailable ones.
     if (group.reconfig_in_progress() && !marked_unavailable) {
       report.violations.push_back(PidLabel(pid) +
                                   ": reconfiguration still in progress");
     }
-    if (marked_unavailable && !store->write_blocked()) {
+    if (marked_unavailable && !group.reconfig_in_progress()) {
       report.violations.push_back(PidLabel(pid) +
-                                  ": marked unavailable but not write-blocked");
+                                  ": marked unavailable but not blocked");
     }
     // Every commit round releases the record locks it took, so a drained
     // store holds none; a survivor is a leaked lock that would block writers.

@@ -3,7 +3,7 @@
 // After a chaos schedule has played out and the simulator has drained, the
 // checker walks the surviving replica set and asserts the bookkeeping that
 // every fault path must preserve: exactly one live primary per replica
-// group, no write-blocked partition that has outlived its failover, no
+// group, no blocked partition that has outlived its reconfiguration, no
 // record lock left held, LSN monotonicity, and — when a CommitLedger
 // recorded the run — that every committed transaction's effects are present
 // in the authoritative stores (the stress-then-verify idiom).

@@ -30,6 +30,7 @@ void MigrationManager::AddReplica(PartitionId pid, NodeId target,
   if (group->HasReplica(target)) {
     // Already hosted; just clear any delete flag so the replica stays.
     group->AddSecondary(target, 0);
+    EvictIfOverLimit(pid, target);
     done(true);
     return;
   }
@@ -54,6 +55,7 @@ void MigrationManager::AddReplica(PartitionId pid, NodeId target,
       }
       table_->mutable_group(pid)->AddSecondary(target, snapshot_lsn);
       migrations_completed_++;
+      EvictIfOverLimit(pid, target);
       done(true);
     });
   });
@@ -147,7 +149,6 @@ void MigrationManager::TransferAndPromote(PartitionId pid, NodeId target,
                                           MoveFn<void(bool)> done) {
   ReplicaGroup* group = table_->mutable_group(pid);
   const uint64_t token = group->BeginReconfig();
-  stores_[pid]->set_write_blocked(true);
   NodeId src = group->primary();
   migrated_bytes_ += bytes;
 
@@ -165,20 +166,15 @@ void MigrationManager::TransferAndPromote(PartitionId pid, NodeId target,
       if (!table_->IsNodeUp(target) || g->IsRecovering(target)) {
         // Target died mid-transfer (or came back still recovering): abort
         // and unblock at the old primary.
-        g->EndReconfig(token);
-        stores_[pid]->set_write_blocked(false);
-        remaster_->ReleaseWaiters(pid);
+        remaster_->EndReconfig(pid, token);
         done(false);
         return;
       }
-      g->AddSecondary(target, g->primary_lsn());
       g->Promote(target);
-      g->EndReconfig(token);
-      stores_[pid]->set_write_blocked(false);
       migrations_completed_++;
       EvictIfOverLimit(pid, target);
-      // Release operations queued behind the block.
-      remaster_->ReleaseWaiters(pid);
+      // Unblock and run the operations queued behind the block.
+      remaster_->EndReconfig(pid, token);
       done(true);
     });
   });

@@ -14,13 +14,15 @@
 
 namespace lion {
 
-/// Data movement between nodes.
+/// Data movement between nodes, and the replica cap.
 ///
 /// AddReplica models Lion's background replica provisioning (adaptor's
 /// AddRepReqHandler): a full partition copy streamed to the target without
 /// blocking the primary. MovePrimary models Leap/Clay-style migration: the
-/// partition is write-blocked while its bytes transfer, then mastership
-/// switches — the behaviour whose disruption Lion is designed to avoid.
+/// partition is blocked while its bytes transfer, then mastership switches —
+/// the behaviour whose disruption Lion is designed to avoid. Every path that
+/// adds a replica here enforces `max_replicas` (EvictIfOverLimit), so
+/// callers never do.
 class MigrationManager {
  public:
   MigrationManager(Simulator* sim, Network* network, RouterTable* table,
@@ -28,8 +30,11 @@ class MigrationManager {
                    RemasterManager* remaster, const ClusterConfig& config);
 
   /// Asynchronously copies `pid` to `target` and registers it as a
-  /// secondary. Non-blocking for foreground transactions. `done(false)` if
-  /// the target already holds a replica or a reconfiguration is in flight.
+  /// secondary, then evicts a replica if that exceeds `max_replicas`.
+  /// Non-blocking for foreground transactions. If `target` already holds a
+  /// replica, clears its delete flag, enforces the cap and calls
+  /// `done(true)` at once. `done(false)` if `target` is down at the start or
+  /// when the copy lands.
   void AddReplica(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
   /// Flags the lowest-frequency removable secondary for deletion when the
@@ -56,9 +61,10 @@ class MigrationManager {
 
  private:
   /// The blocking tail shared by MovePrimary and MoveMastershipLight:
-  /// write-blocks `pid`, streams `bytes` from its primary to `target`, then
-  /// promotes `target` and unblocks. `done(false)` if a failover preempted
-  /// the transfer or `target` went down or is recovering when it lands.
+  /// blocks `pid`, streams `bytes` from its primary to `target`, then
+  /// promotes `target`, enforces the replica cap and unblocks through
+  /// RemasterManager::EndReconfig. `done(false)` if a failover preempted the
+  /// transfer or `target` went down or is recovering when it lands.
   void TransferAndPromote(PartitionId pid, NodeId target, uint64_t bytes,
                           MoveFn<void(bool)> done);
 

@@ -6,12 +6,10 @@ namespace lion {
 
 RemasterManager::RemasterManager(Simulator* sim, Network* network,
                                  RouterTable* table,
-                                 std::vector<PartitionStore*> stores,
                                  const ClusterConfig& config)
     : sim_(sim),
       network_(network),
       table_(table),
-      stores_(std::move(stores)),
       config_(config),
       remasters_completed_(0),
       remasters_failed_(0),
@@ -43,7 +41,6 @@ void RemasterManager::Remaster(PartitionId pid, NodeId target,
   // generation token lets a failover preempt this remaster: its completion
   // then backs off instead of unblocking a partition it no longer owns.
   const uint64_t token = group->BeginReconfig();
-  stores_[pid]->set_write_blocked(true);
 
   Lsn lag = group->LagOf(target);
   SimTime sync_time = config_.remaster_base_delay +
@@ -72,31 +69,26 @@ void RemasterManager::Remaster(PartitionId pid, NodeId target,
                        // came back mid-recovery: abort cleanly and unblock
                        // (the old primary still serves).
                        remasters_failed_++;
-                       g->EndReconfig(token);
-                       stores_[pid]->set_write_blocked(false);
-                       ReleaseWaiters(pid);
+                       EndReconfig(pid, token);
                        done(false);
                        return;
                      }
-                     g->Ack(target, g->primary_lsn());
                      g->Promote(target);
                      total_remaster_time_ += sim_->Now() - started;
                      remasters_completed_++;
-                     Finish(pid);
+                     EndReconfig(pid, token);
                      done(true);
                    });
                  });
 }
 
-void RemasterManager::Finish(PartitionId pid) {
-  ReplicaGroup* group = table_->mutable_group(pid);
-  group->set_reconfig_in_progress(false);
-  stores_[pid]->set_write_blocked(false);
+bool RemasterManager::EndReconfig(PartitionId pid, uint64_t token) {
+  if (!table_->mutable_group(pid)->EndReconfig(token)) return false;
   ReleaseWaiters(pid);
+  return true;
 }
 
 void RemasterManager::ReleaseWaiters(PartitionId pid) {
-  if (IsBlocked(pid)) return;
   auto it = waiters_.find(pid);
   if (it == waiters_.end()) return;
   std::deque<MoveFn<void()>> pending;

@@ -5,7 +5,6 @@
 #include <deque>
 #include <unordered_map>
 #include <utility>
-#include <vector>
 
 #include "common/move_fn.h"
 #include "common/types.h"
@@ -13,7 +12,6 @@
 #include "replication/router_table.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
-#include "storage/partition_store.h"
 
 namespace lion {
 
@@ -25,10 +23,14 @@ namespace lion {
 /// Concurrent remaster attempts on the same partition conflict: the first
 /// wins and later ones fail immediately (their transactions fall back to
 /// distributed execution, Sec. III).
+///
+/// It also owns the partition block that every reconfiguration shares.
+/// ReplicaGroup::BeginReconfig sets it, operations park behind it through
+/// WaitUntilAvailable, and EndReconfig is the one call that lifts it and
+/// runs them.
 class RemasterManager {
  public:
   RemasterManager(Simulator* sim, Network* network, RouterTable* table,
-                  std::vector<PartitionStore*> stores,
                   const ClusterConfig& config);
 
   /// Remasters `pid` onto `target`. `done(true)` once `target` is primary;
@@ -39,8 +41,8 @@ class RemasterManager {
   /// plus the control-message round trip.
   void Remaster(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
-  /// True while `pid` is blocked by an in-flight remaster (operations must
-  /// wait; see WaitUntilAvailable).
+  /// True while a reconfiguration blocks `pid` (operations must wait; see
+  /// WaitUntilAvailable).
   bool IsBlocked(PartitionId pid) const;
 
   /// Runs `fn` as soon as `pid` is not blocked (immediately if free). The
@@ -55,22 +57,22 @@ class RemasterManager {
     waiters_[pid].emplace_back(std::forward<F>(fn));
   }
 
-  /// Releases all waiters of `pid` if the partition is no longer blocked.
-  /// Called by other reconfiguration paths (e.g. blocking migration) that
-  /// share the partition block with remastering.
-  void ReleaseWaiters(PartitionId pid);
+  /// Ends the reconfiguration of `pid` that BeginReconfig returned `token`
+  /// for: unblocks the partition and runs its parked operations in arrival
+  /// order. Returns false and changes nothing if a newer reconfiguration
+  /// has superseded `token` (it owns the block now).
+  bool EndReconfig(PartitionId pid, uint64_t token);
 
   uint64_t remasters_completed() const { return remasters_completed_; }
   uint64_t remasters_failed() const { return remasters_failed_; }
   SimTime total_remaster_time() const { return total_remaster_time_; }
 
  private:
-  void Finish(PartitionId pid);
+  void ReleaseWaiters(PartitionId pid);
 
   Simulator* sim_;
   Network* network_;
   RouterTable* table_;
-  std::vector<PartitionStore*> stores_;
   ClusterConfig config_;
 
   uint64_t remasters_completed_;

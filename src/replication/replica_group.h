@@ -117,19 +117,11 @@ class ReplicaGroup {
     if (ReplicaInfo* info = MutableSecondary(node)) info->delete_flag = true;
   }
 
-  /// Promotes the (caught-up) secondary on `node` to primary; the old
-  /// primary becomes a fully-caught-up secondary. Caller guarantees `node`
-  /// holds a secondary.
+  /// Makes `node` the primary; the old primary becomes a fully-caught-up
+  /// secondary and any secondary entry of `node` is dropped, so `node` need
+  /// not have held a replica before (full-copy migration, test setup).
+  /// No-op if `node` is already primary.
   void Promote(NodeId node) {
-    NodeId old_primary = primary_;
-    RemoveSecondary(node);
-    primary_ = node;
-    AddSecondary(old_primary, primary_lsn_);
-  }
-
-  /// Used at bootstrap / by full-copy migration to change the primary when
-  /// `node` may not have held a replica before.
-  void ForcePrimary(NodeId node) {
     if (node == primary_) return;
     NodeId old_primary = primary_;
     RemoveSecondary(node);
@@ -137,19 +129,27 @@ class ReplicaGroup {
     AddSecondary(old_primary, primary_lsn_);
   }
 
+  /// True while a reconfiguration blocks the partition: operations wait
+  /// (RemasterManager::WaitUntilAvailable) until it ends.
   bool reconfig_in_progress() const { return reconfig_in_progress_; }
-  void set_reconfig_in_progress(bool v) { reconfig_in_progress_ = v; }
 
-  /// Starts a reconfiguration (remaster, migration, failover) and returns a
-  /// generation token. A scheduled completion must present its token to
-  /// EndReconfig; a failover that preempts an in-flight reconfiguration
-  /// calls BeginReconfig again, which bumps the generation and thereby
-  /// invalidates the superseded completion — it observes EndReconfig()
-  /// returning false and must leave the group's block alone.
+  /// Starts a reconfiguration (remaster, migration, failover, or an
+  /// unavailable partition's wait for recovery), blocks the partition and
+  /// returns a generation token. The completion lifts the block by passing
+  /// its token to RemasterManager::EndReconfig; a failover that preempts an
+  /// in-flight reconfiguration calls BeginReconfig again, which bumps the
+  /// generation and so invalidates the superseded token.
   uint64_t BeginReconfig() {
     reconfig_in_progress_ = true;
     return ++reconfig_generation_;
   }
+
+  uint64_t reconfig_generation() const { return reconfig_generation_; }
+
+ private:
+  // Only RemasterManager::EndReconfig lifts a block, so the operations
+  // parked behind it always run.
+  friend class RemasterManager;
 
   /// Ends the reconfiguration identified by `token`. Returns false (and
   /// changes nothing) if a newer reconfiguration has taken over.
@@ -159,9 +159,6 @@ class ReplicaGroup {
     return true;
   }
 
-  uint64_t reconfig_generation() const { return reconfig_generation_; }
-
- private:
   const ReplicaInfo* FindSecondary(NodeId node) const {
     for (const auto& s : secondaries_)
       if (s.node == node) return &s;

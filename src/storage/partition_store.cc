@@ -4,7 +4,7 @@ namespace lion {
 
 PartitionStore::PartitionStore(PartitionId id, uint64_t record_count,
                                uint64_t record_bytes)
-    : id_(id), record_bytes_(record_bytes), write_blocked_(false) {
+    : id_(id), record_bytes_(record_bytes) {
   dense_.resize(record_count);
   for (uint64_t k = 0; k < record_count; ++k) {
     dense_[k] = Record{static_cast<Value>(k), 1};

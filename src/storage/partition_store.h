@@ -123,11 +123,6 @@ class PartitionStore {
     }
   }
 
-  /// Write-block flag used during remastering/migration: protocols consult
-  /// this before issuing writes to the partition.
-  bool write_blocked() const { return write_blocked_; }
-  void set_write_blocked(bool blocked) { write_blocked_ = blocked; }
-
  private:
   /// Open-addressing side table for keys outside the dense range. No erase
   /// support (the store never deletes records), which keeps linear probing
@@ -262,7 +257,6 @@ class PartitionStore {
 
   PartitionId id_;
   uint64_t record_bytes_;
-  bool write_blocked_;
   std::vector<Record> dense_;  // keys [0, dense_.size()), bulk-loaded
   SparseRecords sparse_;       // everything else (TPC-C tables, inserts)
   HeldLocks locks_;

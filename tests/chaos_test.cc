@@ -240,12 +240,14 @@ TEST(ChaosIntegrityTest, CatchesSeededViolations) {
   Cluster cluster(&sim, Cfg());
   FailureInjector chaos(&cluster);
 
-  // A write-blocked partition with no failover or unavailability marker is
+  // A blocked partition with no failover or unavailability marker is
   // exactly the leak the reconfiguration-token machinery prevents.
-  cluster.store(0)->set_write_blocked(true);
+  const uint64_t token = cluster.router().mutable_group(0)->BeginReconfig();
   IntegrityReport blocked = CheckClusterIntegrity(&cluster, &chaos, nullptr);
-  EXPECT_FALSE(blocked.ok());
-  cluster.store(0)->set_write_blocked(false);
+  ASSERT_EQ(blocked.violations.size(), 1u);
+  EXPECT_EQ(blocked.violations[0],
+            "partition 0: reconfiguration still in progress");
+  ASSERT_TRUE(cluster.remaster().EndReconfig(0, token));
 
   // An applied LSN ahead of the primary's log breaks LSN monotonicity.
   ReplicaGroup* g = cluster.router().mutable_group(1);
@@ -261,6 +263,24 @@ TEST(ChaosIntegrityTest, CatchesSeededViolations) {
   cluster.router().mutable_group(0)->AddSecondary(2, 0);
   IntegrityReport ghost = CheckClusterIntegrity(&cluster, &chaos, nullptr);
   EXPECT_FALSE(ghost.ok());
+}
+
+TEST(ChaosIntegrityTest, UnblockedUnavailablePartitionIsReported) {
+  Simulator sim;
+  Cluster cluster(&sim, Cfg(/*replicas=*/1));
+  FailureInjector chaos(&cluster);
+  chaos.FailNode(0);  // partitions 0 and 3 have no other copy
+  sim.RunUntilIdle();
+  ASSERT_TRUE(CheckClusterIntegrity(&cluster, &chaos, nullptr).ok());
+
+  // Lifting an unavailable partition's block behind the injector's back
+  // would let operations reach a primary on a down node.
+  ASSERT_TRUE(cluster.remaster().EndReconfig(
+      0, cluster.router().group(0).reconfig_generation()));
+  IntegrityReport report = CheckClusterIntegrity(&cluster, &chaos, nullptr);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0],
+            "partition 0: marked unavailable but not blocked");
 }
 
 TEST(ChaosIntegrityTest, LeakedRecordLockIsReported) {

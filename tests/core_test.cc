@@ -194,7 +194,7 @@ TEST(ClumpTest, ColocatedPairsStayClustered) {
   HeatGraph g;
   for (int i = 0; i < 50; ++i) g.AddAccess({0, 1});
   RouterTable table(2, 2);
-  table.mutable_group(1)->ForcePrimary(0);  // both primaries on node 0
+  table.mutable_group(1)->Promote(0);  // both primaries on node 0
   ClumpGenerator gen(ClumpOptions{});       // defaults incl. relative filter
   auto clumps = gen.Generate(g, table);
   ASSERT_EQ(clumps.size(), 1u);
@@ -239,16 +239,16 @@ RouterTable Example2Table() {
   // P1 (0): default primary n0; add secondary n1.
   table.mutable_group(0)->AddSecondary(1, 0);
   // P2 (1): default primary n1 -> force to n2, drop the leftover, add n0.
-  table.mutable_group(1)->ForcePrimary(2);
+  table.mutable_group(1)->Promote(2);
   table.mutable_group(1)->RemoveSecondary(1);
   table.mutable_group(1)->AddSecondary(0, 0);
   // P3 (2): default primary n2 -> force to n1, keep secondary n2 (Fig. 2).
-  table.mutable_group(2)->ForcePrimary(1);
+  table.mutable_group(2)->Promote(1);
   // P4 (3): default primary n0 -> force to n2, no secondaries.
-  table.mutable_group(3)->ForcePrimary(2);
+  table.mutable_group(3)->Promote(2);
   table.mutable_group(3)->RemoveSecondary(0);
   // P5 (4): default primary n1 -> force to n0; old primary n1 stays secondary.
-  table.mutable_group(4)->ForcePrimary(0);
+  table.mutable_group(4)->Promote(0);
   return table;
 }
 
@@ -607,14 +607,14 @@ void SetupExample1(Cluster* cluster) {
   // 3 nodes x 2 partitions = 6; we use 0..3 as P1..P4.
   // P1 (0): default primary n0, secondary n1. Matches.
   // P2 (1): default primary n1 -> n2; secondary n0.
-  t.mutable_group(1)->ForcePrimary(2);
+  t.mutable_group(1)->Promote(2);
   t.mutable_group(1)->RemoveSecondary(1);
   t.mutable_group(1)->AddSecondary(0, 0);
   // P3 (2): default primary n2 (secondary n0) -> n1; keep only secondary n2.
-  t.mutable_group(2)->ForcePrimary(1);
+  t.mutable_group(2)->Promote(1);
   t.mutable_group(2)->RemoveSecondary(0);
   // P4 (3): default primary n0 (secondary n1) -> n2, no replica elsewhere.
-  t.mutable_group(3)->ForcePrimary(2);
+  t.mutable_group(3)->Promote(2);
   t.mutable_group(3)->RemoveSecondary(0);
   t.mutable_group(3)->RemoveSecondary(1);
 }

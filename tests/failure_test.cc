@@ -37,13 +37,13 @@ TEST(FailureTest, FailoverElectsSecondary) {
   chaos.FailNode(0);
   EXPECT_TRUE(chaos.IsDown(0));
   // Elections are in flight: partitions blocked.
-  EXPECT_TRUE(cluster.store(0)->write_blocked());
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
   sim.RunUntilIdle();
 
   EXPECT_EQ(chaos.failovers_completed(), 2u);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
   EXPECT_EQ(cluster.router().PrimaryOf(3), 1);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
   // The dead node no longer appears in any replica group.
   for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
     EXPECT_FALSE(cluster.router().HasReplica(0, p)) << "partition " << p;
@@ -93,12 +93,12 @@ TEST(FailureTest, SingleReplicaPartitionBecomesUnavailable) {
   sim.RunUntilIdle();
   EXPECT_EQ(chaos.failovers_completed(), 0u);
   EXPECT_EQ(chaos.partitions_unavailable(), 2u);  // partitions 0 and 3
-  EXPECT_TRUE(cluster.store(0)->write_blocked());
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
 
   // Recovery restores availability.
   chaos.RecoverNode(0);
   EXPECT_EQ(chaos.partitions_unavailable(), 0u);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(FailureTest, TransactionsContinueAfterFailover) {
@@ -165,7 +165,7 @@ TEST(FailureTest, LionAdaptsAroundFailedNode) {
   EXPECT_GT(metrics.committed(), before + 100);
   for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
     EXPECT_NE(cluster.router().PrimaryOf(p), 2) << "partition " << p;
-    EXPECT_FALSE(cluster.store(p)->write_blocked()) << "partition " << p;
+    EXPECT_FALSE(cluster.remaster().IsBlocked(p)) << "partition " << p;
   }
   EXPECT_GT(lion.planner()->plans_generated(), 0u);
 }
@@ -195,13 +195,13 @@ TEST(FailureTest, ElectionRerunsWhenCandidateDiesMidElection) {
 
   EXPECT_GE(chaos.elections_rerun(), 1u);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 2);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
   EXPECT_EQ(chaos.partitions_unavailable(), 0u);
 }
 
 TEST(FailureTest, MigrationTargetDiesMidFlight) {
   // MovePrimary to node 2 is in flight when node 2 crashes: the migration
-  // must abort cleanly (done(false)), release the write block, and leave
+  // must abort cleanly (done(false)), release the block, and leave
   // the original primary in place — no leaked waiters, no double block.
   Simulator sim;
   Cluster cluster(&sim, Cfg());
@@ -212,21 +212,20 @@ TEST(FailureTest, MigrationTargetDiesMidFlight) {
     done_called = true;
     done_ok = ok;
   });
-  EXPECT_TRUE(cluster.store(0)->write_blocked());
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
   sim.Schedule(200 * kMicrosecond, [&]() { chaos.FailNode(2); });
   sim.RunUntilIdle();
 
   EXPECT_TRUE(done_called);
   EXPECT_FALSE(done_ok);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 0);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
-  EXPECT_FALSE(cluster.router().group(0).reconfig_in_progress());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(FailureTest, PrimaryDiesMidMigrationFailoverTakesOver) {
   // The source primary dies while its partition is mid-migration. The
   // failover bumps the reconfiguration generation, so the stale migration
-  // completion must back off and the failover owns the write block.
+  // completion must back off and the failover owns the block.
   Simulator sim;
   Cluster cluster(&sim, Cfg());
   FailureInjector chaos(&cluster);
@@ -244,7 +243,7 @@ TEST(FailureTest, PrimaryDiesMidMigrationFailoverTakesOver) {
   // The failover elected the surviving secondary (node 1), not the
   // migration target whose copy never registered.
   EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
   EXPECT_GE(chaos.failovers_completed(), 1u);
 }
 
@@ -264,15 +263,15 @@ TEST(FailureTest, RecoveryOrderIsIndependent) {
   chaos.RecoverNode(1);
   sim.RunUntilIdle();
   EXPECT_EQ(chaos.partitions_unavailable(), 2u);
-  EXPECT_FALSE(cluster.store(1)->write_blocked());
-  EXPECT_FALSE(cluster.store(4)->write_blocked());
-  EXPECT_TRUE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(1));
+  EXPECT_FALSE(cluster.remaster().IsBlocked(4));
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
 
   chaos.RecoverNode(0);
   sim.RunUntilIdle();
   EXPECT_EQ(chaos.partitions_unavailable(), 0u);
   for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
-    EXPECT_FALSE(cluster.store(p)->write_blocked()) << "partition " << p;
+    EXPECT_FALSE(cluster.remaster().IsBlocked(p)) << "partition " << p;
   }
 }
 
@@ -356,7 +355,7 @@ TEST(FailureGeoTest, HotPinnedPartitionFailsOverWithinRegion) {
   chaos.FailNode(0);
   sim.RunUntilIdle();
   EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(FailureGeoTest, AvailabilityBeatsPinWhenRegionIsLost) {
@@ -384,7 +383,7 @@ TEST(FailureGeoTest, AvailabilityBeatsPinWhenRegionIsLost) {
 
   EXPECT_EQ(cluster.router().PrimaryOf(0), 2);
   EXPECT_EQ(chaos.partitions_unavailable(), 0u);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(FailureTest, CascadingFailureWithThreeReplicas) {
@@ -403,7 +402,7 @@ TEST(FailureTest, CascadingFailureWithThreeReplicas) {
   NodeId final_primary = cluster.router().PrimaryOf(0);
   EXPECT_NE(final_primary, 0);
   EXPECT_NE(final_primary, new_primary);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 }  // namespace

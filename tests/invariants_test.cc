@@ -71,7 +71,6 @@ TEST_P(PlacementInvariantsTest, PlacementStaysSane) {
     EXPECT_LE(g.LiveReplicaCount(), ccfg.max_replicas + 1) << "partition " << p;
     EXPECT_FALSE(g.HasSecondary(g.primary())) << "partition " << p;
     EXPECT_FALSE(g.reconfig_in_progress()) << "partition " << p;
-    EXPECT_FALSE(cluster.store(p)->write_blocked()) << "partition " << p;
     // No duplicate secondary entries.
     std::set<NodeId> nodes;
     for (const auto& sec : g.secondaries()) {

@@ -318,7 +318,7 @@ TEST(RecoveryTest, RemasterToRecoveringTargetAborts) {
   EXPECT_TRUE(called);
   EXPECT_FALSE(ok);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 0);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(RecoveryTest, MovePrimaryToRecoveringTargetAborts) {
@@ -338,7 +338,7 @@ TEST(RecoveryTest, MovePrimaryToRecoveringTargetAborts) {
   EXPECT_TRUE(called);
   EXPECT_FALSE(ok);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 0);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 // --- crash races -------------------------------------------------------------

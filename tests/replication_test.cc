@@ -294,6 +294,25 @@ TEST(RemasterTest, BlocksAndReleasesWaiters) {
   EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
+TEST(RemasterTest, EndReconfigWithSupersededTokenKeepsBlock) {
+  Simulator sim;
+  Cluster cluster(&sim, SmallConfig());
+  ReplicaGroup* g = cluster.router().mutable_group(0);
+  const uint64_t stale = g->BeginReconfig();
+  bool ran = false;
+  cluster.remaster().WaitUntilAvailable(0, [&]() { ran = true; });
+  const uint64_t current = g->BeginReconfig();  // e.g. a preempting failover
+
+  EXPECT_FALSE(cluster.remaster().EndReconfig(0, stale));
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
+  EXPECT_FALSE(ran);
+
+  EXPECT_TRUE(cluster.remaster().EndReconfig(0, current));
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
+  EXPECT_TRUE(ran);
+  EXPECT_FALSE(cluster.remaster().EndReconfig(0, current));  // already ended
+}
+
 TEST(RemasterTest, LagIncreasesRemasterDuration) {
   Simulator sim;
   ClusterConfig cfg = SmallConfig();
@@ -332,7 +351,7 @@ TEST(MigrationTest, AddReplicaDoesNotBlockWrites) {
   Simulator sim;
   Cluster cluster(&sim, SmallConfig());
   cluster.migration().AddReplica(0, 2, [](bool) {});
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(MigrationTest, AddReplicaOnExistingHostSucceedsImmediately) {
@@ -344,6 +363,27 @@ TEST(MigrationTest, AddReplicaOnExistingHostSucceedsImmediately) {
   EXPECT_EQ(cluster.migration().migrations_completed(), 0u);
 }
 
+TEST(MigrationTest, AddReplicaAtLimitEvictsOneOtherSecondary) {
+  Simulator sim;
+  ClusterConfig cfg = SmallConfig();
+  cfg.max_replicas = 2;  // partition 0 (n0 primary, n1 secondary) is full
+  Cluster cluster(&sim, cfg);
+
+  bool ok = false;
+  int live_at_done = 0;
+  cluster.migration().AddReplica(0, 2, [&](bool s) {
+    ok = s;
+    live_at_done = cluster.router().group(0).LiveReplicaCount();
+  });
+  sim.RunUntilIdle();
+  EXPECT_TRUE(ok);
+  EXPECT_EQ(live_at_done, 2);  // the victim is flagged before done runs
+  EXPECT_EQ(cluster.migration().evictions(), 1u);
+  EXPECT_EQ(cluster.router().PrimaryOf(0), 0);
+  EXPECT_TRUE(cluster.router().HasSecondary(2, 0));  // the new copy stays
+  EXPECT_FALSE(cluster.router().HasReplica(1, 0));   // n1 was the victim
+}
+
 TEST(MigrationTest, MovePrimaryWithoutReplicaBlocksDuringTransfer) {
   Simulator sim;
   ClusterConfig cfg = SmallConfig();
@@ -352,11 +392,11 @@ TEST(MigrationTest, MovePrimaryWithoutReplicaBlocksDuringTransfer) {
 
   bool ok = false;
   cluster.migration().MovePrimary(0, 2, [&](bool s) { ok = s; });
-  EXPECT_TRUE(cluster.store(0)->write_blocked());  // Leap/Clay-style downtime
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));  // Leap/Clay-style downtime
   sim.RunUntilIdle();
   EXPECT_TRUE(ok);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 2);
-  EXPECT_FALSE(cluster.store(0)->write_blocked());
+  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(MigrationTest, MovePrimaryUsesRemasterWhenSecondaryExists) {

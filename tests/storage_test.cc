@@ -151,15 +151,6 @@ TEST(PartitionStoreTest, InsertCreatesRecord) {
   EXPECT_EQ(store.record_count(), 11u);
 }
 
-TEST(PartitionStoreTest, WriteBlockFlag) {
-  PartitionStore store(0, 10, 100);
-  EXPECT_FALSE(store.write_blocked());
-  store.set_write_blocked(true);
-  EXPECT_TRUE(store.write_blocked());
-  store.set_write_blocked(false);
-  EXPECT_FALSE(store.write_blocked());
-}
-
 TEST(PartitionStoreTest, SparseKeysBehaveLikeDenseOnes) {
   PartitionStore store(0, 10, 100);
   // TPC-C-shaped keys far outside the bulk-loaded range.
