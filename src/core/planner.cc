@@ -45,13 +45,11 @@ void Planner::RunOnce() {
   }
 
   // 2. Clump generation + plan generation.
-  ReconfigurationPlan plan;
   std::vector<PlanEntry> entries;
   if (config_.strategy == PartitioningStrategy::kSchism) {
     // Replica-blind repartitioning: every partition whose assigned node is
     // not its current primary is moved by blocking full migration.
-    plan.assignments = schism_.Partition(graph, cluster_->router());
-    for (const Clump& clump : plan.assignments) {
+    for (const Clump& clump : schism_.Partition(graph, cluster_->router())) {
       for (PartitionId pid : clump.pids) {
         if (cluster_->router().PrimaryOf(pid) != clump.dst) {
           entries.push_back(PlanEntry{PlanAction::kMovePrimary, pid, clump.dst});
@@ -62,10 +60,9 @@ void Planner::RunOnce() {
     // Algorithm 1: replica-aware clump dispatch + load fine-tuning.
     std::vector<Clump> clumps =
         clump_generator_.Generate(graph, cluster_->router());
-    plan = plan_generator_.Rearrange(std::move(clumps), cluster_->router());
-    entries = plan.ToEntries(cluster_->router());
+    entries = plan_generator_.Rearrange(std::move(clumps), cluster_->router())
+                  .ToEntries(cluster_->router());
   }
-  last_plan_ = plan;
   plans_generated_++;
 
   // 3. Dispatch entries to each node's adaptor over the network. The

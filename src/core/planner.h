@@ -73,7 +73,6 @@ class Planner {
 
   uint64_t plans_generated() const { return plans_generated_; }
   uint64_t entries_dispatched() const { return entries_dispatched_; }
-  const ReconfigurationPlan& last_plan() const { return last_plan_; }
 
   /// The distributor endpoint id used as the source of plan messages.
   NodeId planner_endpoint() const { return cluster_->num_nodes(); }
@@ -90,7 +89,6 @@ class Planner {
   uint64_t plans_generated_ = 0;
   uint64_t entries_dispatched_ = 0;
   PeriodicTimer tick_timer_;
-  ReconfigurationPlan last_plan_;
 };
 
 }  // namespace lion

@@ -157,30 +157,6 @@ class ExperimentBuilder {
     config_.workload = std::move(name);
     return *this;
   }
-  ExperimentBuilder& Cluster(const ClusterConfig& cluster) {
-    config_.cluster = cluster;
-    return *this;
-  }
-  ExperimentBuilder& Ycsb(const YcsbConfig& ycsb) {
-    config_.ycsb = ycsb;
-    return *this;
-  }
-  ExperimentBuilder& Tpcc(const TpccConfig& tpcc) {
-    config_.tpcc = tpcc;
-    return *this;
-  }
-  ExperimentBuilder& Lion(const LionOptions& lion) {
-    config_.lion = lion;
-    return *this;
-  }
-  ExperimentBuilder& Predictor(const PredictorConfig& predictor) {
-    config_.predictor = predictor;
-    return *this;
-  }
-  ExperimentBuilder& Clay(const ClayConfig& clay) {
-    config_.clay = clay;
-    return *this;
-  }
   ExperimentBuilder& DynamicPeriod(SimTime period) {
     config_.dynamic_period = period;
     return *this;

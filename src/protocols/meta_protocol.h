@@ -86,8 +86,6 @@ class MetaProtocol : public Protocol {
   size_t num_children() const { return children_.size(); }
   const std::string& child_name(size_t i) const { return child_names_[i]; }
   Protocol* child(size_t i) { return children_[i].get(); }
-  /// Index into child_names() of the child currently serving `pid`.
-  int AssignmentOf(PartitionId pid) const { return parts_[pid].assigned; }
   /// Completed flips (mirrors the metrics series).
   uint64_t switches_completed() const { return switches_; }
   /// Partitions per child under the current assignment.

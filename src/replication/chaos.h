@@ -39,8 +39,6 @@ class ChaosController {
   FailureInjector& injector() { return injector_; }
   const FailureInjector& injector() const { return injector_; }
 
-  const std::vector<ChaosEvent>& schedule() const { return events_; }
-
   /// One fired event, stamped with its actual fire time.
   struct Fired {
     SimTime at = 0;

@@ -24,7 +24,6 @@ ReplicationManager::ReplicationManager(Simulator* sim, Network* network,
       table_(table),
       stores_(std::move(stores)),
       config_(config),
-      epoch_(0),
       epoch_started_at_(0),
       epoch_timer_(sim, [this](SimTime) { CloseEpochNow(); }),
       total_entries_shipped_(0) {
@@ -65,7 +64,6 @@ SimTime ReplicationManager::NextEpochEnd() const {
 void ReplicationManager::CloseEpochNow() {
   // Ship all pending logs and release waiters, then restart the epoch timer
   // from now.
-  epoch_++;
   epoch_started_at_ = sim_->Now();
   if (shipping_paused_ == 0) {
     for (size_t pid = 0; pid < pending_.size(); ++pid) {

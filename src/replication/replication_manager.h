@@ -42,9 +42,6 @@ class ReplicationManager {
   /// Time of the next epoch boundary.
   SimTime NextEpochEnd() const;
 
-  /// Current epoch number.
-  uint64_t epoch() const { return epoch_; }
-
   /// Forces an immediate epoch close (used by batch protocols when the
   /// batch-size limit is hit before the timer).
   void CloseEpochNow();
@@ -103,7 +100,6 @@ class ReplicationManager {
   std::vector<PartitionStore*> stores_;
   ClusterConfig config_;
 
-  uint64_t epoch_;
   SimTime epoch_started_at_;
   PeriodicTimer epoch_timer_;
   uint64_t total_entries_shipped_;

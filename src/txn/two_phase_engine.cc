@@ -303,7 +303,7 @@ void TwoPhaseEngine::HandlePrepare(Ref ctx, uint32_t i) {
   int live_secondaries = 0;
   for (const auto& s : group.secondaries())
     if (!s.delete_flag) live_secondaries++;
-  if (!ctx->opts.sync_prepare_replication || live_secondaries == 0) {
+  if (live_secondaries == 0) {
     SendVote(ctx, i, true);
     return;
   }

@@ -31,9 +31,6 @@ namespace lion {
 class TwoPhaseEngine {
  public:
   struct Options {
-    /// Replicate prepare records to secondaries synchronously and wait for
-    /// their acknowledgements before voting (Fig. 1's prepare logging).
-    bool sync_prepare_replication = true;
     /// Delay commit acknowledgement to the epoch boundary (group commit
     /// visibility, used by Lion and Lotus).
     bool group_commit_visibility = false;
