@@ -195,7 +195,7 @@ TEST(ClumpTest, ColocatedPairsStayClustered) {
   for (int i = 0; i < 50; ++i) g.AddAccess({0, 1});
   RouterTable table(2, 2);
   table.mutable_group(1)->Promote(0);  // both primaries on node 0
-  ClumpGenerator gen(ClumpOptions{});       // defaults incl. relative filter
+  ClumpGenerator gen(ClumpOptions{});  // defaults incl. relative filter
   auto clumps = gen.Generate(g, table);
   ASSERT_EQ(clumps.size(), 1u);
   EXPECT_EQ(clumps[0].pids, (std::vector<PartitionId>{0, 1}));
