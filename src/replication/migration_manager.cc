@@ -22,11 +22,14 @@ MigrationManager::MigrationManager(Simulator* sim, Network* network,
 
 void MigrationManager::AddReplica(PartitionId pid, NodeId target,
                                   MoveFn<void(bool)> done) {
-  if (!table_->IsNodeUp(target)) {
+  ReplicaGroup* group = table_->mutable_group(pid);
+  // The copy streams from the primary. A down primary is either being
+  // failed over or has left the partition unavailable; either way it has
+  // nothing to copy from.
+  if (!table_->IsNodeUp(target) || !table_->IsNodeUp(group->primary())) {
     done(false);
     return;
   }
-  ReplicaGroup* group = table_->mutable_group(pid);
   if (group->HasReplica(target)) {
     // Already hosted; just clear any delete flag so the replica stays.
     group->AddSecondary(target, 0);
@@ -45,11 +48,13 @@ void MigrationManager::AddReplica(PartitionId pid, NodeId target,
   sim_->Schedule(config_.migration_base_delay,
                  [this, pid, src, target, bytes, snapshot_lsn,
                   done = std::move(done)]() mutable {
-    network_->Send(src, target, bytes, [this, pid, target, snapshot_lsn,
+    network_->Send(src, target, bytes, [this, pid, src, target, snapshot_lsn,
                                         done = std::move(done)]() mutable {
-      if (!table_->IsNodeUp(target)) {
-        // The target crashed while the copy streamed: registering its
-        // replica would leave a live secondary on a down node.
+      if (!table_->IsNodeUp(target) || !table_->IsNodeUp(src)) {
+        // The target crashed while the copy streamed, which would leave a
+        // live secondary on a down node, or the source did, and the network
+        // still delivers what a crashed node sent: a copy of a failed
+        // primary is not a replica of the partition.
         done(false);
         return;
       }

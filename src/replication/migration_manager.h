@@ -33,8 +33,8 @@ class MigrationManager {
   /// secondary, then evicts a replica if that exceeds `max_replicas`.
   /// Non-blocking for foreground transactions. If `target` already holds a
   /// replica, clears its delete flag, enforces the cap and calls
-  /// `done(true)` at once. `done(false)` if `target` is down at the start or
-  /// when the copy lands.
+  /// `done(true)` at once. `done(false)` if `target` or the primary, the
+  /// copy's source, is down at the start, or either is when the copy lands.
   void AddReplica(PartitionId pid, NodeId target, MoveFn<void(bool)> done);
 
   /// Flags the lowest-frequency removable secondary for deletion when the

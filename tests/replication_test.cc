@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "replication/cluster.h"
+#include "replication/failure_injector.h"
 #include "replication/replica_group.h"
 #include "replication/router_table.h"
 #include "sim/simulator.h"
@@ -382,6 +383,77 @@ TEST(MigrationTest, AddReplicaAtLimitEvictsOneOtherSecondary) {
   EXPECT_EQ(cluster.router().PrimaryOf(0), 0);
   EXPECT_TRUE(cluster.router().HasSecondary(2, 0));  // the new copy stays
   EXPECT_FALSE(cluster.router().HasReplica(1, 0));   // n1 was the victim
+}
+
+TEST(MigrationTest, AddReplicaFailsWhileThePrimaryIsDown) {
+  // The copy streams from the primary. Right after it crashes, with the
+  // failover still in flight, there is nothing to copy from.
+  Simulator sim;
+  Cluster cluster(&sim, SmallConfig());
+  cluster.Start();
+  FailureInjector chaos(&cluster);
+  chaos.FailNode(0);  // primary of partitions 0 and 3
+
+  bool called = false;
+  bool ok = true;
+  cluster.migration().AddReplica(0, 2, [&](bool s) {
+    called = true;
+    ok = s;
+  });
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(ok);
+  sim.RunUntilIdle();
+  EXPECT_EQ(chaos.failovers_completed(), 2u);
+  EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
+  EXPECT_FALSE(cluster.router().HasReplica(2, 0));
+  EXPECT_EQ(cluster.migration().migrations_completed(), 0u);
+  EXPECT_EQ(cluster.migration().migrated_bytes(), 0u);
+}
+
+TEST(MigrationTest, AddReplicaGivesAnUnavailablePartitionNoSecondary) {
+  // With one copy per partition, the crash leaves partitions 0 and 3 with
+  // no surviving replica: nothing may be copied from the dead primary.
+  Simulator sim;
+  ClusterConfig cfg = SmallConfig();
+  cfg.init_replicas = 1;
+  Cluster cluster(&sim, cfg);
+  cluster.Start();
+  FailureInjector chaos(&cluster);
+  chaos.FailNode(0);
+  sim.RunUntilIdle();
+  ASSERT_EQ(chaos.partitions_unavailable(), 2u);
+
+  bool ok = true;
+  cluster.migration().AddReplica(0, 2, [&](bool s) { ok = s; });
+  sim.RunUntilIdle();
+  EXPECT_FALSE(ok);
+  EXPECT_FALSE(cluster.router().HasReplica(2, 0));
+  EXPECT_EQ(cluster.router().group(0).LiveReplicaCount(), 1);
+  EXPECT_TRUE(cluster.remaster().IsBlocked(0));
+  EXPECT_EQ(cluster.migration().migrations_completed(), 0u);
+}
+
+TEST(MigrationTest, AddReplicaFailsWhenTheSourceCrashesMidCopy) {
+  // The network still delivers what a crashed node sent, so the copy lands;
+  // it must not register a replica copied from a failed primary.
+  Simulator sim;
+  Cluster cluster(&sim, SmallConfig());
+  cluster.Start();
+  FailureInjector chaos(&cluster);
+
+  bool called = false;
+  bool ok = true;
+  cluster.migration().AddReplica(0, 2, [&](bool s) {
+    called = true;
+    ok = s;
+  });
+  sim.Schedule(kMicrosecond, [&]() { chaos.FailNode(0); });
+  sim.RunUntilIdle();
+  EXPECT_TRUE(called);
+  EXPECT_FALSE(ok);
+  EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
+  EXPECT_FALSE(cluster.router().HasReplica(2, 0));
+  EXPECT_EQ(cluster.migration().migrations_completed(), 0u);
 }
 
 TEST(MigrationTest, MovePrimaryWithoutReplicaBlocksDuringTransfer) {
