@@ -31,9 +31,11 @@ struct Record {
 /// runtime inserts) live in an open-addressing side table instead of a
 /// node-based std::unordered_map: the store never erases, so lookups are a
 /// multiplicative hash plus a linear probe over contiguous 24-byte slots,
-/// and the table fills to 7/8 before it doubles. Profiling put the old
-/// unordered_map lookup at >50% of whole-experiment runtime, so this path is
-/// worth the specialization.
+/// and the table fills to 7/8 before it doubles. It doubles in place, inside
+/// its one block, so it never holds two tables: on TPC-C these tables are
+/// most of the process's memory, so a second one would set its peak.
+/// Profiling put the old unordered_map lookup at >50% of whole-experiment
+/// runtime, so this path is worth the specialization.
 ///
 /// Write locks (taken only by Occ's validate-and-lock phase) live in a
 /// separate table that holds just the locks currently held, so records stay
@@ -99,8 +101,8 @@ class PartitionStore {
   void Insert(Key key, Value value) { GetOrInsert(key) = Record{value, 1}; }
 
   /// Pre-sizes the sparse side table for `additional` upcoming inserts of
-  /// non-dense keys, so bulk loaders (TPC-C Load) pay one rehash up front
-  /// instead of log2(n) incremental growths per store.
+  /// non-dense keys, so bulk loaders (TPC-C Load) pay one growth up front
+  /// instead of log2(n) incremental doublings per store.
   void ReserveSparse(uint64_t additional) {
     sparse_.Reserve(sparse_.size() + additional);
   }
@@ -108,6 +110,14 @@ class PartitionStore {
   /// Sparse-table slot count (test/diagnostic hook; the table doubles before
   /// its load would pass 7/8, so capacity >= 8/7 x the keys it holds).
   size_t sparse_capacity() const { return sparse_.capacity(); }
+
+  /// Test hooks for the sparse table's layout: the key in each slot, in slot
+  /// order (~0 for an empty slot; the ~0 key itself is never in a slot), and
+  /// the slot where a probe for `key` starts in a table of `capacity` slots.
+  std::vector<Key> SparseSlotsForTest() const;
+  static size_t SparseHomeForTest(Key key, size_t capacity) {
+    return HashIndex(key, ShiftFor(capacity));
+  }
 
   bool Contains(Key key) const { return FindRecord(key) != nullptr; }
 
@@ -129,9 +139,16 @@ class PartitionStore {
   /// correct without tombstones. The all-ones key doubles as the empty-slot
   /// marker, so that one key is stored out of band (reserved_/has_reserved_)
   /// rather than in a slot — every 64-bit key behaves correctly.
+  ///
+  /// The slots live in one block, which grows without a second table: a
+  /// large block is a mapping of its own that grows by remapping its pages,
+  /// and GrowTo re-inserts the entries within the grown block.
   class SparseRecords {
    public:
-    SparseRecords() : slots_(kMinCapacity), shift_(64 - kMinCapacityLog2) {}
+    SparseRecords();
+    ~SparseRecords();
+    SparseRecords(const SparseRecords&) = delete;
+    SparseRecords& operator=(const SparseRecords&) = delete;
 
     const Record* Find(Key key) const {
       if (key == kEmptyKey) return has_reserved_ ? &reserved_ : nullptr;
@@ -140,7 +157,7 @@ class PartitionStore {
         const Slot& s = slots_[i];
         if (s.key == key) return &s.rec;
         if (s.key == kEmptyKey) return nullptr;
-        i = (i + 1) & (slots_.size() - 1);
+        i = (i + 1) & (capacity_ - 1);
       }
     }
 
@@ -154,11 +171,12 @@ class PartitionStore {
     /// Where a probe for `key` starts.
     const void* HomeSlot(Key key) const { return &slots_[IndexFor(key)]; }
 
-    /// Grows (never shrinks) to hold `count` keys without further rehashes.
+    /// Grows (never shrinks) to hold `count` keys without further growth, in
+    /// one step however many doublings that is.
     void Reserve(size_t count);
 
     size_t size() const { return size_ + (has_reserved_ ? 1 : 0); }
-    size_t capacity() const { return slots_.size(); }
+    size_t capacity() const { return capacity_; }
 
    private:
     friend class PartitionStore;
@@ -178,9 +196,12 @@ class PartitionStore {
     }
 
     size_t IndexFor(Key key) const { return HashIndex(key, shift_); }
-    void Rehash(size_t new_capacity);  // power of two > slots_.size()
+    /// Grows the block to `new_capacity` slots, a power of two larger than
+    /// capacity_, and re-inserts every entry within it.
+    void GrowTo(size_t new_capacity);
 
-    std::vector<Slot> slots_;  // size is always a power of two
+    Slot* slots_;      // capacity_ slots
+    size_t capacity_;  // always a power of two
     int shift_;
     size_t size_ = 0;
     Record reserved_;  // the record for kEmptyKey itself, if ever inserted

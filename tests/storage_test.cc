@@ -1,11 +1,12 @@
-// Unit tests for PartitionStore: reads, versions, locks, blocking, the
-// sparse table's growth rule, and a differential test against a reference
-// model.
+// Unit tests for PartitionStore: reads, versions, locks, the sparse table's
+// growth rule and in-place layout, and differential tests against a
+// reference model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "storage/partition_store.h"
@@ -383,6 +384,309 @@ TEST(PartitionStoreTest, DifferentialAgainstReferenceModel) {
   ExpectStoreMatches(store, model);
   EXPECT_GE(growths, 5u);
   EXPECT_GE(boundary_checks, 5u);
+}
+
+// --- In-place growth --------------------------------------------------------
+//
+// The sparse table grows inside its own block. Its layout afterwards is
+// pinned against a copy into a fresh table, read through
+// SparseSlotsForTest().
+
+constexpr Key kEmptySlot = ~Key{0};
+
+size_t HomeOf(Key key, size_t capacity) {
+  return PartitionStore::SparseHomeForTest(key, capacity);
+}
+
+// Puts `key` in the first empty slot from its home, as the store's probe does.
+void ProbeInsert(std::vector<Key>* table, Key key) {
+  size_t i = HomeOf(key, table->size());
+  while ((*table)[i] != kEmptySlot) i = (i + 1) % table->size();
+  (*table)[i] = key;
+}
+
+// True if the entry in `old[i]` belongs to a cluster that wrapped past the
+// old table's last slot.
+bool Wrapped(const std::vector<Key>& old, size_t i) {
+  return old[i] != kEmptySlot && HomeOf(old[i], old.size()) > i;
+}
+
+// Copies `old` into a fresh table of `capacity` slots in ascending slot
+// order, a copy-rehash into a second table. With `wrapped_last`, the entries
+// of a cluster that wrapped past the old end go in after all the others.
+std::vector<Key> AscendingCopy(const std::vector<Key>& old, size_t capacity,
+                               bool wrapped_last) {
+  std::vector<Key> table(capacity, kEmptySlot);
+  std::vector<Key> later;
+  for (size_t i = 0; i < old.size(); ++i) {
+    if (old[i] == kEmptySlot) continue;
+    if (wrapped_last && Wrapped(old, i)) {
+      later.push_back(old[i]);
+    } else {
+      ProbeInsert(&table, old[i]);
+    }
+  }
+  for (Key key : later) ProbeInsert(&table, key);
+  return table;
+}
+
+size_t WrappedCount(const std::vector<Key>& old) {
+  size_t n = 0;
+  for (size_t i = 0; i < old.size(); ++i) n += Wrapped(old, i);
+  return n;
+}
+
+// Checks the layout `grown` that growing `old` produced, with `added`
+// inserted afterwards: it is the ascending copy with the wrapped entries
+// inserted last, slot for slot, and it differs from the plain ascending copy
+// only inside clusters that hold one of those entries. Returns the number of
+// slots that differ from the plain copy.
+size_t ExpectGrownLayout(const std::vector<Key>& old,
+                         const std::vector<Key>& grown,
+                         const std::vector<Key>& added = {}) {
+  std::vector<Key> expected = AscendingCopy(old, grown.size(), true);
+  std::vector<Key> plain = AscendingCopy(old, grown.size(), false);
+  for (Key key : added) {
+    ProbeInsert(&expected, key);
+    ProbeInsert(&plain, key);
+  }
+  EXPECT_TRUE(grown == expected) << "layout is not the ascending copy's";
+  std::unordered_set<Key> wrapped;
+  for (size_t i = 0; i < old.size(); ++i) {
+    if (Wrapped(old, i)) wrapped.insert(old[i]);
+  }
+  // Linear probing fills the same slots whatever the insertion order, so
+  // both layouts have the same clusters. Mark the slots of each cluster that
+  // holds a wrapped entry, starting after an empty slot so that no cluster
+  // is split (a table is never full).
+  const size_t n = grown.size();
+  size_t empty = 0;
+  while (grown[empty] != kEmptySlot) ++empty;
+  std::vector<bool> near_wrapped(n, false);
+  std::vector<size_t> cluster;
+  bool holds_wrapped = false;
+  for (size_t k = 1; k <= n; ++k) {
+    const size_t i = (empty + k) % n;
+    if (grown[i] != kEmptySlot) {
+      cluster.push_back(i);
+      holds_wrapped |= wrapped.count(grown[i]) > 0;
+      continue;
+    }
+    for (size_t j : cluster) near_wrapped[j] = holds_wrapped;
+    cluster.clear();
+    holds_wrapped = false;
+  }
+  size_t differing = 0;
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(grown[i] == kEmptySlot, plain[i] == kEmptySlot) << i;
+    if (grown[i] == plain[i]) continue;
+    differing++;
+    EXPECT_TRUE(near_wrapped[i])
+        << "slot " << i << " differs outside the wrapped entries' clusters";
+  }
+  return differing;
+}
+
+// Keys whose home is the last slot of every table up to `capacity` slots
+// (the top bits of their hash are all ones): a few of them keep a cluster
+// wrapping past the end of the table whatever its size.
+std::vector<Key> LastSlotKeys(size_t count, size_t capacity) {
+  std::vector<Key> keys;
+  for (Key key = Key{1} << 41; keys.size() < count; ++key) {
+    if (HomeOf(key, capacity) == capacity - 1) keys.push_back(key);
+  }
+  return keys;
+}
+
+TEST(PartitionStoreTest, SparseGrowthKeepsTheAscendingCopyLayout) {
+  PartitionStore store(0, 16, 100);
+  const size_t cap = 1 << 14;
+  store.ReserveSparse(cap / 8 * 7);
+  ASSERT_EQ(store.sparse_capacity(), cap);
+  std::vector<Key> keys = LastSlotKeys(3, cap);
+  std::unordered_set<Key> seen(keys.begin(), keys.end());
+  std::mt19937_64 rng(7);
+  while (keys.size() < cap / 8 * 7) {
+    Key key = (Key{1 + rng() % 9} << 40) | (rng() % 200000);
+    if (seen.insert(key).second) keys.push_back(key);
+  }
+  for (size_t i = 0; i < keys.size(); ++i) store.Insert(keys[i], i);
+  const std::vector<Key> before = store.SparseSlotsForTest();
+  ASSERT_GE(WrappedCount(before), 2u);
+
+  store.ReserveSparse(1);  // one past the 7/8 ceiling: exactly one doubling
+  ASSERT_EQ(store.sparse_capacity(), 2 * cap);
+  const size_t differing =
+      ExpectGrownLayout(before, store.SparseSlotsForTest());
+  // Only the clusters around the old end move: a few slots of 2^15.
+  EXPECT_LT(differing, cap / 100);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Value v = 0;
+    ASSERT_TRUE(store.Read(keys[i], &v, nullptr).ok()) << keys[i];
+    EXPECT_EQ(v, i);
+  }
+}
+
+TEST(PartitionStoreTest, ReserveSparseGrowsANonEmptyTableInOneStep) {
+  PartitionStore store(0, 16, 100);
+  const size_t start = store.sparse_capacity();
+  std::vector<Key> keys = LastSlotKeys(2, start);
+  for (Key id = 0; keys.size() < start / 8 * 7; ++id) {
+    keys.push_back((Key{2} << 40) | (id * 16));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) store.Insert(keys[i], 1000 + i);
+  const std::vector<Key> before = store.SparseSlotsForTest();
+  ASSERT_GE(WrappedCount(before), 1u);
+
+  const uint64_t more = 100000;  // the first growth of many doublings
+  store.ReserveSparse(more);
+  const size_t cap = store.sparse_capacity();
+  const size_t want = keys.size() + more;
+  EXPECT_GE(cap * 7, want * 8);      // fits at the 7/8 load ceiling...
+  EXPECT_LT(cap / 2 * 7, want * 8);  // ...and half the slots would not
+  ExpectGrownLayout(before, store.SparseSlotsForTest());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    Value v = 0;
+    ASSERT_TRUE(store.Read(keys[i], &v, nullptr).ok()) << keys[i];
+    EXPECT_EQ(v, 1000 + i);
+  }
+  for (Key id = 0; id < more; ++id) store.Insert((Key{5} << 40) | id, id);
+  EXPECT_EQ(store.sparse_capacity(), cap)
+      << "reserved load must not trigger incremental growth";
+  EXPECT_EQ(store.record_count(), 16 + keys.size() + more);
+}
+
+TEST(PartitionStoreTest, AllOnesKeySurvivesInPlaceGrowth) {
+  // ~0 marks an empty slot, so its own record lives outside the slots; the
+  // growth pass must neither lose it nor treat its marker as an entry.
+  PartitionStore store(0, 4, 100);
+  const Key all_ones = ~Key{0};
+  store.Insert(all_ones, 42);
+  store.Apply(all_ones, 43);
+  ASSERT_TRUE(store.TryLock(all_ones, 9));
+  const size_t start = store.sparse_capacity();
+  for (Key id = 0; store.sparse_capacity() < 16 * start; ++id) {
+    store.Insert((Key{6} << 40) | id, id);
+  }
+  store.ReserveSparse(4 * store.sparse_capacity());
+  Value v = 0;
+  Version ver = 0;
+  ASSERT_TRUE(store.Read(all_ones, &v, &ver).ok());
+  EXPECT_EQ(v, 43u);
+  EXPECT_EQ(ver, 2u);
+  EXPECT_TRUE(store.IsLockedByOther(all_ones, 1));
+  const std::vector<Key> slots = store.SparseSlotsForTest();
+  const size_t in_slots = static_cast<size_t>(
+      std::count_if(slots.begin(), slots.end(),
+                    [](Key k) { return k != kEmptySlot; }));
+  EXPECT_EQ(in_slots + 1 + 4, store.record_count());
+  store.Unlock(all_ones, 9);
+  EXPECT_EQ(store.held_locks(), 0u);
+}
+
+TEST(PartitionStoreTest, SparseTableGrowsInPlaceThroughTwelveDoublings) {
+  const uint64_t dense = 16;
+  PartitionStore store(0, dense, 100);
+  const size_t start = store.sparse_capacity();
+  const size_t final_capacity = start << 12;
+  std::unordered_map<Key, ModelRecord> model;
+  std::vector<Key> known;
+  for (Key k = 0; k < dense; ++k) {
+    model[k] = ModelRecord{k, 1, 0};
+    known.push_back(k);
+  }
+  std::mt19937_64 rng(20261019);
+  size_t sparse_keys = 0;  // keys in the sparse table's slots
+
+  // A fresh sparse key: a TPC-C-shaped row, an arbitrary 64-bit key, or one
+  // that keeps a cluster wrapping past the table's last slot.
+  std::vector<Key> last_slot = LastSlotKeys(4, final_capacity);
+  auto fresh_key = [&]() -> Key {
+    for (;;) {
+      Key key;
+      if (!last_slot.empty() && rng() % 64 == 0) {
+        key = last_slot.back();
+        last_slot.pop_back();
+      } else if (rng() % 2 == 0) {
+        key = (Key{1 + rng() % 9} << 40) | (rng() % 3000000);
+      } else {
+        key = rng();
+      }
+      if (key >= dense && key != kEmptySlot && model.count(key) == 0) {
+        return key;
+      }
+    }
+  };
+
+  size_t growths = 0;
+  size_t growths_with_wrapped = 0;
+  std::vector<Key> before;
+  bool all_ones_added = false;
+  while (store.sparse_capacity() < final_capacity) {
+    const size_t cap = store.sparse_capacity();
+    if (sparse_keys == cap / 8 * 7 && before.size() != cap) {
+      // At the 7/8 ceiling: the next insert, or the next Apply of an
+      // existing sparse row (the load is checked before the probe), doubles
+      // the table.
+      before = store.SparseSlotsForTest();
+    }
+    std::vector<Key> added;  // sparse keys this step inserted
+    if (rng() % 4 == 0) {    // an existing row: apply or read it
+      Key key = known[rng() % known.size()];
+      ModelRecord& m = model[key];
+      if (rng() % 2 == 0) {
+        Value v = rng();
+        store.Apply(key, v);
+        m.value = v;
+        m.version++;
+      } else {
+        Value v = 0;
+        Version ver = 0;
+        ASSERT_TRUE(store.Read(key, &v, &ver).ok()) << key;
+        ASSERT_EQ(v, m.value) << key;
+        ASSERT_EQ(ver, m.version) << key;
+      }
+    } else if (!all_ones_added && sparse_keys > cap / 2 && cap > start) {
+      all_ones_added = true;  // out of band: grows nothing
+      store.Insert(kEmptySlot, 77);
+      model[kEmptySlot] = ModelRecord{77, 1, 0};
+      known.push_back(kEmptySlot);
+    } else {
+      const Key key = fresh_key();
+      ModelRecord& m = model[key];
+      known.push_back(key);
+      added.push_back(key);
+      sparse_keys++;
+      switch (rng() % 3) {
+        case 0:
+          m.value = rng();
+          m.version = 1;
+          store.Insert(key, m.value);
+          break;
+        case 1:
+          m.value = rng();
+          m.version = 1;
+          store.Apply(key, m.value);
+          break;
+        default:  // a lock creates the version-0 row
+          ASSERT_TRUE(store.TryLock(key, 3));
+          store.Unlock(key, 3);
+          break;
+      }
+    }
+    if (store.sparse_capacity() != cap) {
+      ASSERT_EQ(before.size(), cap) << "grew below the 7/8 ceiling";
+      ASSERT_EQ(store.sparse_capacity(), 2 * cap);
+      growths++;
+      growths_with_wrapped += WrappedCount(before) > 0;
+      ExpectGrownLayout(before, store.SparseSlotsForTest(), added);
+      ExpectStoreMatches(store, model);
+    }
+  }
+  ExpectStoreMatches(store, model);
+  EXPECT_TRUE(all_ones_added);
+  EXPECT_EQ(growths, 12u);
+  EXPECT_EQ(growths_with_wrapped, 12u);
 }
 
 }  // namespace
