@@ -27,7 +27,8 @@ ReplicationManager::ReplicationManager(Simulator* sim, Network* network,
       epoch_started_at_(0),
       epoch_timer_(sim, [this](SimTime) { CloseEpochNow(); }),
       total_entries_shipped_(0) {
-  pending_.resize(stores_.size());
+  pending_count_.resize(stores_.size());
+  if (config_.materialize_secondaries) pending_.resize(stores_.size());
 }
 
 void ReplicationManager::Start() {
@@ -37,7 +38,10 @@ void ReplicationManager::Start() {
 }
 
 void ReplicationManager::Append(PartitionId pid, Key key, Value value) {
-  pending_[pid].push_back(LogEntry{key, value});
+  pending_count_[pid]++;
+  if (config_.materialize_secondaries) {
+    pending_[pid].push_back(LogEntry{key, value});
+  }
   ReplicaGroup* group = table_->mutable_group(pid);
   group->Advance(1);
   if (recovery_log_ != nullptr) {
@@ -66,8 +70,10 @@ void ReplicationManager::CloseEpochNow() {
   // from now.
   epoch_started_at_ = sim_->Now();
   if (shipping_paused_ == 0) {
-    for (size_t pid = 0; pid < pending_.size(); ++pid) {
-      if (!pending_[pid].empty()) ShipPartition(static_cast<PartitionId>(pid));
+    for (size_t pid = 0; pid < pending_count_.size(); ++pid) {
+      if (pending_count_[pid] != 0) {
+        ShipPartition(static_cast<PartitionId>(pid));
+      }
     }
   }
   // Waiters may register for the next epoch while these run.
@@ -79,19 +85,19 @@ void ReplicationManager::CloseEpochNow() {
 
 void ReplicationManager::ShipPartition(PartitionId pid) {
   ReplicaGroup* group = table_->mutable_group(pid);
-  // The partition's log buffer is cleared in place so it keeps its capacity
-  // from epoch to epoch; only materialized secondaries need a copy.
-  std::vector<LogEntry>& entries = pending_[pid];
-  total_entries_shipped_ += entries.size();
+  const uint64_t count = pending_count_[pid];
+  pending_count_[pid] = 0;
+  total_entries_shipped_ += count;
   Lsn target_lsn = group->primary_lsn();
   NodeId primary = group->primary();
-  uint64_t bytes =
-      MessageSizes::kHeader + entries.size() * MessageSizes::kLogEntry;
+  uint64_t bytes = MessageSizes::kHeader + count * MessageSizes::kLogEntry;
+  // Only materialized secondaries read the entries themselves. The buffer is
+  // cleared in place so it keeps its capacity from epoch to epoch.
   std::shared_ptr<const std::vector<LogEntry>> payload;
   if (config_.materialize_secondaries) {
-    payload = std::make_shared<const std::vector<LogEntry>>(entries);
+    payload = std::make_shared<const std::vector<LogEntry>>(pending_[pid]);
+    pending_[pid].clear();
   }
-  entries.clear();
 
   for (const ReplicaInfo& sec : group->secondaries()) {
     if (sec.delete_flag) continue;  // flagged replicas stop receiving logs

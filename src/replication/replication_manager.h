@@ -106,7 +106,11 @@ class ReplicationManager {
   RecoveryLog* recovery_log_ = nullptr;
   uint64_t catch_up_entries_shipped_ = 0;
   int shipping_paused_ = 0;
-  std::vector<std::vector<LogEntry>> pending_;          // per partition
+  // Per partition: the entries appended since its last shipment, counted
+  // always and buffered only when secondaries are materialized, the one
+  // reader of their keys and values.
+  std::vector<uint64_t> pending_count_;
+  std::vector<std::vector<LogEntry>> pending_;
   std::vector<MoveFn<void()>> epoch_waiters_;
   // Waiters being released by CloseEpochNow; swapped with epoch_waiters_ so
   // both keep their capacity from epoch to epoch.
