@@ -94,19 +94,25 @@ Record& PartitionStore::SparseRecords::GetOrInsert(Key key) {
     }
     return reserved_;
   }
-  if (!Fits(size_ + 1, capacity_)) GrowTo(capacity_ * 2);
   size_t i = IndexFor(key);
   for (;;) {
     Slot& s = slots_[i];
     if (s.key == key) return s.rec;
-    if (s.key == kEmptyKey) {
-      s.key = key;
-      s.rec = Record{};
-      size_++;
-      return s.rec;
-    }
+    if (s.key == kEmptyKey) break;
     i = (i + 1) & (capacity_ - 1);
   }
+  // A new key. Only an insert can pass the 7/8 ceiling, so only an insert
+  // grows the table, and then the probe starts over in the grown one.
+  if (!Fits(size_ + 1, capacity_)) {
+    GrowTo(capacity_ * 2);
+    i = IndexFor(key);
+    while (slots_[i].key != kEmptyKey) i = (i + 1) & (capacity_ - 1);
+  }
+  Slot& s = slots_[i];
+  s.key = key;
+  s.rec = Record{};
+  size_++;
+  return s.rec;
 }
 
 void PartitionStore::SparseRecords::Reserve(size_t count) {

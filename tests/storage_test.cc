@@ -240,6 +240,32 @@ TEST(PartitionStoreTest, SparseTableFillsToSevenEighthsBeforeGrowing) {
   }
 }
 
+TEST(PartitionStoreTest, OnlyANewRowGrowsAFullSparseTable) {
+  PartitionStore store(0, 4, 100);
+  ASSERT_EQ(store.sparse_capacity(), 64u);
+  const Key base = Key{1} << 40;
+  for (Key id = 0; id < 56; ++id) store.Insert(base | id, id);  // 7/8 full
+  ASSERT_EQ(store.sparse_capacity(), 64u);
+
+  // Writing and locking rows that exist adds no key, so the table keeps its
+  // slots.
+  store.Apply(base | 3, 33);
+  ASSERT_TRUE(store.TryLock(base | 5, 9));
+  EXPECT_EQ(store.sparse_capacity(), 64u);
+  store.Unlock(base | 5, 9);
+
+  store.Apply(base | 56, 56);  // the 57th row passes 7/8
+  EXPECT_EQ(store.sparse_capacity(), 128u);
+  EXPECT_EQ(store.record_count(), 4u + 57);
+  for (Key id = 0; id <= 56; ++id) {
+    Value v = 0;
+    Version ver = 0;
+    ASSERT_TRUE(store.Read(base | id, &v, &ver).ok()) << id;
+    EXPECT_EQ(v, id == 3 ? 33u : id) << id;
+    EXPECT_EQ(ver, id == 3 ? 2u : 1u) << id;
+  }
+}
+
 // Reference model: what each key holds and who locks it.
 struct ModelRecord {
   Value value = 0;
@@ -625,9 +651,8 @@ TEST(PartitionStoreTest, SparseTableGrowsInPlaceThroughTwelveDoublings) {
   while (store.sparse_capacity() < final_capacity) {
     const size_t cap = store.sparse_capacity();
     if (sparse_keys == cap / 8 * 7 && before.size() != cap) {
-      // At the 7/8 ceiling: the next insert, or the next Apply of an
-      // existing sparse row (the load is checked before the probe), doubles
-      // the table.
+      // At the 7/8 ceiling: the next new row doubles the table; reads and
+      // applies of existing rows leave it as it is.
       before = store.SparseSlotsForTest();
     }
     std::vector<Key> added;  // sparse keys this step inserted
@@ -676,6 +701,8 @@ TEST(PartitionStoreTest, SparseTableGrowsInPlaceThroughTwelveDoublings) {
     }
     if (store.sparse_capacity() != cap) {
       ASSERT_EQ(before.size(), cap) << "grew below the 7/8 ceiling";
+      ASSERT_EQ(added.size(), 1u) << "grew without inserting a row";
+      ASSERT_EQ(sparse_keys, cap / 8 * 7 + 1);
       ASSERT_EQ(store.sparse_capacity(), 2 * cap);
       growths++;
       growths_with_wrapped += WrappedCount(before) > 0;
