@@ -43,19 +43,6 @@ bool Rng::Bernoulli(double p) {
   return NextDouble() < p;
 }
 
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += w;
-  if (total <= 0.0) return 0;
-  double r = NextDouble() * total;
-  double acc = 0.0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (r < acc) return i;
-  }
-  return weights.size() - 1;
-}
-
 double ZipfianGenerator::Zeta(uint64_t n, double theta) {
   double sum = 0.0;
   for (uint64_t i = 1; i <= n; ++i) {

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstddef>
-#include <vector>
 
 #include "common/types.h"
 
@@ -32,10 +31,6 @@ class Rng {
 
   /// Returns true with probability p (clamped to [0,1]).
   bool Bernoulli(double p);
-
-  /// Samples an index according to the (non-negative) weights given.
-  /// Returns 0 if all weights are zero.
-  size_t WeightedIndex(const std::vector<double>& weights);
 
   /// Opaque snapshot of the generator position, equal iff the same number
   /// of draws happened since seeding. Lets stream-discipline asserts verify

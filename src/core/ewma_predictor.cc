@@ -7,6 +7,12 @@
 
 namespace lion {
 
+namespace {
+/// Level and trend smoothing factors of Holt's method.
+constexpr double kLevelSmoothing = 0.5;
+constexpr double kTrendSmoothing = 0.3;
+}  // namespace
+
 EwmaPredictor::EwmaPredictor(PredictorConfig config, uint64_t seed)
     : TemplateClassPredictor(std::move(config), seed) {}
 
@@ -14,8 +20,8 @@ void EwmaPredictor::FitModels() {
   // Holt's linear smoothing, refit from scratch over each class's bounded
   // series: O(window) per class per round, so there is no training state to
   // go stale and nothing to retrain. The class model only caches the fit.
-  const double a = config_.ewma_alpha;
-  const double g = config_.ewma_trend;
+  const double a = kLevelSmoothing;
+  const double g = kTrendSmoothing;
   for (WorkloadClass& cls : classes()) {
     if (cls.series.size() < 2) continue;
     if (cls.model == nullptr) cls.model = std::make_unique<HoltModel>();

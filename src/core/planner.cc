@@ -7,6 +7,11 @@
 
 namespace lion {
 
+namespace {
+/// Per-round exponential decay of the partition access frequencies.
+constexpr double kFrequencyDecay = 0.5;
+}  // namespace
+
 Planner::Planner(Cluster* cluster, PlannerConfig config,
                  PredictorInterface* predictor)
     : cluster_(cluster),
@@ -84,7 +89,7 @@ void Planner::RunOnce() {
   }
 
   // 4. Age the frequency statistics so the next round tracks recent load.
-  cluster_->router().DecayFrequencies(config_.frequency_decay);
+  cluster_->router().DecayFrequencies(kFrequencyDecay);
 }
 
 }  // namespace lion

@@ -34,8 +34,6 @@ struct PlannerConfig {
   size_t history_capacity = 20000;
   /// Minimum history before a planning round does anything.
   size_t min_history = 64;
-  /// Exponential decay applied to partition access frequencies per round.
-  double frequency_decay = 0.5;
   ClumpOptions clump;
   PlanGeneratorConfig plan;
 };

@@ -6,6 +6,11 @@
 
 namespace lion {
 
+namespace {
+/// MSE above which a class model is retrained.
+constexpr double kRetrainMse = 0.01;
+}  // namespace
+
 LstmPredictor::LstmPredictor(PredictorConfig config, uint64_t seed)
     : TemplateClassPredictor(std::move(config), seed), lstm_seed_(seed) {}
 
@@ -24,7 +29,7 @@ void LstmPredictor::FitModels() {
     }
     // Retrain when stale (Sec. IV-C: retrain when MSE degrades).
     double mse = model->lstm->Evaluate(normalized);
-    if (mse > config_.retrain_mse) {
+    if (mse > kRetrainMse) {
       mse = model->lstm->Train(normalized, config_.train_epochs);
     }
     model->last_mse = mse;

@@ -35,16 +35,9 @@ struct PredictorConfig {
   double wp = 1.0;
   /// Scale from forecast arrival rate (txns/interval) to graph weight.
   double prediction_scale = 1.0;
-  /// Reservoir sample size: templates drawn per rising workload class.
-  size_t sample_size = 8;
-  /// Training epochs per planning round, and the MSE above which a class
-  /// model is retrained (Sec. IV-C: retrain to maintain accuracy).
+  /// Training epochs per planning round (Sec. IV-C: a class model retrains
+  /// when its MSE degrades).
   int train_epochs = 10;
-  double retrain_mse = 0.01;
-  /// Level smoothing factor of the EWMA/Holt baseline predictor.
-  double ewma_alpha = 0.5;
-  /// Trend smoothing factor of the EWMA/Holt baseline predictor.
-  double ewma_trend = 0.3;
   /// Season length m (in sampling intervals) of the seasonal-naive baseline
   /// predictor: ŷ(T+h) = y(T+h−m).
   int seasonal_period = 10;

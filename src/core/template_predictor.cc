@@ -7,6 +7,11 @@
 
 namespace lion {
 
+namespace {
+/// Reservoir sample size: templates drawn per rising workload class.
+constexpr size_t kSampleSize = 8;
+}  // namespace
+
 TemplateClassPredictor::TemplateClassPredictor(PredictorConfig config,
                                                uint64_t seed)
     : config_(config), rng_(seed) {}
@@ -196,7 +201,7 @@ void TemplateClassPredictor::AugmentGraph(HeatGraph* graph, SimTime now) {
 
     // Reservoir-sample member templates (Vitter's Algorithm R).
     std::vector<size_t> reservoir;
-    size_t k = config_.sample_size;
+    size_t k = kSampleSize;
     for (size_t i = 0; i < cls.members.size(); ++i) {
       if (reservoir.size() < k) {
         reservoir.push_back(cls.members[i]);

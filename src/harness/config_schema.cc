@@ -160,9 +160,6 @@ const ConfigSchema& NetworkConfigSchema() {
     b.Field("bandwidth_bytes_per_sec", &NetworkConfig::bandwidth_bytes_per_sec,
             "link bandwidth in bytes per second",
             check::Positive<double>());
-    b.Time("local_latency_us", &NetworkConfig::local_latency, kMicrosecond,
-           "loopback (same node) message latency",
-           check::NonNegative<SimTime>());
     b.Time("stats_window_ms", &NetworkConfig::stats_window, kMillisecond,
            "width of the bytes/messages accounting windows",
            check::Positive<SimTime>());
@@ -221,32 +218,11 @@ const ConfigSchema& ClusterConfigSchema() {
            "epoch-based group commit interval", check::Positive<SimTime>());
     b.Field("materialize_secondaries", &ClusterConfig::materialize_secondaries,
             "physically apply shipped log entries to per-replica copies");
-    b.Time("txn_setup_cost_us", &ClusterConfig::txn_setup_cost, kMicrosecond,
-           "fixed coordinator cost to start/finish a transaction",
-           check::NonNegative<SimTime>());
-    b.Time("op_local_cost_us", &ClusterConfig::op_local_cost, kMicrosecond,
-           "executing one op on a local primary",
-           check::NonNegative<SimTime>());
-    b.Time("op_service_cost_us", &ClusterConfig::op_service_cost, kMicrosecond,
-           "serving one remote op at the serving node",
-           check::NonNegative<SimTime>());
-    b.Time("log_write_cost_us", &ClusterConfig::log_write_cost, kMicrosecond,
-           "writing a prepare/commit log record",
-           check::NonNegative<SimTime>());
-    b.Time("validation_cost_per_op_ns", &ClusterConfig::validation_cost_per_op,
-           1, "OCC validation per accessed record",
-           check::NonNegative<SimTime>());
-    b.Time("message_handling_cost_us", &ClusterConfig::message_handling_cost,
-           kMicrosecond, "handling any control message at the receiver",
-           check::NonNegative<SimTime>());
     b.Time("remaster_base_delay_us", &ClusterConfig::remaster_base_delay,
            kMicrosecond, "base remastering duration (paper: 3000 us)",
            check::NonNegative<SimTime>());
     b.Time("remaster_per_entry_ns", &ClusterConfig::remaster_per_entry, 1,
            "additional remastering time per lagging log entry",
-           check::NonNegative<SimTime>());
-    b.Time("migration_base_delay_ms", &ClusterConfig::migration_base_delay,
-           kMillisecond, "fixed overhead for starting a partition copy",
            check::NonNegative<SimTime>());
     b.Nested("net", &ClusterConfig::net, NetworkConfigSchema(),
              "network latency/bandwidth model");
@@ -290,17 +266,8 @@ const ConfigSchema& YcsbConfigSchema() {
 const ConfigSchema& TpccConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<TpccConfig> b("TpccConfig");
-    b.Field("districts_per_warehouse", &TpccConfig::districts_per_warehouse,
-            "districts per warehouse", check::AtLeast<int>(1));
-    b.Field("customers_per_district", &TpccConfig::customers_per_district,
-            "customers per district (scaled from 3000)",
-            check::AtLeast<int>(1));
     b.Field("items", &TpccConfig::items, "item count (scaled from 100000)",
             check::AtLeast<int>(1));
-    b.Field("min_order_lines", &TpccConfig::min_order_lines,
-            "minimum order lines per NewOrder", check::AtLeast<int>(1));
-    b.Field("max_order_lines", &TpccConfig::max_order_lines,
-            "maximum order lines per NewOrder", check::AtLeast<int>(1));
     b.Field("remote_ratio", &TpccConfig::remote_ratio,
             "fraction of NewOrders buying from a remote warehouse",
             check::UnitInterval());
@@ -322,9 +289,6 @@ const ConfigSchema& TpccConfigSchema() {
     b.Field("hot_node", &TpccConfig::hot_node,
             "node whose warehouses form the hotspot",
             check::NonNegative<int>());
-    b.Time("think_time_us", &TpccConfig::think_time, kMicrosecond,
-           "coordinator-side business logic time per transaction",
-           check::NonNegative<SimTime>());
     return std::move(b).Build();
   }();
   return schema;
@@ -339,14 +303,6 @@ const ConfigSchema& LstmConfigSchema() {
             check::AtLeast<int>(1));
     b.Field("learning_rate", &LstmConfig::learning_rate,
             "Adam learning rate", check::Positive<double>());
-    b.Field("adam_beta1", &LstmConfig::adam_beta1, "Adam beta1",
-            check::UnitInterval());
-    b.Field("adam_beta2", &LstmConfig::adam_beta2, "Adam beta2",
-            check::UnitInterval());
-    b.Field("adam_eps", &LstmConfig::adam_eps, "Adam epsilon",
-            check::Positive<double>());
-    b.Field("grad_clip", &LstmConfig::grad_clip, "gradient clip norm",
-            check::Positive<double>());
     return std::move(b).Build();
   }();
   return schema;
@@ -386,20 +342,9 @@ const ConfigSchema& PredictorConfigSchema() {
     b.Field("prediction_scale", &PredictorConfig::prediction_scale,
             "scale from forecast arrival rate to graph weight",
             check::NonNegative<double>());
-    b.Field("sample_size", &PredictorConfig::sample_size,
-            "templates drawn per rising workload class");
     b.Field("train_epochs", &PredictorConfig::train_epochs,
             "training epochs per planning round",
             check::NonNegative<int>());
-    b.Field("retrain_mse", &PredictorConfig::retrain_mse,
-            "MSE above which a class model retrains",
-            check::NonNegative<double>());
-    b.Field("ewma_alpha", &PredictorConfig::ewma_alpha,
-            "level smoothing factor of the ewma (Holt) predictor",
-            check::UnitInterval());
-    b.Field("ewma_trend", &PredictorConfig::ewma_trend,
-            "trend smoothing factor of the ewma (Holt) predictor",
-            check::UnitInterval());
     b.Field("seasonal_period", &PredictorConfig::seasonal_period,
             "season length m (sampling intervals) of the seasonal-naive "
             "predictor", check::AtLeast<int>(1));
@@ -471,9 +416,6 @@ const ConfigSchema& PlannerConfigSchema() {
             check::AtLeast<uint64_t>(1));
     b.Field("min_history", &PlannerConfig::min_history,
             "minimum history before a planning round does anything");
-    b.Field("frequency_decay", &PlannerConfig::frequency_decay,
-            "per-round exponential decay of access frequencies",
-            check::UnitInterval());
     b.Nested("clump", &PlannerConfig::clump, ClumpOptionsSchema(),
              "clump generation thresholds");
     b.Nested("plan", &PlannerConfig::plan, PlanGeneratorConfigSchema(),
@@ -564,11 +506,6 @@ const ConfigSchema& ChaosConfigSchema() {
            kMicrosecond,
            "base of the deterministic linear backoff between "
            "unavailability deferrals", check::Positive<SimTime>());
-    b.Field("check_integrity", &ChaosConfig::check_integrity,
-            "run the post-run cluster integrity checker");
-    b.Field("track_commits", &ChaosConfig::track_commits,
-            "record committed writes in a ledger so the integrity checker "
-            "can verify their effects are present");
     return std::move(b).Build();
   }();
   return schema;
@@ -593,42 +530,6 @@ const ConfigSchema& RecoveryConfigSchema() {
     b.Field("catch_up_batch", &RecoveryConfig::catch_up_batch,
             "log entries per catch-up shipment from a live primary to a "
             "recovering replica", check::AtLeast<int>(1));
-    return std::move(b).Build();
-  }();
-  return schema;
-}
-
-const ConfigSchema& MetaConfigSchema() {
-  static const ConfigSchema schema = [] {
-    ConfigSchemaBuilder<MetaConfig> b("MetaConfig");
-    b.Field("baseline", &MetaConfig::baseline,
-            "child protocol every partition starts on (ProtocolRegistry "
-            "name; not \"meta\")", check::NotEmpty());
-    b.Field("single_master", &MetaConfig::single_master,
-            "child a write-hot, cross-heavy partition flips to "
-            "(single-master batching)", check::NotEmpty());
-    b.Field("wan", &MetaConfig::wan,
-            "optional WAN candidate for cross-heavy partitions in "
-            "multi-region topologies; empty disables the lane");
-    b.Field("hot_threshold", &MetaConfig::hot_threshold,
-            "normalized forecast load at or above which a partition is "
-            "write-hot", check::UnitInterval());
-    b.Field("cross_threshold", &MetaConfig::cross_threshold,
-            "smoothed cross-partition ratio at or above which a partition "
-            "is cross-heavy", check::UnitInterval());
-    b.Field("hysteresis_epochs", &MetaConfig::hysteresis_epochs,
-            "consecutive epochs the flip rule must prefer the same target "
-            "before a switch starts", check::AtLeast<int>(1));
-    b.Field("cooldown_epochs", &MetaConfig::cooldown_epochs,
-            "minimum epochs between flips of the same partition",
-            check::NonNegative<int>());
-    b.Field("cost_gate", &MetaConfig::cost_gate,
-            "flip fires only when smoothed cross load reaches cost_gate x "
-            "the cost-model flip price (WAN-multiplied across regions); 0 "
-            "disables", check::NonNegative<double>());
-    b.Field("smoothing", &MetaConfig::smoothing,
-            "EWMA factor for the observed per-partition load and "
-            "cross-ratio windows", check::UnitInterval());
     return std::move(b).Build();
   }();
   return schema;
@@ -674,9 +575,6 @@ const ConfigSchema& ExperimentConfigSchema() {
     b.Nested("recovery", &ExperimentConfig::recovery, RecoveryConfigSchema(),
              "durable log-backed recovery: crash replay + catch-up rejoin "
              "(inactive while enabled is false)");
-    b.Nested("meta", &ExperimentConfig::meta, MetaConfigSchema(),
-             "runtime meta-protocol candidates, flip thresholds, hysteresis "
-             "and cost gate (active when protocol = \"meta\")");
     return std::move(b).Build();
   }();
   return schema;

@@ -49,7 +49,6 @@ struct PredictorConfig;
 struct LstmConfig;
 struct ClayConfig;
 struct ChaosConfig;
-struct MetaConfig;
 
 /// Joins a dotted path prefix with a field name ("" + "ycsb" -> "ycsb",
 /// "ycsb" + "cross_ratio" -> "ycsb.cross_ratio").
@@ -543,7 +542,6 @@ const ConfigSchema& LionOptionsSchema();
 const ConfigSchema& ClayConfigSchema();
 const ConfigSchema& ChaosConfigSchema();
 const ConfigSchema& RecoveryConfigSchema();
-const ConfigSchema& MetaConfigSchema();
 const ConfigSchema& ExperimentConfigSchema();
 
 // --- derived flag surface ----------------------------------------------------

@@ -91,28 +91,6 @@ Status ExperimentBuilder::Validate() const {
   // like the topology checks above.
   Status chaos_valid = ChaosController::Validate(config_.chaos, config_.cluster);
   if (!chaos_valid.ok()) return chaos_valid;
-  // The meta protocol's children resolve through the registry at factory
-  // time; reject unknown names (and self-nesting) here so the failure
-  // carries the offending field instead of a generic factory error.
-  if (config_.protocol == "meta") {
-    const std::pair<const char*, const std::string*> children[] = {
-        {"meta.baseline", &config_.meta.baseline},
-        {"meta.single_master", &config_.meta.single_master},
-        {"meta.wan", &config_.meta.wan},
-    };
-    for (const auto& [field, name] : children) {
-      if (name->empty()) continue;  // meta.wan is optional
-      if (*name == "meta") {
-        return Status::InvalidArgument(std::string(field) +
-                                       ": meta cannot nest itself");
-      }
-      Status child_exists = ProtocolRegistry::Global().CheckExists(*name);
-      if (!child_exists.ok()) {
-        return Status::InvalidArgument(std::string(field) + ": " +
-                                       child_exists.message());
-      }
-    }
-  }
   return Status::OK();
 }
 
@@ -122,7 +100,6 @@ Status ExperimentBuilder::Build(std::unique_ptr<Experiment>* out) const {
 
   auto ex = std::unique_ptr<Experiment>(new Experiment());
   ex->config_ = config_;
-  ex->window_callbacks_ = window_callbacks_;
   ex->sim_ = std::make_unique<Simulator>(config_.seed);
   ex->cluster_ = std::make_unique<lion::Cluster>(ex->sim_.get(),
                                                  config_.cluster);
@@ -147,10 +124,8 @@ Status ExperimentBuilder::Build(std::unique_ptr<Experiment>* out) const {
   if (ChaosActive(config_.chaos)) {
     ex->chaos_ = std::make_unique<ChaosController>(ex->cluster_.get(),
                                                    config_.chaos);
-    if (config_.chaos.track_commits) {
-      ex->ledger_ = std::make_unique<CommitLedger>(
-          config_.cluster.total_partitions());
-    }
+    ex->ledger_ = std::make_unique<CommitLedger>(
+        config_.cluster.total_partitions());
   }
 
   ex->concurrency_ = config_.concurrency;
@@ -175,40 +150,6 @@ Status ExperimentBuilder::Run(ExperimentResult* out) const {
 
 Experiment::~Experiment() = default;
 
-void Experiment::ScheduleWindowTick(size_t index) {
-  SimTime window = metrics_->window();
-  SimTime boundary = static_cast<SimTime>(index + 1) * window;
-  // Weak: the window reporter is background machinery and must not keep
-  // RunUntilIdle-style quiescence from terminating.
-  sim_->ScheduleWeak(boundary - sim_->Now(), [this, index]() {
-    WindowStats stats;
-    stats.index = index;
-    stats.end_time = sim_->Now();
-    stats.throughput = index < metrics_->window_commits().size()
-                           ? metrics_->WindowThroughput(index)
-                           : 0.0;
-    const auto& bytes = network_window_bytes();
-    const auto& commits = metrics_->window_commits();
-    if (index < bytes.size() && index < commits.size() &&
-        commits[index] > 0) {
-      stats.bytes_per_txn = static_cast<double>(bytes[index]) /
-                            static_cast<double>(commits[index]);
-    }
-    for (WindowCallback& cb : window_callbacks_) cb(stats);
-    // Only re-arm if the next boundary still falls inside the run —
-    // otherwise a stale tick would outlive Run() and fire a spurious
-    // callback if the caller advances the simulator afterwards.
-    if (sim_->Now() + metrics_->window() <=
-        config_.warmup + config_.duration) {
-      ScheduleWindowTick(index + 1);
-    }
-  });
-}
-
-const std::vector<uint64_t>& Experiment::network_window_bytes() const {
-  return cluster_->network().window_bytes();
-}
-
 ExperimentResult Experiment::Run() {
   if (ran_) return result_;
   ran_ = true;
@@ -220,23 +161,15 @@ ExperimentResult Experiment::Run() {
     // initial placement (geo replicas included), exactly like a live hit.
     protocol_->EnableDegradation(&config_.chaos);
     chaos_->injector().SetGeoPlacement(protocol_->geo_placement());
-    if (ledger_) {
-      CommitLedger* ledger = ledger_.get();
-      metrics_->SetCommitListener(
-          [ledger](const Transaction& txn) { ledger->Record(txn); });
-    }
+    CommitLedger* ledger = ledger_.get();
+    metrics_->SetCommitListener(
+        [ledger](const Transaction& txn) { ledger->Record(txn); });
     chaos_->Arm();
   }
   driver_ = std::make_unique<ClosedLoopDriver>(
       sim_.get(), protocol_.get(), workload_.get(), metrics_.get(),
       concurrency_);
   driver_->Start();
-  // Same guard as the re-arm below: only schedule ticks whose boundary
-  // falls inside the run, so none outlive Run().
-  if (!window_callbacks_.empty() &&
-      metrics_->window() <= config_.warmup + config_.duration) {
-    ScheduleWindowTick(0);
-  }
 
   sim_->RunUntil(config_.warmup);
   metrics_->StartMeasurement(sim_->Now());
@@ -275,10 +208,8 @@ ExperimentResult Experiment::Run() {
       fault_events.Add(std::move(event));
     }
     members.Set("fault_events", std::move(fault_events));
-    IntegrityReport report;  // all zero when the check is off
-    if (config_.chaos.check_integrity) {
-      report = CheckClusterIntegrity(cluster_.get(), &injector, ledger_.get());
-    }
+    IntegrityReport report =
+        CheckClusterIntegrity(cluster_.get(), &injector, ledger_.get());
     Json integrity = Json::Object();
     integrity.Set("violations", Json::Uint(report.violations.size()));
     integrity.Set("partitions_checked", Json::Uint(report.partitions_checked));
@@ -345,8 +276,8 @@ ExperimentResult Experiment::Run() {
     const std::vector<MetricsCollector::ProtocolSwitch>& switches =
         metrics_->protocol_switches();
     Json children = Json::Array();
-    for (size_t i = 0; i < meta->num_children(); ++i) {
-      children.Add(Json::Str(meta->child_name(i)));
+    for (const char* name : MetaProtocol::kChildNames) {
+      children.Add(Json::Str(name));
     }
     Json assignment = Json::Array();
     for (uint64_t n : meta->AssignmentCounts()) assignment.Add(Json::Uint(n));

@@ -6,7 +6,6 @@
 // one-file operation with no harness edits.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,17 +65,6 @@ struct ExperimentResult {
   Json ToJson() const;
 };
 
-/// Snapshot of one closed stats window, delivered to OnWindow callbacks
-/// while the experiment runs.
-struct WindowStats {
-  size_t index = 0;
-  SimTime end_time = 0;
-  double throughput = 0.0;      // txn/s committed in this window
-  double bytes_per_txn = 0.0;   // network bytes per commit in this window
-};
-
-using WindowCallback = std::function<void(const WindowStats&)>;
-
 /// One fully assembled run. Owns every component — simulator, cluster,
 /// metrics, protocol (which in turn owns its predictor) and workload — and
 /// drives the protocol lifecycle (Start/Stop) around the measured interval.
@@ -107,8 +95,6 @@ class Experiment {
   friend class ExperimentBuilder;
   Experiment() = default;
 
-  void ScheduleWindowTick(size_t index);
-  const std::vector<uint64_t>& network_window_bytes() const;
   ExperimentResult Collect();
 
   ExperimentConfig config_;
@@ -123,7 +109,6 @@ class Experiment {
   // Owned (not Run-local): in-flight completion closures reference the
   // driver, and the simulator they sit in outlives Run().
   std::unique_ptr<ClosedLoopDriver> driver_;
-  std::vector<WindowCallback> window_callbacks_;
   int concurrency_ = 0;
   bool ran_ = false;
   ExperimentResult result_;
@@ -177,12 +162,6 @@ class ExperimentBuilder {
     config_.concurrency = concurrency;
     return *this;
   }
-  /// Registers a per-window metrics callback, invoked live at every closed
-  /// stats window during Run(). May be called multiple times.
-  ExperimentBuilder& OnWindow(WindowCallback callback) {
-    window_callbacks_.push_back(std::move(callback));
-    return *this;
-  }
 
   /// Escape hatch for knobs without a dedicated setter.
   ExperimentConfig& config() { return config_; }
@@ -199,7 +178,6 @@ class ExperimentBuilder {
 
  private:
   ExperimentConfig config_;
-  std::vector<WindowCallback> window_callbacks_;
 };
 
 }  // namespace lion

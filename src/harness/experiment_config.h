@@ -8,7 +8,6 @@
 #include "core/lion_protocol.h"
 #include "core/predictor.h"
 #include "protocols/clay.h"
-#include "protocols/meta_config.h"
 #include "replication/chaos_config.h"
 #include "replication/cluster_config.h"
 #include "replication/recovery_config.h"
@@ -46,10 +45,6 @@ struct ExperimentConfig {
   /// catch-up rejoin. Inactive (and without any effect on results) while
   /// recovery.enabled is false.
   RecoveryConfig recovery;
-  /// Runtime meta-protocol (protocol = "meta"): child candidates, flip
-  /// thresholds, hysteresis and cost gating. Ignored by every other
-  /// protocol.
-  MetaConfig meta;
 };
 
 }  // namespace lion

@@ -5,18 +5,14 @@ namespace lion {
 MetricsCollector::MetricsCollector(SimTime window)
     : window_(window),
       measure_start_(0),
-      measuring_(true),
       committed_(0),
-      warmup_committed_(0),
       aborts_(0),
       single_node_(0),
       remastered_(0),
       distributed_(0) {}
 
 void MetricsCollector::StartMeasurement(SimTime now) {
-  measuring_ = true;
   measure_start_ = now;
-  warmup_committed_ += committed_;
   committed_ = 0;
   aborts_ = 0;
   single_node_ = 0;
@@ -31,7 +27,7 @@ void MetricsCollector::OnAbortUnavailable(SimTime now) {
   size_t w = static_cast<size_t>(now / window_);
   if (window_unavailable_.size() <= w) window_unavailable_.resize(w + 1, 0);
   window_unavailable_[w]++;
-  if (measuring_) aborted_unavailable_++;
+  aborted_unavailable_++;
 }
 
 void MetricsCollector::OnCommit(const Transaction& txn, SimTime now) {
@@ -40,10 +36,6 @@ void MetricsCollector::OnCommit(const Transaction& txn, SimTime now) {
   if (window_commits_.size() <= w) window_commits_.resize(w + 1, 0);
   window_commits_[w]++;
 
-  if (!measuring_) {
-    warmup_committed_++;
-    return;
-  }
   committed_++;
   switch (txn.exec_class()) {
     case ExecClass::kSingleNode:

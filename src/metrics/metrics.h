@@ -95,9 +95,7 @@ class MetricsCollector {
  private:
   SimTime window_;
   SimTime measure_start_;
-  bool measuring_;
   uint64_t committed_;
-  uint64_t warmup_committed_;
   uint64_t aborts_;
   uint64_t single_node_;
   uint64_t remastered_;

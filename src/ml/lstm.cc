@@ -16,6 +16,12 @@ void ApplyTanh(Vec* v) {
   for (double& x : *v) x = std::tanh(x);
 }
 
+// Adam's moment decay rates and epsilon, and the gradient clip norm.
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+constexpr double kAdamEps = 1e-8;
+constexpr double kGradClip = 5.0;
+
 }  // namespace
 
 /// Per-step forward activations cached for BPTT.
@@ -236,7 +242,7 @@ double LstmNetwork::ForwardBackward(const std::vector<double>& series) {
 }
 
 void LstmNetwork::ClipGradients() {
-  double clip = config_.grad_clip;
+  const double clip = kGradClip;
   auto clip_vec = [clip](Vec* v) {
     for (double& x : *v) x = std::clamp(x, -clip, clip);
   };
@@ -253,11 +259,11 @@ void LstmNetwork::ClipGradients() {
 
 void LstmNetwork::AdamUpdate() {
   adam_t_++;
-  double b1 = config_.adam_beta1, b2 = config_.adam_beta2;
+  const double b1 = kAdamBeta1, b2 = kAdamBeta2;
   double bias1 = 1.0 - std::pow(b1, adam_t_);
   double bias2 = 1.0 - std::pow(b2, adam_t_);
   double lr = config_.learning_rate;
-  double eps = config_.adam_eps;
+  const double eps = kAdamEps;
 
   auto update = [&](Vec* param, Vec* grad, Vec* m, Vec* v) {
     for (size_t i = 0; i < param->size(); ++i) {

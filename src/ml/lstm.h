@@ -20,10 +20,6 @@ struct LstmConfig {
   int hidden = 20;
   int layers = 2;
   double learning_rate = 0.02;
-  double adam_beta1 = 0.9;
-  double adam_beta2 = 0.999;
-  double adam_eps = 1e-8;
-  double grad_clip = 5.0;
 };
 
 /// One LSTM layer's parameters and Adam state.

@@ -7,19 +7,35 @@
 
 namespace lion {
 
-MetaProtocol::MetaProtocol(Cluster* cluster, MetricsCollector* metrics,
-                           MetaConfig config, const CostModelConfig& cost,
-                           const GeoPlacementConfig& geo,
-                           std::vector<std::string> child_names,
-                           std::vector<std::unique_ptr<Protocol>> children,
-                           std::unique_ptr<PredictorInterface> predictor,
-                           int horizon)
+namespace {
+/// Normalized forecast load (per-partition forecast / hottest partition) at
+/// or above which a partition counts as write-hot.
+constexpr double kHotThreshold = 0.5;
+/// Smoothed cross-partition ratio at or above which a partition counts as
+/// cross-heavy.
+constexpr double kCrossThreshold = 0.3;
+/// Consecutive epochs the decision rule must prefer the same non-current
+/// child before a flip is attempted.
+constexpr int kHysteresisEpochs = 3;
+/// Minimum epochs between flips of the same partition.
+constexpr int kCooldownEpochs = 10;
+/// A flip to the single-master child fires only when the partition's
+/// smoothed cross-partition load (txns/epoch) reaches this multiple of the
+/// flip's placement cost.
+constexpr double kCostGate = 0.05;
+/// EWMA factor for the observed per-partition load and cross-ratio windows.
+constexpr double kSmoothing = 0.3;
+}  // namespace
+
+MetaProtocol::MetaProtocol(
+    Cluster* cluster, MetricsCollector* metrics, const CostModelConfig& cost,
+    const GeoPlacementConfig& geo,
+    std::array<std::unique_ptr<Protocol>, kNumChildren> children,
+    std::unique_ptr<PredictorInterface> predictor, int horizon)
     : Protocol(cluster, metrics),
-      config_(std::move(config)),
       horizon_(horizon),
       geo_(geo, &cluster->topology()),
       cost_(cost),
-      child_names_(std::move(child_names)),
       children_(std::move(children)),
       predictor_(std::move(predictor)),
       parts_(static_cast<size_t>(cluster->num_partitions())) {
@@ -44,7 +60,7 @@ void MetaProtocol::EnableDegradation(const ChaosConfig* config) {
 }
 
 std::vector<uint64_t> MetaProtocol::AssignmentCounts() const {
-  std::vector<uint64_t> counts(children_.size(), 0);
+  std::vector<uint64_t> counts(kNumChildren, 0);
   for (const PartitionState& ps : parts_) counts[ps.assigned]++;
   return counts;
 }
@@ -62,7 +78,7 @@ int MetaProtocol::RouteChild(const std::vector<PartitionId>& parts) const {
   // the lowest child index, so a half-migrated transaction leans baseline.
   int best = 0;
   int best_votes = 0;
-  for (size_t c = 0; c < children_.size(); ++c) {
+  for (size_t c = 0; c < kNumChildren; ++c) {
     int votes = 0;
     for (PartitionId p : parts) {
       if (parts_[p].assigned == static_cast<int>(c)) votes++;
@@ -114,32 +130,25 @@ void MetaProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   children_[child]->Submit(std::move(txn), std::move(wrapped));
 }
 
-int MetaProtocol::DesiredChild(const PartitionState& ps,
-                               double norm_load) const {
-  bool hot = norm_load >= config_.hot_threshold;
-  bool cross = ps.cross_ewma >= config_.cross_threshold;
-  if (hot && cross) return 1;  // single-master batching
-  if (children_.size() > 2 && cross && cluster_->topology().regions() > 1) {
-    return 2;  // WAN candidate
-  }
-  return 0;
+int MetaProtocol::DesiredChild(const PartitionState& ps, double norm_load) {
+  bool hot = norm_load >= kHotThreshold;
+  bool cross = ps.cross_ewma >= kCrossThreshold;
+  return hot && cross ? 1 : 0;  // single-master batching, else the baseline
 }
 
-double MetaProtocol::FlipCost(PartitionId pid, int target) const {
-  if (target == 0) return 0.0;  // falling back to the baseline moves nothing
+double MetaProtocol::FlipCost(PartitionId pid) const {
   // The single-master child concentrates the partition's cross work on the
-  // super node (StarConfig default: node 0); the WAN candidate keeps work
-  // at the primary. Price the flip like the provisioner prices the replica
-  // move it stands for: wm, WAN-multiplied when the hop crosses regions.
+  // super node (StarConfig default: node 0). Price the flip like the
+  // provisioner prices the replica move it stands for: wm, WAN-multiplied
+  // when the hop crosses regions.
   NodeId from = cluster_->PrimaryOf(pid);
-  NodeId dest = target == 1 ? NodeId{0} : from;
-  double mult = geo_.active() ? geo_.MigrationMultiplier(from, dest) : 1.0;
+  double mult = geo_.active() ? geo_.MigrationMultiplier(from, 0) : 1.0;
   return cost_.config().wm * mult;
 }
 
 void MetaProtocol::OnEpoch(SimTime now) {
   epoch_index_++;
-  const double a = config_.smoothing;
+  const double a = kSmoothing;
   for (PartitionState& ps : parts_) {
     ps.load_ewma = a * static_cast<double>(ps.window_total) +
                    (1.0 - a) * ps.load_ewma;
@@ -181,13 +190,13 @@ void MetaProtocol::OnEpoch(SimTime now) {
     // Hysteresis: the rule must keep preferring the same target.
     ps.desired_streak = desired == ps.last_desired ? ps.desired_streak + 1 : 1;
     ps.last_desired = desired;
-    if (ps.desired_streak < config_.hysteresis_epochs) continue;
-    if (epoch_index_ - ps.last_flip_epoch < config_.cooldown_epochs) continue;
-    // Cost gate: smoothed cross-partition load must pay for the move.
+    if (ps.desired_streak < kHysteresisEpochs) continue;
+    if (epoch_index_ - ps.last_flip_epoch < kCooldownEpochs) continue;
+    // Cost gate: smoothed cross-partition load must pay for the move (a
+    // fall back to the baseline moves nothing).
     double benefit = ps.load_ewma * ps.cross_ewma;
     if (desired != 0 &&
-        benefit < config_.cost_gate * FlipCost(static_cast<PartitionId>(p),
-                                               desired)) {
+        benefit < kCostGate * FlipCost(static_cast<PartitionId>(p))) {
       continue;
     }
     StartSwitch(static_cast<PartitionId>(p), desired, now);
@@ -213,7 +222,7 @@ void MetaProtocol::CompleteSwitch(PartitionId pid, SimTime now) {
   ps.switching_to = -1;
   ps.last_flip_epoch = epoch_index_;
   switches_++;
-  metrics_->OnProtocolSwitch(now, pid, child_names_[from], child_names_[to]);
+  metrics_->OnProtocolSwitch(now, pid, kChildNames[from], kChildNames[to]);
 
   if (!parked_.empty()) {
     // Re-enter unblocked transactions through the public Submit gate so
@@ -240,16 +249,11 @@ void MetaProtocol::CompleteSwitch(PartitionId pid, SimTime now) {
 namespace {
 
 std::unique_ptr<Protocol> MakeMeta(const ProtocolContext& ctx) {
-  const MetaConfig& mc = ctx.config.meta;
-  std::vector<std::string> names{mc.baseline, mc.single_master};
-  if (!mc.wan.empty()) names.push_back(mc.wan);
-  std::vector<std::unique_ptr<Protocol>> children;
-  for (const std::string& name : names) {
-    if (name == "meta") return nullptr;  // no self-nesting
-    std::unique_ptr<Protocol> child;
-    Status s = ProtocolRegistry::Global().Create(name, ctx, &child);
+  std::array<std::unique_ptr<Protocol>, MetaProtocol::kNumChildren> children;
+  for (size_t i = 0; i < children.size(); ++i) {
+    Status s = ProtocolRegistry::Global().Create(MetaProtocol::kChildNames[i],
+                                                 ctx, &children[i]);
     if (!s.ok()) return nullptr;
-    children.push_back(std::move(child));
   }
   std::unique_ptr<PredictorInterface> predictor;
   if (ctx.config.predictor.kind != kPredictorOff) {
@@ -261,9 +265,9 @@ std::unique_ptr<Protocol> MakeMeta(const ProtocolContext& ctx) {
     if (!s.ok()) return nullptr;
   }
   return std::make_unique<MetaProtocol>(
-      ctx.cluster, ctx.metrics, mc, ctx.config.lion.planner.plan.cost,
-      ctx.config.lion.geo, std::move(names), std::move(children),
-      std::move(predictor), ctx.config.predictor.horizon);
+      ctx.cluster, ctx.metrics, ctx.config.lion.planner.plan.cost,
+      ctx.config.lion.geo, std::move(children), std::move(predictor),
+      ctx.config.predictor.horizon);
 }
 
 const ProtocolRegistrar kRegisterMeta("meta", ExecutionMode::kBatch,

@@ -4,23 +4,23 @@
 // Lion's thesis is that forecasted per-class load should drive runtime
 // adaptation; STAR shows phase-switching between single-master batching and
 // distributed execution wins when the workload mix shifts. The meta
-// protocol combines both: it owns child protocols built through
-// ProtocolRegistry (a 2PC-style baseline, a STAR-style single-master batch
-// mode, and optionally a WAN candidate such as geo_occ), routes every
-// transaction by the current per-partition assignment, and at every epoch
-// boundary consults the predictor's per-partition forecasts plus the
-// observed cross-partition ratios to decide flips:
+// protocol combines both: it owns two child protocols built through
+// ProtocolRegistry, 2PC as the baseline and Star as the single-master batch
+// mode, routes every transaction by the current per-partition assignment,
+// and at every epoch boundary consults the predictor's per-partition
+// forecasts plus the observed cross-partition ratios to decide flips:
 //
-//   * predicted write-hot AND cross-heavy      -> single-master batching
-//   * cross-heavy in a multi-region topology   -> the WAN candidate
-//   * everything else                          -> the baseline
+//   * predicted write-hot AND cross-heavy      -> Star (single-master)
+//   * everything else                          -> 2PC (the baseline)
 //
 // Each flip is gated by a hysteresis window (the rule must prefer the same
-// target for `meta.hysteresis_epochs` consecutive epochs, and a partition
-// may not flip again within `meta.cooldown_epochs`) and by the migration
-// cost model: the partition's smoothed cross-partition load must reach
-// `meta.cost_gate` x the placement cost of the flip, with cross-region
-// flips priced through the geo placement's wan_migration_multiplier.
+// target for several consecutive epochs, and a partition may not flip again
+// within a cooldown) and by the migration cost model: the partition's
+// smoothed cross-partition load must reach a fixed multiple of the
+// placement cost of the flip, with cross-region flips priced through the
+// geo placement's wan_migration_multiplier. The two thresholds, the
+// smoothing factor, the hysteresis, the cooldown and the cost gate are
+// constants in meta_protocol.cc.
 //
 // Switching is a safe epoch-boundary handoff: the outgoing child's buffered
 // work for the partition is flushed, new arrivals touching the partition
@@ -30,29 +30,31 @@
 // and the flip is recorded in the `protocol_switches` metrics series.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/cost_model.h"
 #include "core/geo_placement.h"
 #include "core/predictor_interface.h"
-#include "protocols/meta_config.h"
 #include "protocols/protocol.h"
 
 namespace lion {
 
 class MetaProtocol : public Protocol {
  public:
-  /// `child_names[i]` labels `children[i]`; index 0 is the baseline, 1 the
-  /// single-master candidate, 2 (when present) the WAN candidate.
+  /// The children, by index: 0 is the baseline every partition starts on,
+  /// 1 the single-master mode write-hot, cross-heavy partitions flip to.
+  static constexpr size_t kNumChildren = 2;
+  static constexpr const char* kChildNames[kNumChildren] = {"2PC", "Star"};
+
+  /// `children[i]` is the protocol registered as kChildNames[i].
   /// `predictor` may be null (decisions then use observed EWMAs only);
   /// `horizon` is the forecast lead in predictor sampling intervals.
-  MetaProtocol(Cluster* cluster, MetricsCollector* metrics, MetaConfig config,
+  MetaProtocol(Cluster* cluster, MetricsCollector* metrics,
                const CostModelConfig& cost, const GeoPlacementConfig& geo,
-               std::vector<std::string> child_names,
-               std::vector<std::unique_ptr<Protocol>> children,
+               std::array<std::unique_ptr<Protocol>, kNumChildren> children,
                std::unique_ptr<PredictorInterface> predictor, int horizon);
   ~MetaProtocol() override;
 
@@ -83,9 +85,6 @@ class MetaProtocol : public Protocol {
   }
 
   // --- introspection (harness, tests) ----------------------------------------
-  size_t num_children() const { return children_.size(); }
-  const std::string& child_name(size_t i) const { return child_names_[i]; }
-  Protocol* child(size_t i) { return children_[i].get(); }
   /// Completed flips (mirrors the metrics series).
   uint64_t switches_completed() const { return switches_; }
   /// Partitions per child under the current assignment.
@@ -118,22 +117,20 @@ class MetaProtocol : public Protocol {
   };
 
   /// The decision rule: which child the current signals favor.
-  int DesiredChild(const PartitionState& ps, double norm_load) const;
-  /// Placement cost of flipping `pid` to `target` (0 toward the baseline;
-  /// wm x the geo migration multiplier otherwise).
-  double FlipCost(PartitionId pid, int target) const;
+  static int DesiredChild(const PartitionState& ps, double norm_load);
+  /// Placement cost of flipping `pid` to the single-master child: wm x the
+  /// geo migration multiplier.
+  double FlipCost(PartitionId pid) const;
   /// Majority vote of the touched partitions' assignments (ties -> lowest
   /// child index).
   int RouteChild(const std::vector<PartitionId>& parts) const;
   void StartSwitch(PartitionId pid, int target, SimTime now);
   void CompleteSwitch(PartitionId pid, SimTime now);
 
-  MetaConfig config_;
   int horizon_;
   GeoPlacement geo_;
   CostModel cost_;
-  std::vector<std::string> child_names_;
-  std::vector<std::unique_ptr<Protocol>> children_;
+  std::array<std::unique_ptr<Protocol>, kNumChildren> children_;
   std::unique_ptr<PredictorInterface> predictor_;
   std::vector<PartitionState> parts_;
   std::deque<ParkedTxn> parked_;

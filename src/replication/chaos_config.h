@@ -46,11 +46,6 @@ struct ChaosConfig {
   /// Base backoff between unavailable retries; attempt k waits k * base
   /// (deterministic — no RNG draw, so chaos cannot perturb seeds).
   SimTime unavailable_backoff = 1 * kMillisecond;
-  /// Run the post-run integrity checker after a run with faults.
-  bool check_integrity = true;
-  /// Record committed write-sets so the integrity checker can verify every
-  /// committed transaction's effects are present on the surviving replicas.
-  bool track_commits = true;
 };
 
 inline bool ChaosActive(const ChaosConfig& cfg) {

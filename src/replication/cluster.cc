@@ -42,17 +42,4 @@ void Cluster::EnableRecovery(const RecoveryConfig& config) {
   replication_->SetRecoveryLog(recovery_log_.get());
 }
 
-NodeId Cluster::LeastLoadedNode() const {
-  NodeId best = 0;
-  double best_load = pools_[0]->Load();
-  for (NodeId n = 1; n < config_.num_nodes; ++n) {
-    double load = pools_[n]->Load();
-    if (load < best_load) {
-      best_load = load;
-      best = n;
-    }
-  }
-  return best;
-}
-
 }  // namespace lion

@@ -58,9 +58,6 @@ class Cluster {
   /// Node hosting the primary replica of `pid`.
   NodeId PrimaryOf(PartitionId pid) const { return router_.PrimaryOf(pid); }
 
-  /// The least-loaded node by instantaneous worker load (queue + busy).
-  NodeId LeastLoadedNode() const;
-
  private:
   Simulator* sim_;
   ClusterConfig config_;

@@ -27,27 +27,25 @@ struct ClusterConfig {
   /// consistency tests (costs memory, benches leave it off).
   bool materialize_secondaries = false;
 
-  // --- CPU cost model (per-node worker time) --------------------------------
+  // --- CPU cost model (per-node worker time; fixed, not configurable) -------
   /// Fixed cost of starting/finishing a transaction on its coordinator.
-  SimTime txn_setup_cost = 5 * kMicrosecond;
+  static constexpr SimTime txn_setup_cost = 5 * kMicrosecond;
   /// Executing one read/write on a local primary.
-  SimTime op_local_cost = 2 * kMicrosecond;
+  static constexpr SimTime op_local_cost = 2 * kMicrosecond;
   /// Serving one remote read/write request (charged at the serving node).
-  SimTime op_service_cost = 2 * kMicrosecond;
+  static constexpr SimTime op_service_cost = 2 * kMicrosecond;
   /// Writing a prepare/commit log record.
-  SimTime log_write_cost = 3 * kMicrosecond;
+  static constexpr SimTime log_write_cost = 3 * kMicrosecond;
   /// OCC validation per accessed record.
-  SimTime validation_cost_per_op = 500;  // ns
+  static constexpr SimTime validation_cost_per_op = 500;  // ns
   /// Handling any control message (charged at the receiving node).
-  SimTime message_handling_cost = 1 * kMicrosecond;
+  static constexpr SimTime message_handling_cost = 1 * kMicrosecond;
 
   // --- remastering / migration ----------------------------------------------
   /// Base remastering duration (paper default 3000 us, swept in Fig. 13b).
   SimTime remaster_base_delay = 3000 * kMicrosecond;
   /// Additional remastering time per lagging log entry.
   SimTime remaster_per_entry = 100;  // ns
-  /// Fixed overhead for starting a partition copy (snapshot setup).
-  SimTime migration_base_delay = 1 * kMillisecond;
 
   // --- network ---------------------------------------------------------------
   NetworkConfig net;

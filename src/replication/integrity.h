@@ -23,8 +23,8 @@ class Cluster;
 class FailureInjector;
 
 /// Records committed write effects: how many committed writes each
-/// (partition, key) pair received. Wired into MetricsCollector's commit
-/// listener by the experiment harness when chaos.track_commits is set.
+/// (partition, key) pair received. The experiment harness wires one into
+/// MetricsCollector's commit listener for every run with a chaos schedule.
 class CommitLedger {
  public:
   explicit CommitLedger(int num_partitions)

@@ -5,6 +5,11 @@
 
 namespace lion {
 
+namespace {
+/// Fixed overhead for starting a partition copy (snapshot setup).
+constexpr SimTime kMigrationBaseDelay = 1 * kMillisecond;
+}  // namespace
+
 MigrationManager::MigrationManager(Simulator* sim, Network* network,
                                    RouterTable* table,
                                    std::vector<PartitionStore*> stores,
@@ -45,7 +50,7 @@ void MigrationManager::AddReplica(PartitionId pid, NodeId target,
   // Background copy: snapshot stream + fixed setup. Writes proceed at the
   // primary meanwhile; the new secondary starts at the snapshot LSN and
   // catches up through normal log shipping.
-  sim_->Schedule(config_.migration_base_delay,
+  sim_->Schedule(kMigrationBaseDelay,
                  [this, pid, src, target, bytes, snapshot_lsn,
                   done = std::move(done)]() mutable {
     network_->Send(src, target, bytes, [this, pid, src, target, snapshot_lsn,
@@ -157,7 +162,7 @@ void MigrationManager::TransferAndPromote(PartitionId pid, NodeId target,
   NodeId src = group->primary();
   migrated_bytes_ += bytes;
 
-  sim_->Schedule(config_.migration_base_delay,
+  sim_->Schedule(kMigrationBaseDelay,
                  [this, pid, src, target, bytes, token,
                   done = std::move(done)]() mutable {
     network_->Send(src, target, bytes, [this, pid, target, token,

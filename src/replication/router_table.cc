@@ -63,14 +63,6 @@ void RouterTable::DecayFrequencies(double keep_fraction) {
   }
 }
 
-double RouterTable::PrimaryLoad(NodeId node) const {
-  double load = 0.0;
-  for (const auto& g : groups_) {
-    if (g.primary() == node) load += freq_[g.partition()];
-  }
-  return load;
-}
-
 std::vector<PartitionId> RouterTable::PrimariesOn(NodeId node) const {
   std::vector<PartitionId> out;
   for (const auto& g : groups_) {

@@ -62,9 +62,6 @@ class RouterTable {
   /// so the frequencies track the recent workload).
   void DecayFrequencies(double keep_fraction);
 
-  /// Sum of frequency-weighted primary load currently mapped to `node`.
-  double PrimaryLoad(NodeId node) const;
-
   /// Partitions whose primary is on `node`.
   std::vector<PartitionId> PrimariesOn(NodeId node) const;
 

@@ -24,8 +24,8 @@ struct NetworkConfig {
   SimTime one_way_latency = 25 * kMicrosecond;
   /// Intra-region link bandwidth in bytes per second (937 Mbit/s ~ 117 MB/s).
   double bandwidth_bytes_per_sec = 117.0 * 1024 * 1024;
-  /// Cost of a loopback (same node) message.
-  SimTime local_latency = 1 * kMicrosecond;
+  /// Cost of a loopback (same node) message (fixed, not configurable).
+  static constexpr SimTime local_latency = 1 * kMicrosecond;
   /// Width of the bytes/messages accounting windows (Fig. 12b series).
   SimTime stats_window = 100 * kMillisecond;
 

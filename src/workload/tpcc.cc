@@ -6,6 +6,17 @@
 
 namespace lion {
 
+namespace {
+// The scaled schema (TPC-C: 10 districts, 3000 customers per district).
+constexpr int kDistrictsPerWarehouse = 10;
+constexpr int kCustomersPerDistrict = 120;
+/// Order lines per NewOrder: uniform in [min, max] (spec: 5..15).
+constexpr int kMinOrderLines = 5;
+constexpr int kMaxOrderLines = 15;
+/// Coordinator-side business logic time per transaction.
+constexpr SimTime kThinkTime = 5 * kMicrosecond;
+}  // namespace
+
 TpccWorkload::TpccWorkload(const ClusterConfig& cluster, const TpccConfig& config)
     : num_nodes_(cluster.num_nodes),
       num_warehouses_(cluster.total_partitions()),
@@ -17,18 +28,17 @@ void TpccWorkload::Load(Cluster* cluster) {
   // front replaces a cascade of doubling rehashes per warehouse with one.
   const uint64_t rows_per_warehouse =
       1 +
-      static_cast<uint64_t>(config_.districts_per_warehouse) *
-          (1 + static_cast<uint64_t>(config_.customers_per_district)) +
+      static_cast<uint64_t>(kDistrictsPerWarehouse) *
+          (1 + static_cast<uint64_t>(kCustomersPerDistrict)) +
       2 * static_cast<uint64_t>(config_.items);
   for (PartitionId w = 0; w < num_warehouses_; ++w) {
     PartitionStore* store = cluster->store(w);
     store->ReserveSparse(rows_per_warehouse);
     store->Insert(MakeKey(kWarehouse, 0), 0);
-    for (int d = 0; d < config_.districts_per_warehouse; ++d) {
+    for (int d = 0; d < kDistrictsPerWarehouse; ++d) {
       store->Insert(MakeKey(kDistrict, d), 1);  // value: next_o_id seed
-      for (int c = 0; c < config_.customers_per_district; ++c) {
-        store->Insert(
-            MakeKey(kCustomer, d * config_.customers_per_district + c), 0);
+      for (int c = 0; c < kCustomersPerDistrict; ++c) {
+        store->Insert(MakeKey(kCustomer, d * kCustomersPerDistrict + c), 0);
       }
     }
     for (int i = 0; i < config_.items; ++i) {
@@ -76,11 +86,11 @@ TxnPtr TpccWorkload::Next(TxnId id, SimTime now, Rng* rng) {
 TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   auto txn = std::make_unique<Transaction>(id, now);
   // Five header ops plus three per order line: one allocation, no regrowth.
-  txn->ops().reserve(5 + 3 * static_cast<size_t>(config_.max_order_lines));
-  txn->set_extra_compute(config_.think_time);
+  txn->ops().reserve(5 + 3 * static_cast<size_t>(kMaxOrderLines));
+  txn->set_extra_compute(kThinkTime);
   PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(config_.districts_per_warehouse));
-  int c = static_cast<int>(rng->Uniform(config_.customers_per_district));
+  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
+  int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
   bool remote = config_.remote_ratio > 0.0 && rng->Bernoulli(config_.remote_ratio);
   PartitionId remote_w = remote ? RemoteWarehouse(w, rng) : w;
 
@@ -99,14 +109,13 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   // classic contention point), customer discount (read).
   add(w, MakeKey(kWarehouse, 0), OpType::kRead);
   add(w, MakeKey(kDistrict, d), OpType::kWrite, id);  // bump next_o_id
-  add(w, MakeKey(kCustomer, d * config_.customers_per_district + c),
-      OpType::kRead);
+  add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c), OpType::kRead);
   // Insert ORDER and NEW-ORDER rows (keys unique per transaction).
   add(w, MakeKey(kOrder, id), OpType::kWrite, id, /*insert=*/true);
   add(w, MakeKey(kNewOrder, id), OpType::kWrite, id, /*insert=*/true);
 
   int lines = static_cast<int>(
-      rng->UniformRange(config_.min_order_lines, config_.max_order_lines));
+      rng->UniformRange(kMinOrderLines, kMaxOrderLines));
   for (int l = 0; l < lines; ++l) {
     uint64_t item = rng->Uniform(config_.items);
     // ITEM is replicated read-only: read it at the home warehouse.
@@ -125,10 +134,10 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
 
 TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
   auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(config_.think_time);
+  txn->set_extra_compute(kThinkTime);
   PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(config_.districts_per_warehouse));
-  int c = static_cast<int>(rng->Uniform(config_.customers_per_district));
+  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
+  int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
   bool remote_cust = config_.remote_payment_ratio > 0.0 &&
                      rng->Bernoulli(config_.remote_payment_ratio);
   PartitionId cust_w = remote_cust ? RemoteWarehouse(w, rng) : w;
@@ -146,7 +155,7 @@ TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
   // Warehouse and district YTD updates, customer balance update, history row.
   add(w, MakeKey(kWarehouse, 0), OpType::kWrite, id);
   add(w, MakeKey(kDistrict, d), OpType::kWrite, id);
-  add(cust_w, MakeKey(kCustomer, d * config_.customers_per_district + c),
+  add(cust_w, MakeKey(kCustomer, d * kCustomersPerDistrict + c),
       OpType::kWrite, id);
   add(w, MakeKey(kHistory, id), OpType::kWrite, id, /*insert=*/true);
   return txn;
@@ -157,7 +166,7 @@ TxnPtr TpccWorkload::DeliveryTxn(TxnId id, SimTime now, Rng* rng) {
   // one warehouse: per district, delete the NEW-ORDER row, update the ORDER
   // row's carrier id, and update the customer balance. Single-warehouse.
   auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(config_.think_time * 2);  // batch of 10 districts
+  txn->set_extra_compute(kThinkTime * 2);  // batch of 10 districts
   PartitionId w = PickWarehouse(rng);
   auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
                     bool insert = false) {
@@ -169,13 +178,13 @@ TxnPtr TpccWorkload::DeliveryTxn(TxnId id, SimTime now, Rng* rng) {
     op.write_value = v;
     txn->ops().push_back(op);
   };
-  for (int d = 0; d < config_.districts_per_warehouse; ++d) {
+  for (int d = 0; d < kDistrictsPerWarehouse; ++d) {
     // The oldest undelivered order id is approximated by the district seed;
     // the NEW-ORDER delete and ORDER update are writes on per-txn keys.
     add(w, MakeKey(kNewOrder, id * 16 + d), OpType::kWrite, 0, /*insert=*/true);
     add(w, MakeKey(kOrder, id * 16 + d), OpType::kWrite, id, /*insert=*/true);
-    int c = static_cast<int>(rng->Uniform(config_.customers_per_district));
-    add(w, MakeKey(kCustomer, d * config_.customers_per_district + c),
+    int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
+    add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c),
         OpType::kWrite, id);
   }
   return txn;
@@ -184,10 +193,10 @@ TxnPtr TpccWorkload::DeliveryTxn(TxnId id, SimTime now, Rng* rng) {
 TxnPtr TpccWorkload::OrderStatusTxn(TxnId id, SimTime now, Rng* rng) {
   // Read-only: customer row plus their most recent order and its lines.
   auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(config_.think_time);
+  txn->set_extra_compute(kThinkTime);
   PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(config_.districts_per_warehouse));
-  int c = static_cast<int>(rng->Uniform(config_.customers_per_district));
+  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
+  int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
   auto add = [&txn](PartitionId pid, Key key) {
     Operation op;
     op.partition = pid;
@@ -195,7 +204,7 @@ TxnPtr TpccWorkload::OrderStatusTxn(TxnId id, SimTime now, Rng* rng) {
     op.type = OpType::kRead;
     txn->ops().push_back(op);
   };
-  add(w, MakeKey(kCustomer, d * config_.customers_per_district + c));
+  add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c));
   add(w, MakeKey(kOrder, id));  // last order (approximated key)
   for (int l = 0; l < 5; ++l) add(w, MakeKey(kOrderLine, id * 16 + l));
   return txn;
@@ -205,9 +214,9 @@ TxnPtr TpccWorkload::StockLevelTxn(TxnId id, SimTime now, Rng* rng) {
   // Read-only: district next_o_id, then the stock rows of the items in the
   // last 20 orders, counting those below a threshold.
   auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(config_.think_time * 2);
+  txn->set_extra_compute(kThinkTime * 2);
   PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(config_.districts_per_warehouse));
+  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
   auto add = [&txn](PartitionId pid, Key key) {
     Operation op;
     op.partition = pid;

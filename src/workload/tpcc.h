@@ -7,12 +7,7 @@
 namespace lion {
 
 struct TpccConfig {
-  int districts_per_warehouse = 10;
-  int customers_per_district = 120;  // scaled from 3000
-  int items = 1000;                  // scaled from 100000
-  /// Order lines per NewOrder: uniform in [min, max] (spec: 5..15).
-  int min_order_lines = 5;
-  int max_order_lines = 15;
+  int items = 1000;  // scaled from 100000
   /// Fraction of NewOrder transactions that buy from a remote warehouse
   /// ("the same customer makes purchases from different warehouses over
   /// time", Sec. VI-A1). Plays the role of the cross-partition ratio.
@@ -29,8 +24,6 @@ struct TpccConfig {
   /// Fraction of transactions targeting the hot node's warehouses.
   double skew_factor = 0.0;
   NodeId hot_node = 0;
-  /// Coordinator-side business logic time per transaction.
-  SimTime think_time = 5 * kMicrosecond;
 };
 
 /// TPC-C with one warehouse per partition. The nine relations are encoded

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/move_fn.h"
@@ -101,21 +102,6 @@ TEST(RngTest, BernoulliExtremes) {
     EXPECT_FALSE(rng.Bernoulli(0.0));
     EXPECT_TRUE(rng.Bernoulli(1.0));
   }
-}
-
-TEST(RngTest, WeightedIndexRespectsWeights) {
-  Rng rng(5);
-  std::vector<double> weights = {1.0, 0.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 20000; ++i) counts[rng.WeightedIndex(weights)]++;
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[0], 3.0, 0.4);
-}
-
-TEST(RngTest, WeightedIndexAllZeroReturnsZero) {
-  Rng rng(5);
-  std::vector<double> weights = {0.0, 0.0};
-  EXPECT_EQ(rng.WeightedIndex(weights), 0u);
 }
 
 // --- Zipfian ----------------------------------------------------------------

@@ -52,14 +52,12 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.cluster.records_per_partition = 123456789;
   cfg.cluster.epoch_interval = 12500 * kMicrosecond;  // 12.5 ms
   cfg.cluster.materialize_secondaries = true;
-  cfg.cluster.validation_cost_per_op = 733;  // ns
   cfg.cluster.net.bandwidth_bytes_per_sec = 1.5e9;
   cfg.cluster.net.one_way_latency = 37 * kMicrosecond;
   cfg.ycsb.cross_pattern = CrossPattern::kRandomNode;
   cfg.ycsb.cross_ratio = 0.35;
   cfg.ycsb.zipf_theta = 0.99;
   cfg.tpcc.payment_ratio = 0.43;
-  cfg.tpcc.think_time = 11 * kMicrosecond;
   cfg.dynamic_period = 2500 * kMillisecond;
   cfg.concurrency = 77;
   cfg.warmup = 300 * kMillisecond;
@@ -69,7 +67,6 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.lion.enable_planner = false;
   cfg.lion.max_batch_size = 2048;
   cfg.lion.planner.interval = 125 * kMillisecond;
-  cfg.lion.planner.frequency_decay = 0.75;
   cfg.lion.planner.clump.alpha = 2.25;
   cfg.lion.planner.plan.cost.wm = 12.5;
   cfg.lion.planner.plan.cost.remote_access = 6.5;
@@ -122,9 +119,9 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
   EXPECT_NE(s.message().find("unknown field"), std::string::npos);
 
   // Deleted knobs: the second copy of the cost weights, the three Lion
-  // knobs that the registry variant overwrote, and the LSTM dimensions
-  // (fixed at 1). Each is rejected as a flag and as a config key, at its
-  // first unknown segment.
+  // knobs that the registry variant overwrote, the LSTM dimensions (fixed
+  // at 1), the meta group, and fields that became constants. Each is
+  // rejected as a flag and as a config key, at its first unknown segment.
   const std::pair<std::string, std::string> deleted[] = {
       {"lion.cost.wr", "lion.cost"},
       {"lion.cost.wm", "lion.cost"},
@@ -134,6 +131,9 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
       {"lion.group_commit", "lion.group_commit"},
       {"predictor.lstm.input_dim", "predictor.lstm.input_dim"},
       {"predictor.lstm.output_dim", "predictor.lstm.output_dim"},
+      {"meta.baseline", "meta"},
+      {"cluster.op_local_cost_us", "cluster.op_local_cost_us"},
+      {"chaos.track_commits", "chaos.track_commits"},
   };
   for (const auto& [path, reported] : deleted) {
     ExperimentConfig flag_cfg;

@@ -173,31 +173,6 @@ TEST(HarnessTest, SeedChangesRun) {
   EXPECT_NE(a.committed, b.committed);
 }
 
-TEST(HarnessTest, WindowCallbacksFireLive) {
-  ExperimentConfig cfg = BaseConfig();
-  cfg.protocol = "2PC";
-  std::vector<WindowStats> seen;
-  ExperimentResult res;
-  Status status = ExperimentBuilder(cfg)
-                      .OnWindow([&seen](const WindowStats& w) {
-                        seen.push_back(w);
-                      })
-                      .Run(&res);
-  ASSERT_TRUE(status.ok()) << status.ToString();
-  // 1.5 s at 100 ms windows: every closed window reported, in order.
-  ASSERT_GE(seen.size(), 10u);
-  for (size_t i = 0; i < seen.size(); ++i) {
-    EXPECT_EQ(seen[i].index, i);
-    EXPECT_EQ(seen[i].end_time,
-              static_cast<SimTime>(i + 1) * res.window);
-  }
-  // The live per-window series matches the post-run result series.
-  for (size_t i = 0; i < seen.size() && i < res.window_throughput.size();
-       ++i) {
-    EXPECT_DOUBLE_EQ(seen[i].throughput, res.window_throughput[i]) << i;
-  }
-}
-
 TEST(HarnessTest, ResultJsonContainsHeadlineFields) {
   ExperimentConfig cfg = BaseConfig();
   cfg.protocol = "2PC";

@@ -1,8 +1,8 @@
 // Meta-protocol tests: fixed-seed determinism of the merged result JSON,
 // adaptive flipping on drifting workloads, safe handoff (no stranded
-// partitions, no parked stragglers), meta-off emission parity, child-name
-// validation, and the seasonal-naive predictor (per-class rule and the
-// per-partition forecast path the meta protocol consumes).
+// partitions, no parked stragglers), meta-off emission parity, and the
+// seasonal-naive predictor (per-class rule and the per-partition forecast
+// path the meta protocol consumes).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -98,18 +98,6 @@ TEST(MetaExperimentTest, MetaOffEmitsNoMetaFields) {
   std::string json = res.ToJson().Dump();
   EXPECT_EQ(json.find("\"meta\""), std::string::npos);
   EXPECT_EQ(json.find("protocol_switches"), std::string::npos);
-}
-
-TEST(MetaExperimentTest, ValidateRejectsUnknownChild) {
-  ExperimentBuilder builder = MetaBuilder();
-  builder.config().meta.single_master = "NoSuchProtocol";
-  EXPECT_FALSE(builder.Validate().ok());
-}
-
-TEST(MetaExperimentTest, ValidateRejectsSelfNesting) {
-  ExperimentBuilder builder = MetaBuilder();
-  builder.config().meta.wan = "meta";
-  EXPECT_FALSE(builder.Validate().ok());
 }
 
 TEST(MetaExperimentTest, PredictorOffStillAdapts) {

@@ -2,6 +2,8 @@
 // remastering, and migration.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "replication/cluster.h"
 #include "replication/failure_injector.h"
 #include "replication/replica_group.h"
@@ -127,14 +129,10 @@ TEST(RouterTableTest, DecayScalesCounts) {
   EXPECT_DOUBLE_EQ(table.RawFrequency(0), 4.0);
 }
 
-TEST(RouterTableTest, PrimaryLoadSumsFrequencies) {
+TEST(RouterTableTest, PrimariesOnListsANodesPrimaries) {
   RouterTable table(2, 4);  // primaries: 0->0, 1->1, 2->0, 3->1
-  table.RecordAccess(0, 3.0);
-  table.RecordAccess(2, 4.0);
-  table.RecordAccess(1, 1.0);
-  EXPECT_DOUBLE_EQ(table.PrimaryLoad(0), 7.0);
-  EXPECT_DOUBLE_EQ(table.PrimaryLoad(1), 1.0);
-  EXPECT_EQ(table.PrimariesOn(0).size(), 2u);
+  EXPECT_EQ(table.PrimariesOn(0), (std::vector<PartitionId>{0, 2}));
+  EXPECT_EQ(table.PrimariesOn(1), (std::vector<PartitionId>{1, 3}));
 }
 
 TEST(RouterTableTest, MostPrimariesNode) {
@@ -533,14 +531,6 @@ TEST(ClusterTest, TopologyMatchesConfig) {
     EXPECT_EQ(cluster.store(p)->id(), p);
     EXPECT_EQ(cluster.PrimaryOf(p), p % 3);
   }
-}
-
-TEST(ClusterTest, LeastLoadedNodePrefersIdle) {
-  Simulator sim;
-  Cluster cluster(&sim, SmallConfig());
-  cluster.pool(0)->Submit(TaskPriority::kNew, 1000, []() {});
-  cluster.pool(1)->Submit(TaskPriority::kNew, 1000, []() {});
-  EXPECT_EQ(cluster.LeastLoadedNode(), 2);
 }
 
 }  // namespace
