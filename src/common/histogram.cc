@@ -10,8 +10,7 @@ Histogram::Histogram()
     : buckets_(kNumBuckets, 0),
       count_(0),
       min_(std::numeric_limits<int64_t>::max()),
-      max_(std::numeric_limits<int64_t>::min()),
-      sum_(0.0) {}
+      max_(std::numeric_limits<int64_t>::min()) {}
 
 int64_t Histogram::BucketLow(size_t index) {
   if (index < kSubBuckets) return static_cast<int64_t>(index);
@@ -19,14 +18,6 @@ int64_t Histogram::BucketLow(size_t index) {
   size_t offset = index % kSubBuckets;
   uint64_t base = 1ULL << msb;
   return static_cast<int64_t>(base + (offset << (msb - 4)));
-}
-
-void Histogram::Merge(const Histogram& other) {
-  for (size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += other.buckets_[i];
-  count_ += other.count_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-  sum_ += other.sum_;
 }
 
 int64_t Histogram::Percentile(double q) const {
@@ -44,16 +35,11 @@ int64_t Histogram::Percentile(double q) const {
   return max_;
 }
 
-double Histogram::Mean() const {
-  return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_);
-}
-
 void Histogram::Reset() {
   std::fill(buckets_.begin(), buckets_.end(), 0);
   count_ = 0;
   min_ = std::numeric_limits<int64_t>::max();
   max_ = std::numeric_limits<int64_t>::min();
-  sum_ = 0.0;
 }
 
 }  // namespace lion

@@ -12,8 +12,10 @@ namespace lion {
 
 /// Log-bucketed histogram for latency-like quantities (nanoseconds).
 ///
-/// Buckets grow geometrically (~4% relative error), so percentile queries are
-/// cheap and memory use is constant regardless of sample count.
+/// Buckets grow geometrically: 16 per power of two. A percentile reports its
+/// bucket's lower bound, which lies up to 6.25% (1/16) below the sample it
+/// stands for. Percentile queries are cheap and memory use is constant
+/// regardless of sample count.
 ///
 /// Record() runs once per transaction (latency, phase breakdowns), so the
 /// whole per-sample path is inline and O(1): bucket selection is a single
@@ -30,18 +32,13 @@ class Histogram {
     count_++;
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
-    sum_ += static_cast<double>(value);
   }
-
-  /// Merges another histogram into this one.
-  void Merge(const Histogram& other);
 
   /// Returns the value at quantile q in [0, 1]; 0 if empty.
   int64_t Percentile(double q) const;
 
   int64_t Min() const { return count_ == 0 ? 0 : min_; }
   int64_t Max() const { return count_ == 0 ? 0 : max_; }
-  double Mean() const;
   uint64_t Count() const { return count_; }
 
   void Reset();
@@ -67,7 +64,6 @@ class Histogram {
   uint64_t count_;
   int64_t min_;
   int64_t max_;
-  double sum_;
 };
 
 }  // namespace lion

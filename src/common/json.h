@@ -62,8 +62,6 @@ class Json {
 
   /// String payload; valid only when is_string().
   const std::string& str() const { return scalar_; }
-  /// Source (or emitted) lexeme; valid only when is_number().
-  const std::string& number_lexeme() const { return scalar_; }
 
   // --- containers ------------------------------------------------------------
   const std::vector<Json>& items() const { return items_; }

@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace lion {
 
@@ -41,41 +40,6 @@ bool Rng::Bernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-double ZipfianGenerator::Zeta(uint64_t n, double theta) {
-  double sum = 0.0;
-  for (uint64_t i = 1; i <= n; ++i) {
-    sum += 1.0 / std::pow(static_cast<double>(i), theta);
-  }
-  return sum;
-}
-
-ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta)
-    : n_(n), theta_(theta) {
-  assert(n > 0);
-  if (theta_ <= 0.0) {
-    // Uniform fallback; the remaining members are unused.
-    alpha_ = zetan_ = eta_ = zeta2theta_ = 0.0;
-    return;
-  }
-  alpha_ = 1.0 / (1.0 - theta_);
-  zetan_ = Zeta(n_, theta_);
-  zeta2theta_ = Zeta(2, theta_);
-  eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-         (1.0 - zeta2theta_ / zetan_);
-}
-
-uint64_t ZipfianGenerator::Next(Rng* rng) {
-  if (theta_ <= 0.0) {
-    return rng->Uniform(n_);
-  }
-  double u = rng->NextDouble();
-  double uz = u * zetan_;
-  if (uz < 1.0) return 0;
-  if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
-  return static_cast<uint64_t>(
-      static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
 }
 
 }  // namespace lion

@@ -42,30 +42,4 @@ class Rng {
   uint64_t inc_;
 };
 
-/// Zipfian distribution over [0, n) with parameter theta, using the
-/// Gray et al. rejection-free method popularized by YCSB.
-///
-/// theta = 0 degenerates to uniform; theta -> 1 concentrates mass on low
-/// indices. The generator precomputes zeta(n, theta) once per (n, theta).
-class ZipfianGenerator {
- public:
-  ZipfianGenerator(uint64_t n, double theta);
-
-  /// Draws the next zipfian-distributed index in [0, n).
-  uint64_t Next(Rng* rng);
-
-  uint64_t n() const { return n_; }
-  double theta() const { return theta_; }
-
- private:
-  static double Zeta(uint64_t n, double theta);
-
-  uint64_t n_;
-  double theta_;
-  double alpha_;
-  double zetan_;
-  double eta_;
-  double zeta2theta_;
-};
-
 }  // namespace lion

@@ -5,14 +5,12 @@ namespace lion {
 void Adaptor::Apply(const PlanEntry& entry) {
   switch (entry.action) {
     case PlanAction::kAddReplica: {
-      adds_started_++;
       cluster_->migration().AddReplica(entry.pid, node_, [this](bool ok) {
         if (ok) adds_completed_++;
       });
       break;
     }
     case PlanAction::kRemaster: {
-      remasters_started_++;
       cluster_->remaster().Remaster(entry.pid, node_, [](bool) {});
       break;
     }

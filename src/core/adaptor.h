@@ -22,17 +22,13 @@ class Adaptor {
   /// Applies one plan entry addressed to this node.
   void Apply(const PlanEntry& entry);
 
-  uint64_t adds_started() const { return adds_started_; }
   uint64_t adds_completed() const { return adds_completed_; }
-  uint64_t remasters_started() const { return remasters_started_; }
   uint64_t moves_started() const { return moves_started_; }
 
  private:
   Cluster* cluster_;
   NodeId node_;
-  uint64_t adds_started_ = 0;
   uint64_t adds_completed_ = 0;
-  uint64_t remasters_started_ = 0;
   uint64_t moves_started_ = 0;
 };
 

@@ -6,15 +6,28 @@
 
 namespace lion {
 
+namespace {
+/// Edge-weight threshold α: neighbors whose effective co-access weight
+/// exceeds it join the seed's clump.
+constexpr double kAlpha = 1.0;
+/// Multiplier applied to edges whose endpoints' primaries currently live on
+/// different nodes (the paper's e_c > e_s priority: cross-node edges matter
+/// more because they generate distributed transactions).
+constexpr double kCrossNodeMultiplier = 4.0;
+/// Relative noise filter: edges whose *raw* weight is at most this share of
+/// the mean raw edge weight are ignored, so incidental co-access (e.g.
+/// occasional random remote accesses) never glues unrelated partitions into
+/// one giant clump, while genuinely co-accessed pairs stay clustered whether
+/// or not they are already co-located (placement stability).
+constexpr double kAlphaRelative = 0.5;
+}  // namespace
+
 std::vector<Clump> ClumpGenerator::Generate(const HeatGraph& graph,
                                             const RouterTable& table) const {
   std::vector<Clump> clumps;
   std::unordered_set<PartitionId> used;
   std::vector<PartitionId> by_heat = graph.VerticesByHeat();
-  double threshold = options_.alpha;
-  double raw_floor = options_.alpha_relative > 0.0
-                         ? options_.alpha_relative * graph.MeanEdgeWeight()
-                         : 0.0;
+  double raw_floor = kAlphaRelative * graph.MeanEdgeWeight();
 
   for (PartitionId seed : by_heat) {
     if (used.count(seed)) continue;
@@ -38,9 +51,9 @@ std::vector<Clump> ClumpGenerator::Generate(const HeatGraph& graph,
         // requires a distributed transaction.
         double eff = raw_w;
         if (table.PrimaryOf(v) != table.PrimaryOf(nbr)) {
-          eff *= options_.cross_node_multiplier;
+          eff *= kCrossNodeMultiplier;
         }
-        if (eff > threshold) {
+        if (eff > kAlpha) {
           used.insert(nbr);
           frontier.push_back(nbr);
         }

@@ -16,37 +16,16 @@ struct Clump {
   NodeId dst = kInvalidNode;      // c.n — destination chosen by Algorithm 1
 };
 
-struct ClumpOptions {
-  /// Edge-weight threshold α: neighbors whose effective co-access weight
-  /// exceeds it join the seed's clump.
-  double alpha = 1.0;
-  /// Multiplier applied to edges whose endpoints' primaries currently live
-  /// on different nodes (the paper's e_c > e_s priority: cross-node edges
-  /// matter more because they generate distributed transactions).
-  double cross_node_multiplier = 4.0;
-  /// Relative noise filter: edges whose *raw* weight is below
-  /// alpha_relative * mean raw edge weight are ignored, so incidental
-  /// co-access (e.g. occasional random remote accesses) never glues
-  /// unrelated partitions into one giant clump — while genuinely co-accessed
-  /// pairs stay clustered whether or not they are already co-located
-  /// (placement stability). 0 disables the filter.
-  double alpha_relative = 0.5;
-};
-
 /// Expands clumps from the hottest unused vertex over edges whose effective
-/// weight exceeds α, until all vertices are assigned. Partitions with weak
-/// or independent access become singleton clumps.
+/// weight exceeds the threshold α, until all vertices are assigned.
+/// Partitions with weak or independent access become singleton clumps. The
+/// thresholds are constants in clump.cc: α = 1, cross-node edges weigh 4x,
+/// and edges whose raw weight is at most half the mean raw edge weight are
+/// ignored.
 class ClumpGenerator {
  public:
-  explicit ClumpGenerator(ClumpOptions options) : options_(options) {}
-
   std::vector<Clump> Generate(const HeatGraph& graph,
                               const RouterTable& table) const;
-
-  const ClumpOptions& options() const { return options_; }
-
- private:
-  ClumpOptions options_;
 };
 
 }  // namespace lion

@@ -10,8 +10,8 @@
 namespace lion {
 
 struct CostModelConfig {
-  /// w_r: cost weight of remastering an existing secondary.
-  double wr = 1.0;
+  /// w_r: cost weight of remastering an existing secondary (fixed).
+  static constexpr double wr = 1.0;
   /// w_m: cost weight of migrating (copying) a missing replica. Migration
   /// moves the full partition, so it dominates remastering.
   double wm = 10.0;

@@ -36,7 +36,6 @@ class HeatGraph {
   size_t num_vertices() const { return vertices_.size(); }
   size_t num_edges() const { return edge_count_; }
   double total_vertex_weight() const { return total_vertex_weight_; }
-  double total_edge_weight() const { return total_edge_weight_; }
 
   /// Mean weight over existing edges (0 if the graph has no edges).
   double MeanEdgeWeight() const {

@@ -7,6 +7,11 @@
 
 namespace lion {
 
+namespace {
+/// Batch mode flushes a batch early when it reaches this many transactions.
+constexpr size_t kMaxBatchSize = 10000;
+}  // namespace
+
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {
@@ -43,14 +48,11 @@ LionProtocol::LionProtocol(Cluster* cluster, MetricsCollector* metrics,
       router_(cluster, options.planner.plan.cost),
       cost_model_(options.planner.plan.cost),
       predictor_(std::move(predictor)),
+      planner_(cluster, options_.planner, predictor_.get()),
       current_batch_(std::make_shared<Batch>()) {
-  if (options_.enable_planner) {
-    planner_ = std::make_unique<Planner>(cluster, options_.planner,
-                                         predictor_.get());
-  }
   geo_placement_ = GeoPlacement(options_.geo, &cluster->topology());
   cost_model_.SetGeoPlacement(&geo_placement_);
-  if (planner_ != nullptr) planner_->SetGeoPlacement(&geo_placement_);
+  planner_.SetGeoPlacement(&geo_placement_);
 }
 
 void LionProtocol::Start() {
@@ -58,13 +60,13 @@ void LionProtocol::Start() {
   // constraint before any traffic (no-op when unconfigured).
   geo_placement_.EnsureRegionalReplicas(&cluster_->router(),
                                         cluster_->config().max_replicas);
-  if (planner_ != nullptr) planner_->Start();
+  planner_.Start();
   if (options_.batch_mode) StartEpochTimer();
 }
 
 void LionProtocol::Stop() {
   Protocol::Stop();
-  if (planner_ != nullptr) planner_->Stop();
+  planner_.Stop();
   if (options_.batch_mode) FlushBatch();
 }
 
@@ -76,7 +78,7 @@ void LionProtocol::OnEpoch(SimTime now) {
 void LionProtocol::SubmitTxn(TxnPtr txn, TxnDoneFn done) {
   txn->PartitionsInto(&parts_);
   for (PartitionId p : parts_) cluster_->router().RecordAccess(p);
-  if (planner_ != nullptr) planner_->RecordTxn(parts_, cluster_->sim()->Now());
+  planner_.RecordTxn(parts_, cluster_->sim()->Now());
 
   if (options_.batch_mode) {
     SubmitBatch(std::move(txn), std::move(done));
@@ -103,7 +105,7 @@ void LionProtocol::Execute(const std::vector<PartitionId>& parts, NodeId dst,
   Transaction* raw = txn.get();
   raw->set_exec_class(cls);
   TwoPhaseEngine::Options opts;
-  opts.group_commit_visibility = options_.group_commit;
+  opts.group_commit_visibility = options_.batch_mode;
   engine_.Run(raw, parts, dst, opts,
               CommitOrRetry(std::move(txn), std::move(done)));
 }
@@ -211,7 +213,7 @@ void LionProtocol::SubmitBatch(TxnPtr txn, TxnDoneFn done) {
     }
   }
 
-  if (batch->entries.size() >= options_.max_batch_size) FlushBatch();
+  if (batch->entries.size() >= kMaxBatchSize) FlushBatch();
 
   // After Stop() the epoch timer no longer flushes; a retry resubmitted
   // here (RetryAfterBackoff re-enters Submit) would otherwise sit in the
@@ -273,7 +275,6 @@ std::unique_ptr<Protocol> MakeLionVariant(const ProtocolContext& ctx,
   LionOptions opts = ctx.config.lion;
   opts.planner.strategy = strategy;
   opts.batch_mode = batch;
-  opts.group_commit = batch;
   std::unique_ptr<PredictorInterface> predictor;
   if (predict && ctx.config.predictor.kind != kPredictorOff) {
     // The seed offset keeps the predictor's RNG stream disjoint from the

@@ -16,20 +16,15 @@ namespace lion {
 
 /// Configuration of a Lion instance. The ablation variants of Table II
 /// (Lion(R), Lion(RW), Lion(RB), Lion, ...) are registry names: the factory
-/// sets `planner.strategy`, `batch_mode` and `group_commit` from the name,
-/// so the config schema does not expose those three.
+/// sets `planner.strategy` and `batch_mode` from the name, so the config
+/// schema does not expose those two.
 struct LionOptions {
-  /// Adaptive replica rearrangement via the planner (Sec. IV-A/B).
-  bool enable_planner = true;
-  /// Batch execution with asynchronous remastering (Sec. IV-D).
-  bool batch_mode = false;
-  /// Hold commit acknowledgements to the epoch boundary (group-commit
-  /// *visibility*). Batch mode reports epoch-aligned completion times; in
+  /// Batch execution with asynchronous remastering (Sec. IV-D). It also
+  /// holds commit acknowledgements to the epoch boundary (group-commit
+  /// visibility), so batch mode reports epoch-aligned completion times; in
   /// standard mode the worker releases at local commit and replication
-  /// stays asynchronous (Sec. V), so this defaults off.
-  bool group_commit = false;
-  /// Flush a batch early when it reaches this many transactions.
-  size_t max_batch_size = 10000;
+  /// stays asynchronous (Sec. V).
+  bool batch_mode = false;
   /// Planning loop; its `plan.cost` holds the Eq. 3/4 weights that the
   /// router and the remaster check read too.
   PlannerConfig planner;
@@ -41,7 +36,8 @@ struct LionOptions {
 /// all requisite replicas: directly if they are primaries, after remastering
 /// if some are secondaries, and as a regular 2PC distributed transaction
 /// otherwise (Sec. III). The planner adapts replica placement in the
-/// background; the router sends transactions wherever execution is cheapest.
+/// background (Sec. IV-A/B); the router sends transactions wherever
+/// execution is cheapest.
 class LionProtocol : public Protocol {
  public:
   /// `predictor` may be null (no workload prediction). The protocol owns
@@ -66,7 +62,7 @@ class LionProtocol : public Protocol {
   /// failover elections and crash re-provisioning respect them.
   const GeoPlacement* geo_placement() const override { return &geo_placement_; }
 
-  Planner* planner() { return planner_.get(); }
+  Planner* planner() { return &planner_; }
   PredictorInterface* predictor() { return predictor_.get(); }
   const TxnRouter& router() const { return router_; }
 
@@ -111,7 +107,7 @@ class LionProtocol : public Protocol {
   CostModel cost_model_;
   GeoPlacement geo_placement_;
   std::unique_ptr<PredictorInterface> predictor_;
-  std::unique_ptr<Planner> planner_;
+  Planner planner_;
 
   // The submitted transaction's partitions, computed once in SubmitTxn and
   // read by SubmitStandard/SubmitBatch; reused across submissions.

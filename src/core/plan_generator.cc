@@ -5,6 +5,11 @@
 
 namespace lion {
 
+namespace {
+/// A: number of fine-tuning moves between FindOINodes re-derivations.
+constexpr int kStepBudget = 8;
+}  // namespace
+
 NodeId PlanGenerator::FindDstNode(const Clump& clump, const RouterTable& table,
                                   const std::vector<double>& balance,
                                   std::vector<double>* costs_out) const {
@@ -64,7 +69,7 @@ ReconfigurationPlan PlanGenerator::Rearrange(std::vector<Clump> clumps,
   double avg = load_sum / num_nodes;
   bool is_done = false;
   while (!CheckBalance(avg, balance) && !is_done) {
-    int step = config_.step_budget;
+    int step = kStepBudget;
 
     // FindOINodes: overloaded (above θ) and idle (below average) nodes.
     double theta = avg * (1.0 + config_.epsilon);
@@ -136,7 +141,7 @@ ReconfigurationPlan PlanGenerator::Rearrange(std::vector<Clump> clumps,
         step--;
       }
     }
-    if (step == config_.step_budget) is_done = true;  // no progress (line 24)
+    if (step == kStepBudget) is_done = true;  // no progress (line 24)
   }
 
   plan.assignments = std::move(clumps);

@@ -13,10 +13,9 @@
 namespace lion {
 
 struct PlanGeneratorConfig {
-  /// ε: permissible load imbalance; θ = avg * (1 + ε) caps per-node load.
-  double epsilon = 0.25;
-  /// A: number of fine-tuning moves between FindOINodes re-derivations.
-  int step_budget = 8;
+  /// ε: permissible load imbalance; θ = avg * (1 + ε) caps per-node load
+  /// (fixed; the Schism partitioner caps its nodes with it too).
+  static constexpr double epsilon = 0.25;
   CostModelConfig cost;
 };
 

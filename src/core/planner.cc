@@ -10,6 +10,8 @@ namespace lion {
 namespace {
 /// Per-round exponential decay of the partition access frequencies.
 constexpr double kFrequencyDecay = 0.5;
+/// B: how many recent transactions the analyzer keeps.
+constexpr size_t kHistoryCapacity = 20000;
 }  // namespace
 
 Planner::Planner(Cluster* cluster, PlannerConfig config,
@@ -17,10 +19,8 @@ Planner::Planner(Cluster* cluster, PlannerConfig config,
     : cluster_(cluster),
       config_(config),
       predictor_(predictor),
-      clump_generator_(config.clump),
       plan_generator_(config.plan),
-      schism_(config.plan.epsilon),
-      history_(config.history_capacity),
+      history_(kHistoryCapacity),
       tick_timer_(cluster->sim(), [this](SimTime) { RunOnce(); }) {
   for (NodeId n = 0; n < cluster_->num_nodes(); ++n) {
     adaptors_.push_back(std::make_unique<Adaptor>(cluster_, n));

@@ -30,11 +30,8 @@ struct PlannerConfig {
   PartitioningStrategy strategy = PartitioningStrategy::kReplicaRearrangement;
   /// How often the planner analyzes the workload and re-plans.
   SimTime interval = 500 * kMillisecond;
-  /// B: how many recent transactions the analyzer keeps.
-  size_t history_capacity = 20000;
   /// Minimum history before a planning round does anything.
   size_t min_history = 64;
-  ClumpOptions clump;
   PlanGeneratorConfig plan;
 };
 

@@ -17,22 +17,12 @@ struct PredictorConfig {
   std::string kind = "lstm";
   /// Sampling interval i of the arrival-rate history (Eq. 5).
   SimTime sample_interval = 100 * kMillisecond;
-  /// Cap on tracked templates (hottest retained).
-  size_t max_templates = 512;
-  /// β: cosine-distance threshold below which templates merge into one
-  /// workload class (similarity >= 1 - β).
-  double beta = 0.15;
-  /// Length of the arrival-rate window kept per class.
-  size_t class_window = 64;
   /// LSTM input length (paper: preceding ten periods).
   int history_window = 10;
   /// h of Eq. 6: forecast horizon in sampling intervals.
   int horizon = 3;
   /// γ: workload-variation threshold that triggers pre-replication.
   double gamma = 0.10;
-  /// w_p: weight coefficient of predicted workloads in the heat graph
-  /// (0 disables the prediction mechanism's influence).
-  double wp = 1.0;
   /// Scale from forecast arrival rate (txns/interval) to graph weight.
   double prediction_scale = 1.0;
   /// Training epochs per planning round (Sec. IV-C: a class model retrains
@@ -41,7 +31,7 @@ struct PredictorConfig {
   /// Season length m (in sampling intervals) of the seasonal-naive baseline
   /// predictor: ŷ(T+h) = y(T+h−m).
   int seasonal_period = 10;
-  LstmConfig lstm;  // defaults: 2 layers x 20 hidden, matching the paper
+  LstmConfig lstm;  // 2 layers x 20 hidden by default, matching the paper
 };
 
 }  // namespace lion

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "core/plan_generator.h"
+
 namespace lion {
 
 std::vector<Clump> SchismPartitioner::Partition(const HeatGraph& graph,
@@ -12,7 +14,7 @@ std::vector<Clump> SchismPartitioner::Partition(const HeatGraph& graph,
   // Schism balances data volume; partitions are equal-sized here, so the
   // per-node capacity is a partition count.
   double cap = static_cast<double>(table.num_partitions()) / std::max(1, n) *
-               (1.0 + epsilon_);
+               (1.0 + PlanGeneratorConfig::epsilon);
 
   std::unordered_map<PartitionId, NodeId> assign;
   std::vector<int> count(n, 0);

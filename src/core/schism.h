@@ -17,17 +17,13 @@ namespace lion {
 /// Sec. VI-B).
 class SchismPartitioner {
  public:
-  explicit SchismPartitioner(double epsilon = 0.25) : epsilon_(epsilon) {}
-
   /// Assigns every vertex of `graph` to a node: greedy heaviest-first
-  /// placement maximizing co-access affinity under a per-node weight cap,
+  /// placement maximizing co-access affinity under a per-node cap of
+  /// (1 + ε) times the mean partition count (ε = PlanGeneratorConfig's),
   /// followed by a Kernighan-Lin-style refinement pass that relocates
   /// vertices whose cut gain is positive. Returns one clump per node.
   std::vector<Clump> Partition(const HeatGraph& graph,
                                const RouterTable& table) const;
-
- private:
-  double epsilon_;
 };
 
 }  // namespace lion

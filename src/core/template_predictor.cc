@@ -10,6 +10,15 @@ namespace lion {
 namespace {
 /// Reservoir sample size: templates drawn per rising workload class.
 constexpr size_t kSampleSize = 8;
+/// Cap on tracked templates (the first ones seen are kept).
+constexpr size_t kMaxTemplates = 512;
+/// β: cosine-distance threshold below which templates merge into one
+/// workload class (similarity >= 1 - β).
+constexpr double kBeta = 0.15;
+/// Length of the arrival-rate window kept per class.
+constexpr size_t kClassWindow = 64;
+/// w_p: weight coefficient of predicted workloads in the heat graph.
+constexpr double kWp = 1.0;
 }  // namespace
 
 TemplateClassPredictor::TemplateClassPredictor(PredictorConfig config,
@@ -30,10 +39,10 @@ void TemplateClassPredictor::MaybeCloseIntervals(SimTime now) {
     return;
   }
   // The open interval's counts close into the first boundary; the rest of
-  // the gap is idle (zeros). Only the trailing class_window entries survive
+  // the gap is idle (zeros). Only the trailing kClassWindow entries survive
   // the ring, so a gap of any length costs O(window), not O(gap).
   const uint64_t zeros =
-      std::min<uint64_t>(elapsed - 1, config_.class_window);
+      std::min<uint64_t>(elapsed - 1, kClassWindow);
   for (Template& t : templates_) {
     t.ar.Push(t.current);
     for (uint64_t i = 0; i < zeros; ++i) t.ar.Push(0.0);
@@ -59,11 +68,11 @@ void TemplateClassPredictor::OnTxn(const std::vector<PartitionId>& parts,
   auto it = template_index_.find(parts);
   size_t idx;
   if (it == template_index_.end()) {
-    if (templates_.size() >= config_.max_templates) return;  // capped
+    if (templates_.size() >= kMaxTemplates) return;  // capped
     idx = templates_.size();
     Template t;
     t.parts = parts;
-    t.ar.Reset(config_.class_window);
+    t.ar.Reset(kClassWindow);
     // Align the new template's history with everyone else's.
     if (!templates_.empty()) {
       for (size_t i = 0; i < templates_[0].ar.size(); ++i) t.ar.Push(0.0);
@@ -91,7 +100,7 @@ void TemplateClassPredictor::Reclassify() {
     bool placed = false;
     for (WorkloadClass& cls : classes_) {
       double sim = vecops::SuffixCosineSimilarity(series, cls.series);
-      if (sim >= 1.0 - config_.beta) {
+      if (sim >= 1.0 - kBeta) {
         // Merge: running mean of member series over the common suffix.
         double n = static_cast<double>(cls.members.size());
         size_t m = std::min(cls.series.size(), series.size());
@@ -181,7 +190,7 @@ void TemplateClassPredictor::ForecastPartitions(SimTime now, int horizon,
 
 void TemplateClassPredictor::AugmentGraph(HeatGraph* graph, SimTime now) {
   MaybeCloseIntervals(now);
-  if (templates_.empty() || config_.wp <= 0.0) return;
+  if (templates_.empty()) return;
   Reclassify();
   FitModels();
 
@@ -215,7 +224,7 @@ void TemplateClassPredictor::AugmentGraph(HeatGraph* graph, SimTime now) {
     for (size_t ti : reservoir) {
       const Template& t = templates_[ti];
       if (t.parts.size() < 2) continue;  // no co-access edge to strengthen
-      double weight = config_.wp * config_.prediction_scale * share;
+      double weight = kWp * config_.prediction_scale * share;
       if (weight > 0.0) graph->AddAccess(t.parts, weight);
     }
   }

@@ -92,7 +92,7 @@ class TemplateClassPredictor : public PredictorInterface {
   };
 
   /// Closes every sampling interval boundary crossed since the last call.
-  /// O(min(elapsed, class_window)) per template regardless of gap length:
+  /// O(min(elapsed, class window)) per template regardless of gap length:
   /// before the first observation the grid fast-forwards in O(1) (nothing
   /// to record, nothing counted), and a long idle gap appends at most one
   /// window of zeros since older entries would be evicted anyway.

@@ -154,15 +154,6 @@ void ConfigSchema::ListPaths(
 const ConfigSchema& NetworkConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<NetworkConfig> b("NetworkConfig");
-    b.Time("one_way_latency_us", &NetworkConfig::one_way_latency, kMicrosecond,
-           "one-way propagation + stack latency per remote message",
-           check::NonNegative<SimTime>());
-    b.Field("bandwidth_bytes_per_sec", &NetworkConfig::bandwidth_bytes_per_sec,
-            "link bandwidth in bytes per second",
-            check::Positive<double>());
-    b.Time("stats_window_ms", &NetworkConfig::stats_window, kMillisecond,
-           "width of the bytes/messages accounting windows",
-           check::Positive<SimTime>());
     b.Field("regions", &NetworkConfig::regions,
             "geographic regions (1 = flat single-datacenter model)",
             check::AtLeast<int>(1));
@@ -170,19 +161,9 @@ const ConfigSchema& NetworkConfigSchema() {
             "region of each node; empty assigns contiguous equal blocks",
             check::NonNegative<int>());
     b.Field("region_latency_ms", &NetworkConfig::region_latency_ms,
-            "row-major regions^2 one-way latency matrix in ms; empty derives "
-            "from one_way_latency_us and cross_region_latency_ms",
+            "row-major regions^2 one-way latency matrix in ms; empty uses "
+            "25 us within a region and 30 ms between regions",
             check::NonNegative<double>());
-    b.Time("cross_region_latency_ms", &NetworkConfig::cross_region_latency,
-           kMillisecond,
-           "default one-way latency between distinct regions when no matrix "
-           "is declared",
-           check::NonNegative<SimTime>());
-    b.Field("region_bandwidth_bytes_per_sec",
-            &NetworkConfig::region_bandwidth_bytes_per_sec,
-            "row-major regions^2 bandwidth matrix (bytes/sec); empty uses "
-            "bandwidth_bytes_per_sec everywhere",
-            check::Positive<double>());
     b.Field("jitter_pct", &NetworkConfig::jitter_pct,
             "symmetric multiplicative delivery jitter drawn from a dedicated "
             "seeded stream (0 disables)",
@@ -221,11 +202,8 @@ const ConfigSchema& ClusterConfigSchema() {
     b.Time("remaster_base_delay_us", &ClusterConfig::remaster_base_delay,
            kMicrosecond, "base remastering duration (paper: 3000 us)",
            check::NonNegative<SimTime>());
-    b.Time("remaster_per_entry_ns", &ClusterConfig::remaster_per_entry, 1,
-           "additional remastering time per lagging log entry",
-           check::NonNegative<SimTime>());
     b.Nested("net", &ClusterConfig::net, NetworkConfigSchema(),
-             "network latency/bandwidth model");
+             "network regions, region latencies and jitter");
     return std::move(b).Build();
   }();
   return schema;
@@ -246,15 +224,6 @@ const ConfigSchema& YcsbConfigSchema() {
     b.Field("skew_factor", &YcsbConfig::skew_factor,
             "fraction of transactions homed on the hot node",
             check::UnitInterval());
-    b.Field("zipf_theta", &YcsbConfig::zipf_theta,
-            "Zipfian theta over keys within a partition (0 = uniform)",
-            check::NonNegative<double>());
-    b.Field("write_ratio", &YcsbConfig::write_ratio,
-            "per-operation probability of being a write",
-            check::UnitInterval());
-    b.Field("hot_node", &YcsbConfig::hot_node,
-            "node whose initial partitions form the hotspot",
-            check::NonNegative<int>());
     b.Field("partition_offset", &YcsbConfig::partition_offset,
             "rotation of the partition space (dynamic scenarios)",
             check::NonNegative<int>());
@@ -274,21 +243,9 @@ const ConfigSchema& TpccConfigSchema() {
     b.Field("payment_ratio", &TpccConfig::payment_ratio,
             "fraction of Payment transactions in the mix",
             check::UnitInterval());
-    b.Field("remote_payment_ratio", &TpccConfig::remote_payment_ratio,
-            "probability a Payment customer is remote",
-            check::UnitInterval());
-    b.Field("delivery_ratio", &TpccConfig::delivery_ratio,
-            "fraction of Delivery transactions", check::UnitInterval());
-    b.Field("order_status_ratio", &TpccConfig::order_status_ratio,
-            "fraction of OrderStatus transactions", check::UnitInterval());
-    b.Field("stock_level_ratio", &TpccConfig::stock_level_ratio,
-            "fraction of StockLevel transactions", check::UnitInterval());
     b.Field("skew_factor", &TpccConfig::skew_factor,
             "fraction of transactions targeting the hot node",
             check::UnitInterval());
-    b.Field("hot_node", &TpccConfig::hot_node,
-            "node whose warehouses form the hotspot",
-            check::NonNegative<int>());
     return std::move(b).Build();
   }();
   return schema;
@@ -299,10 +256,6 @@ const ConfigSchema& LstmConfigSchema() {
     ConfigSchemaBuilder<LstmConfig> b("LstmConfig");
     b.Field("hidden", &LstmConfig::hidden, "hidden units per layer",
             check::AtLeast<int>(1));
-    b.Field("layers", &LstmConfig::layers, "stacked LSTM layers",
-            check::AtLeast<int>(1));
-    b.Field("learning_rate", &LstmConfig::learning_rate,
-            "Adam learning rate", check::Positive<double>());
     return std::move(b).Build();
   }();
   return schema;
@@ -318,15 +271,6 @@ const ConfigSchema& PredictorConfigSchema() {
     b.Time("sample_interval_ms", &PredictorConfig::sample_interval,
            kMillisecond, "arrival-rate sampling interval (Eq. 5)",
            check::Positive<SimTime>());
-    b.Field("max_templates", &PredictorConfig::max_templates,
-            "cap on tracked templates (hottest retained)",
-            check::AtLeast<uint64_t>(1));
-    b.Field("beta", &PredictorConfig::beta,
-            "cosine-distance threshold for workload-class merging",
-            check::UnitInterval());
-    b.Field("class_window", &PredictorConfig::class_window,
-            "arrival-rate window length per class",
-            check::AtLeast<uint64_t>(1));
     b.Field("history_window", &PredictorConfig::history_window,
             "LSTM input length in sampling intervals",
             check::AtLeast<int>(1));
@@ -335,9 +279,6 @@ const ConfigSchema& PredictorConfigSchema() {
             check::AtLeast<int>(1));
     b.Field("gamma", &PredictorConfig::gamma,
             "workload-variation threshold triggering pre-replication",
-            check::NonNegative<double>());
-    b.Field("wp", &PredictorConfig::wp,
-            "weight of predicted workloads in the heat graph",
             check::NonNegative<double>());
     b.Field("prediction_scale", &PredictorConfig::prediction_scale,
             "scale from forecast arrival rate to graph weight",
@@ -349,24 +290,7 @@ const ConfigSchema& PredictorConfigSchema() {
             "season length m (sampling intervals) of the seasonal-naive "
             "predictor", check::AtLeast<int>(1));
     b.Nested("lstm", &PredictorConfig::lstm, LstmConfigSchema(),
-             "per-class LSTM architecture and optimizer");
-    return std::move(b).Build();
-  }();
-  return schema;
-}
-
-const ConfigSchema& ClumpOptionsSchema() {
-  static const ConfigSchema schema = [] {
-    ConfigSchemaBuilder<ClumpOptions> b("ClumpOptions");
-    b.Field("alpha", &ClumpOptions::alpha,
-            "edge-weight threshold for joining a clump",
-            check::NonNegative<double>());
-    b.Field("cross_node_multiplier", &ClumpOptions::cross_node_multiplier,
-            "weight multiplier for cross-node co-access edges",
-            check::NonNegative<double>());
-    b.Field("alpha_relative", &ClumpOptions::alpha_relative,
-            "relative noise filter vs. mean raw edge weight (0 = off)",
-            check::NonNegative<double>());
+             "per-class LSTM width");
     return std::move(b).Build();
   }();
   return schema;
@@ -375,9 +299,6 @@ const ConfigSchema& ClumpOptionsSchema() {
 const ConfigSchema& CostModelConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<CostModelConfig> b("CostModelConfig");
-    b.Field("wr", &CostModelConfig::wr,
-            "cost weight of remastering an existing secondary",
-            check::NonNegative<double>());
     b.Field("wm", &CostModelConfig::wm,
             "cost weight of migrating a missing replica",
             check::NonNegative<double>());
@@ -392,12 +313,6 @@ const ConfigSchema& CostModelConfigSchema() {
 const ConfigSchema& PlanGeneratorConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<PlanGeneratorConfig> b("PlanGeneratorConfig");
-    b.Field("epsilon", &PlanGeneratorConfig::epsilon,
-            "permissible load imbalance for fine-tuning",
-            check::NonNegative<double>());
-    b.Field("step_budget", &PlanGeneratorConfig::step_budget,
-            "fine-tuning moves between FindOINodes re-derivations",
-            check::NonNegative<int>());
     b.Nested("cost", &PlanGeneratorConfig::cost, CostModelConfigSchema(),
              "Eq. 3/4 placement cost weights");
     return std::move(b).Build();
@@ -411,13 +326,8 @@ const ConfigSchema& PlannerConfigSchema() {
     b.Time("interval_ms", &PlannerConfig::interval, kMillisecond,
            "how often the planner analyzes and re-plans",
            check::Positive<SimTime>());
-    b.Field("history_capacity", &PlannerConfig::history_capacity,
-            "recent transactions kept by the analyzer (B)",
-            check::AtLeast<uint64_t>(1));
     b.Field("min_history", &PlannerConfig::min_history,
             "minimum history before a planning round does anything");
-    b.Nested("clump", &PlannerConfig::clump, ClumpOptionsSchema(),
-             "clump generation thresholds");
     b.Nested("plan", &PlannerConfig::plan, PlanGeneratorConfigSchema(),
              "Algorithm 1 rearrangement parameters");
     return std::move(b).Build();
@@ -453,11 +363,6 @@ const ConfigSchema& GeoPlacementConfigSchema() {
 const ConfigSchema& LionOptionsSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<LionOptions> b("LionOptions");
-    b.Field("enable_planner", &LionOptions::enable_planner,
-            "adaptive replica rearrangement via the planner");
-    b.Field("max_batch_size", &LionOptions::max_batch_size,
-            "flush a batch early at this many transactions",
-            check::AtLeast<uint64_t>(1));
     b.Nested("planner", &LionOptions::planner, PlannerConfigSchema(),
              "planning loop configuration");
     b.Nested("geo", &LionOptions::geo, GeoPlacementConfigSchema(),
@@ -472,9 +377,6 @@ const ConfigSchema& ClayConfigSchema() {
     ConfigSchemaBuilder<ClayConfig> b("ClayConfig");
     b.Time("monitor_interval_ms", &ClayConfig::monitor_interval, kMillisecond,
            "how often Clay checks node load", check::Positive<SimTime>());
-    b.Field("epsilon", &ClayConfig::epsilon,
-            "load imbalance tolerance before repartitioning",
-            check::NonNegative<double>());
     b.Field("clump_budget", &ClayConfig::clump_budget,
             "partitions moved per repartitioning round",
             check::AtLeast<int>(1));
@@ -498,14 +400,6 @@ const ConfigSchema& ChaosConfigSchema() {
               Status s = ChaosEvent::Parse(line, &ev);
               return s.ok() ? "" : s.message();
             });
-    b.Field("max_unavailable_retries", &ChaosConfig::max_unavailable_retries,
-            "deferrals before a transaction touching an unavailable "
-            "partition is counted as aborted_unavailable",
-            check::AtLeast<int>(0));
-    b.Time("unavailable_backoff_us", &ChaosConfig::unavailable_backoff,
-           kMicrosecond,
-           "base of the deterministic linear backoff between "
-           "unavailability deferrals", check::Positive<SimTime>());
     return std::move(b).Build();
   }();
   return schema;

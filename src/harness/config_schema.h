@@ -42,7 +42,6 @@ struct TpccConfig;
 struct LionOptions;
 struct GeoPlacementConfig;
 struct PlannerConfig;
-struct ClumpOptions;
 struct PlanGeneratorConfig;
 struct CostModelConfig;
 struct PredictorConfig;
@@ -533,7 +532,6 @@ const ConfigSchema& YcsbConfigSchema();
 const ConfigSchema& TpccConfigSchema();
 const ConfigSchema& LstmConfigSchema();
 const ConfigSchema& PredictorConfigSchema();
-const ConfigSchema& ClumpOptionsSchema();
 const ConfigSchema& CostModelConfigSchema();
 const ConfigSchema& PlanGeneratorConfigSchema();
 const ConfigSchema& PlannerConfigSchema();

@@ -26,7 +26,6 @@ class ClosedLoopDriver {
   /// Stops issuing new transactions (in-flight ones finish naturally).
   void Stop() { stopped_ = true; }
 
-  uint64_t issued() const { return issued_; }
   uint64_t completed() const { return completed_; }
 
  private:

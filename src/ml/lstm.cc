@@ -16,7 +16,11 @@ void ApplyTanh(Vec* v) {
   for (double& x : *v) x = std::tanh(x);
 }
 
-// Adam's moment decay rates and epsilon, and the gradient clip norm.
+// Stacked layers (the paper's 2-layer encoder).
+constexpr int kLayers = 2;
+// Adam's learning rate, moment decay rates and epsilon, and the gradient
+// clip norm.
+constexpr double kLearningRate = 0.02;
 constexpr double kAdamBeta1 = 0.9;
 constexpr double kAdamBeta2 = 0.999;
 constexpr double kAdamEps = 1e-8;
@@ -34,8 +38,8 @@ LstmNetwork::LstmNetwork(const LstmConfig& config, uint64_t seed)
     : config_(config) {
   Rng rng(seed);
   int h = config_.hidden;
-  layers_.resize(config_.layers);
-  for (int l = 0; l < config_.layers; ++l) {
+  layers_.resize(kLayers);
+  for (int l = 0; l < kLayers; ++l) {
     int in_dim = (l == 0) ? 1 : h;
     double scale = 1.0 / std::sqrt(static_cast<double>(in_dim + h));
     LstmLayer& layer = layers_[l];
@@ -73,7 +77,7 @@ double LstmNetwork::StepForward(double x, std::vector<Vec>* h,
                                 std::vector<Vec>* c, StepCache* cache) const {
   int hid = config_.hidden;
   Vec input(1, x);
-  for (int l = 0; l < config_.layers; ++l) {
+  for (int l = 0; l < kLayers; ++l) {
     const LstmLayer& layer = layers_[l];
     Vec gates[4];
     for (int g = 0; g < 4; ++g) {
@@ -119,8 +123,8 @@ double LstmNetwork::StepForward(double x, std::vector<Vec>* h,
 }
 
 double LstmNetwork::PredictNext(const std::vector<double>& series) const {
-  std::vector<Vec> h(config_.layers, Vec(config_.hidden, 0.0));
-  std::vector<Vec> c(config_.layers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> h(kLayers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> c(kLayers, Vec(config_.hidden, 0.0));
   double y = 0.0;
   for (double x : series) y = StepForward(x, &h, &c, nullptr);
   return y;
@@ -128,8 +132,8 @@ double LstmNetwork::PredictNext(const std::vector<double>& series) const {
 
 std::vector<double> LstmNetwork::Forecast(const std::vector<double>& series,
                                           int horizon) const {
-  std::vector<Vec> h(config_.layers, Vec(config_.hidden, 0.0));
-  std::vector<Vec> c(config_.layers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> h(kLayers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> c(kLayers, Vec(config_.hidden, 0.0));
   double y = 0.0;
   for (double x : series) y = StepForward(x, &h, &c, nullptr);
   std::vector<double> out;
@@ -143,8 +147,8 @@ std::vector<double> LstmNetwork::Forecast(const std::vector<double>& series,
 
 double LstmNetwork::Evaluate(const std::vector<double>& series) const {
   if (series.size() < 2) return 0.0;
-  std::vector<Vec> h(config_.layers, Vec(config_.hidden, 0.0));
-  std::vector<Vec> c(config_.layers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> h(kLayers, Vec(config_.hidden, 0.0));
+  std::vector<Vec> c(kLayers, Vec(config_.hidden, 0.0));
   double se = 0.0;
   for (size_t t = 0; t + 1 < series.size(); ++t) {
     double y = StepForward(series[t], &h, &c, nullptr);
@@ -171,7 +175,7 @@ double LstmNetwork::ForwardBackward(const std::vector<double>& series) {
   ZeroGradients();
   const int steps = static_cast<int>(series.size()) - 1;
   const int hid = config_.hidden;
-  const int L = config_.layers;
+  const int L = kLayers;
 
   // Forward, caching activations and the per-step output-layer input.
   std::vector<StepCache> caches(steps);
@@ -262,7 +266,7 @@ void LstmNetwork::AdamUpdate() {
   const double b1 = kAdamBeta1, b2 = kAdamBeta2;
   double bias1 = 1.0 - std::pow(b1, adam_t_);
   double bias2 = 1.0 - std::pow(b2, adam_t_);
-  double lr = config_.learning_rate;
+  const double lr = kLearningRate;
   const double eps = kAdamEps;
 
   auto update = [&](Vec* param, Vec* grad, Vec* m, Vec* v) {

@@ -14,12 +14,11 @@
 
 namespace lion {
 
-/// Shape and training parameters. The series is scalar, so the network
-/// takes one input and produces one output.
+/// Width of each layer. The series is scalar, so the network takes one
+/// input and produces one output; the depth (2 layers) and Adam's learning
+/// rate are constants in lstm.cc.
 struct LstmConfig {
   int hidden = 20;
-  int layers = 2;
-  double learning_rate = 0.02;
 };
 
 /// One LSTM layer's parameters and Adam state.

@@ -6,6 +6,12 @@
 
 namespace lion {
 
+namespace {
+/// Load imbalance tolerance: repartitioning triggers when the hottest
+/// node's worker-busy share exceeds (1 + kEpsilon) * average.
+constexpr double kEpsilon = 0.20;
+}  // namespace
+
 ClayProtocol::ClayProtocol(Cluster* cluster, MetricsCollector* metrics,
                            ClayConfig config)
     : Protocol(cluster, metrics),
@@ -42,7 +48,7 @@ void ClayProtocol::Monitor() {
     if (load[i] > load[hottest]) hottest = i;
     if (load[i] < load[coolest]) coolest = i;
   }
-  if (load[hottest] <= avg * (1.0 + config_.epsilon)) return;  // balanced
+  if (load[hottest] <= avg * (1.0 + kEpsilon)) return;  // balanced
 
   // Build the migrating clump: the `clump_budget` partitions mastered on
   // the overloaded node with the highest access frequency.

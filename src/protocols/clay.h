@@ -11,9 +11,6 @@ namespace lion {
 struct ClayConfig {
   /// How often Clay checks node load.
   SimTime monitor_interval = 500 * kMillisecond;
-  /// Load imbalance tolerance: repartitioning triggers when the hottest
-  /// node's worker-busy share exceeds (1 + epsilon) * average.
-  double epsilon = 0.20;
   /// Partitions moved per repartitioning round (the migrating "clump").
   int clump_budget = 3;
 };

@@ -71,14 +71,14 @@ class Protocol {
   /// an unavailable partition — down primary, or primaries split by an
   /// active network partition — is deferred with a bounded deterministic
   /// linear backoff instead of blocking forever behind the partition's
-  /// block. After `chaos.max_unavailable_retries` deferrals it is
-  /// counted via MetricsCollector::OnAbortUnavailable and handed back
-  /// through `done` (freeing the closed-loop slot). Retries re-enter here,
+  /// block. After kMaxUnavailableRetries deferrals it is counted via
+  /// MetricsCollector::OnAbortUnavailable and handed back through `done`
+  /// (freeing the closed-loop slot). Retries re-enter here,
   /// so each one re-checks availability against the healed/failed-over
   /// routing state. Without chaos this forwards straight to SubmitTxn.
   void Submit(TxnPtr txn, TxnDoneFn done) {
     if (chaos_ != nullptr && FirstUnavailablePartition(*txn) != kInvalidPartition) {
-      if (txn->unavailable_retries() >= chaos_->max_unavailable_retries) {
+      if (txn->unavailable_retries() >= kMaxUnavailableRetries) {
         metrics_->OnAbortUnavailable(cluster_->sim()->Now());
         done(std::move(txn));
         return;
@@ -86,7 +86,7 @@ class Protocol {
       txn->BumpUnavailableRetries();
       // Deterministic linear backoff: no RNG draw, so arming a chaos
       // schedule cannot perturb the experiment RNG stream.
-      SimTime backoff = chaos_->unavailable_backoff *
+      SimTime backoff = kUnavailableBackoff *
                         static_cast<SimTime>(txn->unavailable_retries());
       cluster_->sim()->Schedule(
           backoff,
@@ -98,11 +98,11 @@ class Protocol {
     SubmitTxn(std::move(txn), std::move(done));
   }
 
-  /// Arms graceful degradation (null disarms). `config` must outlive this
-  /// protocol; the Experiment harness passes its own ChaosConfig when a
-  /// chaos schedule is active. Virtual so composite protocols (meta) can
-  /// forward the gate to the children they own; overrides must call the
-  /// base implementation.
+  /// Arms graceful degradation (null disarms). The gate only tests
+  /// `config` for null; the Experiment harness passes its own ChaosConfig
+  /// when a chaos schedule is active. Virtual so composite protocols (meta)
+  /// can forward the gate to the children they own; overrides must call
+  /// the base implementation.
   virtual void EnableDegradation(const ChaosConfig* config) { chaos_ = config; }
 
   /// The protocol's geo placement constraints, if it has any (Lion's
@@ -188,6 +188,13 @@ class Protocol {
   bool stopped_ = false;
 
  private:
+  /// Deferrals of a transaction touching an unavailable partition before
+  /// it completes as aborted_unavailable instead of blocking.
+  static constexpr int kMaxUnavailableRetries = 8;
+  /// Base of the linear backoff between those deferrals: attempt k waits
+  /// k * base (deterministic, no RNG draw, so chaos cannot perturb seeds).
+  static constexpr SimTime kUnavailableBackoff = 1 * kMillisecond;
+
   PeriodicTimer epoch_timer_;
   /// Non-null while chaos degradation is armed (owned by the Experiment).
   const ChaosConfig* chaos_ = nullptr;

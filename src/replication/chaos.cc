@@ -224,14 +224,6 @@ Status ChaosController::Validate(const ChaosConfig& config,
           ")");
     }
   }
-  if (config.max_unavailable_retries < 0) {
-    return Status::InvalidArgument(path +
-                                   ".max_unavailable_retries: must be >= 0");
-  }
-  if (config.unavailable_backoff <= 0) {
-    return Status::InvalidArgument(path +
-                                   ".unavailable_backoff_us: must be > 0");
-  }
   return Status::OK();
 }
 

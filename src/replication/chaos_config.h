@@ -1,4 +1,4 @@
-// Scripted fault schedules (chaos.*) and graceful-degradation knobs.
+// Scripted fault schedules (chaos.*).
 #pragma once
 
 #include <string>
@@ -38,14 +38,6 @@ struct ChaosConfig {
   /// Times accept ns/us/ms/s suffixes. Events fire in schedule order at
   /// their absolute simulated times (t=0 is experiment start).
   std::vector<std::string> schedule;
-
-  /// Bounded retries for a transaction touching an unavailable partition
-  /// (primary down or unreachable across an active network partition)
-  /// before it completes as aborted_unavailable instead of blocking.
-  int max_unavailable_retries = 8;
-  /// Base backoff between unavailable retries; attempt k waits k * base
-  /// (deterministic — no RNG draw, so chaos cannot perturb seeds).
-  SimTime unavailable_backoff = 1 * kMillisecond;
 };
 
 inline bool ChaosActive(const ChaosConfig& cfg) {

@@ -44,8 +44,8 @@ struct ClusterConfig {
   // --- remastering / migration ----------------------------------------------
   /// Base remastering duration (paper default 3000 us, swept in Fig. 13b).
   SimTime remaster_base_delay = 3000 * kMicrosecond;
-  /// Additional remastering time per lagging log entry.
-  SimTime remaster_per_entry = 100;  // ns
+  /// Additional remastering time per lagging log entry (fixed).
+  static constexpr SimTime remaster_per_entry = 100;  // ns
 
   // --- network ---------------------------------------------------------------
   NetworkConfig net;

@@ -74,7 +74,6 @@ class ReplicationManager {
   void ResumeShipping() {
     if (shipping_paused_ > 0) shipping_paused_--;
   }
-  bool shipping_paused() const { return shipping_paused_ > 0; }
 
   /// Per-replica materialized copies for consistency tests. Only populated
   /// when config.materialize_secondaries is set. Indexed [pid][node].

@@ -22,8 +22,8 @@ Network::Network(Simulator* sim, NetworkConfig config, int num_nodes)
 
 SimTime Network::TransferDelay(NodeId from, NodeId to, uint64_t bytes) const {
   if (from == to) return config_.local_latency;
-  double serialization =
-      static_cast<double>(bytes) / topology_.bandwidth(from, to) * kSecond;
+  double serialization = static_cast<double>(bytes) /
+                         NetworkConfig::bandwidth_bytes_per_sec * kSecond;
   return topology_.base_latency(from, to) +
          static_cast<SimTime>(std::llround(serialization));
 }

@@ -12,22 +12,25 @@
 
 namespace lion {
 
-/// Tunable network characteristics. Defaults approximate the paper's
-/// testbed: ~937 Mbit/s links with ~100 us small-message round trips in a
-/// single region. The region fields widen the model to a WAN: nodes are
+/// Network characteristics. The link model is fixed and approximates the
+/// paper's testbed: ~937 Mbit/s links with ~100 us small-message round trips
+/// in a single region. The region fields widen the model to a WAN: nodes are
 /// assigned to regions and each region pair gets its own one-way latency
-/// and bandwidth (see sim/topology.h). The defaults keep one region, which
-/// reproduces the flat model exactly.
+/// (see sim/topology.h); every pair shares the one link bandwidth. The
+/// defaults keep one region, which reproduces the flat model exactly.
 struct NetworkConfig {
   /// One-way propagation + kernel/stack latency for any intra-region remote
   /// message.
-  SimTime one_way_latency = 25 * kMicrosecond;
-  /// Intra-region link bandwidth in bytes per second (937 Mbit/s ~ 117 MB/s).
-  double bandwidth_bytes_per_sec = 117.0 * 1024 * 1024;
-  /// Cost of a loopback (same node) message (fixed, not configurable).
+  static constexpr SimTime one_way_latency = 25 * kMicrosecond;
+  /// Link bandwidth in bytes per second (937 Mbit/s ~ 117 MB/s).
+  static constexpr double bandwidth_bytes_per_sec = 117.0 * 1024 * 1024;
+  /// Cost of a loopback (same node) message.
   static constexpr SimTime local_latency = 1 * kMicrosecond;
   /// Width of the bytes/messages accounting windows (Fig. 12b series).
-  SimTime stats_window = 100 * kMillisecond;
+  static constexpr SimTime stats_window = 100 * kMillisecond;
+  /// One-way latency between distinct regions when no matrix is declared
+  /// (~continental WAN hop).
+  static constexpr SimTime cross_region_latency = 30 * kMillisecond;
 
   // --- geo-replication topology (sim/topology.h) ---------------------------
   /// Number of geographic regions (1 = the classic flat model).
@@ -38,12 +41,6 @@ struct NetworkConfig {
   /// milliseconds; empty derives it from one_way_latency (diagonal) and
   /// cross_region_latency (off-diagonal).
   std::vector<double> region_latency_ms;
-  /// Default one-way latency between distinct regions when no matrix is
-  /// declared (~continental WAN hop).
-  SimTime cross_region_latency = 30 * kMillisecond;
-  /// Flattened row-major regions x regions bandwidth matrix (bytes/sec);
-  /// empty uses bandwidth_bytes_per_sec for every pair.
-  std::vector<double> region_bandwidth_bytes_per_sec;
   /// Symmetric multiplicative delivery jitter: each sent message's delay is
   /// scaled by a deterministic seeded draw from [1 - jitter_pct,
   /// 1 + jitter_pct). 0 disables jitter (and draws nothing).
@@ -74,8 +71,8 @@ class Network {
             Simulator::EventFn on_delivery);
 
   /// Computes the jitter-free delivery delay without sending: region-pair
-  /// base latency plus serialization at the region-pair bandwidth (used by
-  /// cost models).
+  /// base latency plus serialization at the link bandwidth (used by cost
+  /// models).
   SimTime TransferDelay(NodeId from, NodeId to, uint64_t bytes) const;
 
   const Topology& topology() const { return topology_; }
@@ -98,8 +95,6 @@ class Network {
     return Side(a) == Side(b);
   }
 
-  bool partition_active() const { return partition_active_; }
-
   /// Messages dropped at an active partition cut (each is retransmitted at
   /// heal time, so this counts disruptions, not permanent losses).
   uint64_t messages_dropped() const { return messages_dropped_; }
@@ -109,8 +104,6 @@ class Network {
 
   /// Bytes sent within each completed stats window since construction.
   const std::vector<uint64_t>& window_bytes() const { return window_bytes_; }
-
-  SimTime stats_window() const { return config_.stats_window; }
 
  private:
   void RollWindows();

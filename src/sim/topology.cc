@@ -30,7 +30,6 @@ Topology::Topology(const NetworkConfig& net, int num_nodes)
 
   size_t cells = static_cast<size_t>(regions_) * static_cast<size_t>(regions_);
   latency_.resize(cells);
-  bandwidth_.resize(cells);
   for (int a = 0; a < regions_; ++a) {
     for (int b = 0; b < regions_; ++b) {
       size_t i = Index(a, b);
@@ -40,11 +39,9 @@ Topology::Topology(const NetworkConfig& net, int num_nodes)
       } else {
         // No matrix declared: intra-region pairs keep the classic LAN
         // latency, cross-region pairs the scalar WAN latency.
-        latency_[i] = a == b ? net.one_way_latency : net.cross_region_latency;
+        latency_[i] = a == b ? NetworkConfig::one_way_latency
+                             : NetworkConfig::cross_region_latency;
       }
-      bandwidth_[i] = !net.region_bandwidth_bytes_per_sec.empty()
-                          ? net.region_bandwidth_bytes_per_sec[i]
-                          : net.bandwidth_bytes_per_sec;
     }
   }
 }
@@ -88,14 +85,6 @@ Status Topology::Validate(const NetworkConfig& net, int num_nodes,
         path + ".region_latency_ms: expected " + std::to_string(cells) +
         " entries (regions^2 = " + std::to_string(regions) + "^2), got " +
         std::to_string(net.region_latency_ms.size()));
-  }
-  if (!net.region_bandwidth_bytes_per_sec.empty() &&
-      net.region_bandwidth_bytes_per_sec.size() != cells) {
-    return Status::InvalidArgument(
-        path + ".region_bandwidth_bytes_per_sec: expected " +
-        std::to_string(cells) + " entries (regions^2 = " +
-        std::to_string(regions) + "^2), got " +
-        std::to_string(net.region_bandwidth_bytes_per_sec.size()));
   }
   return Status::OK();
 }

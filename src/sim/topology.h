@@ -1,5 +1,5 @@
-// Region-aware WAN topology: node -> region assignment plus per-region-pair
-// latency and bandwidth tables derived from NetworkConfig.
+// Region-aware WAN topology: node -> region assignment plus a per-region-pair
+// latency table derived from NetworkConfig.
 #pragma once
 
 #include <string>
@@ -13,10 +13,10 @@ namespace lion {
 struct NetworkConfig;
 
 /// Immutable routing tables built once from a NetworkConfig: which region
-/// each node lives in, and the one-way base latency / bandwidth between
-/// every region pair. The flat default (regions = 1, no matrix) reproduces
-/// the classic single-datacenter model exactly: every remote pair sees
-/// `one_way_latency` and the global bandwidth, bit for bit.
+/// each node lives in, and the one-way base latency between every region
+/// pair (every pair shares the one link bandwidth). The flat default
+/// (regions = 1, no matrix) reproduces the classic single-datacenter model
+/// exactly: every remote pair sees `one_way_latency`, bit for bit.
 ///
 /// Geometry is declared in the config schema (cluster.net.regions,
 /// cluster.net.region_latency_ms, ...), so sweep grids can vary geography
@@ -30,8 +30,8 @@ class Topology {
   /// directly).
   Topology(const NetworkConfig& net, int num_nodes);
 
-  /// Cross-field validation: node_regions length/range and latency /
-  /// bandwidth matrix dimensions against `regions`. `path` prefixes error
+  /// Cross-field validation: node_regions length/range and the latency
+  /// matrix dimensions against `regions`. `path` prefixes error
   /// messages with the config location ("cluster.net" in experiment
   /// configs).
   static Status Validate(const NetworkConfig& net, int num_nodes,
@@ -60,11 +60,6 @@ class Topology {
     return latency_[Index(region_of(from), region_of(to))];
   }
 
-  /// Link bandwidth (bytes/sec) between the regions of two distinct nodes.
-  double bandwidth(NodeId from, NodeId to) const {
-    return bandwidth_[Index(region_of(from), region_of(to))];
-  }
-
   /// Largest one-way latency between two distinct regions; 0 with a single
   /// region. Feeds the Didona et al. lower-bound reference curve (one WAN
   /// round trip = 2x this).
@@ -77,9 +72,8 @@ class Topology {
   }
 
   int regions_;
-  std::vector<int> node_region_;   // node -> region
-  std::vector<SimTime> latency_;   // regions x regions, row-major, one-way
-  std::vector<double> bandwidth_;  // regions x regions, row-major, bytes/sec
+  std::vector<int> node_region_;  // node -> region
+  std::vector<SimTime> latency_;  // regions x regions, row-major, one-way
 };
 
 }  // namespace lion

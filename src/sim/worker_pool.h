@@ -36,7 +36,6 @@ class WorkerPool {
               MoveFn<void()> on_done);
 
   int workers() const { return workers_; }
-  int busy_workers() const { return busy_; }
   size_t queued_tasks() const;
 
   /// Total worker-busy nanoseconds (for utilization reporting).

@@ -1,7 +1,5 @@
 #include "workload/tpcc.h"
 
-#include <set>
-
 #include "harness/registry.h"
 
 namespace lion {
@@ -15,6 +13,10 @@ constexpr int kMinOrderLines = 5;
 constexpr int kMaxOrderLines = 15;
 /// Coordinator-side business logic time per transaction.
 constexpr SimTime kThinkTime = 5 * kMicrosecond;
+/// Payment: probability the customer belongs to a remote warehouse.
+constexpr double kRemotePaymentRatio = 0.15;
+/// The node whose warehouses form the hotspot.
+constexpr NodeId kHotNode = 0;
 }  // namespace
 
 TpccWorkload::TpccWorkload(const ClusterConfig& cluster, const TpccConfig& config)
@@ -52,7 +54,7 @@ PartitionId TpccWorkload::PickWarehouse(Rng* rng) const {
   if (config_.skew_factor > 0.0 && rng->Bernoulli(config_.skew_factor)) {
     int per_node = num_warehouses_ / num_nodes_;
     int idx = static_cast<int>(rng->Uniform(per_node));
-    return config_.hot_node + idx * num_nodes_;
+    return kHotNode + idx * num_nodes_;
   }
   return static_cast<PartitionId>(rng->Uniform(num_warehouses_));
 }
@@ -72,14 +74,9 @@ PartitionId TpccWorkload::RemoteWarehouse(PartitionId home, Rng* rng) const {
 }
 
 TxnPtr TpccWorkload::Next(TxnId id, SimTime now, Rng* rng) {
-  double r = rng->NextDouble();
-  if (r < config_.payment_ratio) return PaymentTxn(id, now, rng);
-  r -= config_.payment_ratio;
-  if (r < config_.delivery_ratio) return DeliveryTxn(id, now, rng);
-  r -= config_.delivery_ratio;
-  if (r < config_.order_status_ratio) return OrderStatusTxn(id, now, rng);
-  r -= config_.order_status_ratio;
-  if (r < config_.stock_level_ratio) return StockLevelTxn(id, now, rng);
+  if (rng->NextDouble() < config_.payment_ratio) {
+    return PaymentTxn(id, now, rng);
+  }
   return NewOrderTxn(id, now, rng);
 }
 
@@ -138,8 +135,7 @@ TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
   PartitionId w = PickWarehouse(rng);
   int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
   int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
-  bool remote_cust = config_.remote_payment_ratio > 0.0 &&
-                     rng->Bernoulli(config_.remote_payment_ratio);
+  bool remote_cust = rng->Bernoulli(kRemotePaymentRatio);
   PartitionId cust_w = remote_cust ? RemoteWarehouse(w, rng) : w;
 
   auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
@@ -158,76 +154,6 @@ TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
   add(cust_w, MakeKey(kCustomer, d * kCustomersPerDistrict + c),
       OpType::kWrite, id);
   add(w, MakeKey(kHistory, id), OpType::kWrite, id, /*insert=*/true);
-  return txn;
-}
-
-TxnPtr TpccWorkload::DeliveryTxn(TxnId id, SimTime now, Rng* rng) {
-  // Delivery processes the oldest undelivered order of every district of
-  // one warehouse: per district, delete the NEW-ORDER row, update the ORDER
-  // row's carrier id, and update the customer balance. Single-warehouse.
-  auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(kThinkTime * 2);  // batch of 10 districts
-  PartitionId w = PickWarehouse(rng);
-  auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
-                    bool insert = false) {
-    Operation op;
-    op.partition = pid;
-    op.key = key;
-    op.type = type;
-    op.is_insert = insert;
-    op.write_value = v;
-    txn->ops().push_back(op);
-  };
-  for (int d = 0; d < kDistrictsPerWarehouse; ++d) {
-    // The oldest undelivered order id is approximated by the district seed;
-    // the NEW-ORDER delete and ORDER update are writes on per-txn keys.
-    add(w, MakeKey(kNewOrder, id * 16 + d), OpType::kWrite, 0, /*insert=*/true);
-    add(w, MakeKey(kOrder, id * 16 + d), OpType::kWrite, id, /*insert=*/true);
-    int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
-    add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c),
-        OpType::kWrite, id);
-  }
-  return txn;
-}
-
-TxnPtr TpccWorkload::OrderStatusTxn(TxnId id, SimTime now, Rng* rng) {
-  // Read-only: customer row plus their most recent order and its lines.
-  auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(kThinkTime);
-  PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
-  int c = static_cast<int>(rng->Uniform(kCustomersPerDistrict));
-  auto add = [&txn](PartitionId pid, Key key) {
-    Operation op;
-    op.partition = pid;
-    op.key = key;
-    op.type = OpType::kRead;
-    txn->ops().push_back(op);
-  };
-  add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c));
-  add(w, MakeKey(kOrder, id));  // last order (approximated key)
-  for (int l = 0; l < 5; ++l) add(w, MakeKey(kOrderLine, id * 16 + l));
-  return txn;
-}
-
-TxnPtr TpccWorkload::StockLevelTxn(TxnId id, SimTime now, Rng* rng) {
-  // Read-only: district next_o_id, then the stock rows of the items in the
-  // last 20 orders, counting those below a threshold.
-  auto txn = std::make_unique<Transaction>(id, now);
-  txn->set_extra_compute(kThinkTime * 2);
-  PartitionId w = PickWarehouse(rng);
-  int d = static_cast<int>(rng->Uniform(kDistrictsPerWarehouse));
-  auto add = [&txn](PartitionId pid, Key key) {
-    Operation op;
-    op.partition = pid;
-    op.key = key;
-    op.type = OpType::kRead;
-    txn->ops().push_back(op);
-  };
-  add(w, MakeKey(kDistrict, d));
-  std::set<uint64_t> items;
-  while (items.size() < 12) items.insert(rng->Uniform(config_.items));
-  for (uint64_t item : items) add(w, MakeKey(kStock, item));
   return txn;
 }
 

@@ -12,18 +12,11 @@ struct TpccConfig {
   /// ("the same customer makes purchases from different warehouses over
   /// time", Sec. VI-A1). Plays the role of the cross-partition ratio.
   double remote_ratio = 0.1;
-  /// Fraction of Payment transactions in the mix (0 = pure NewOrder).
+  /// Fraction of Payment transactions in the mix (0 = pure NewOrder, the
+  /// paper's focus); every other transaction is a NewOrder.
   double payment_ratio = 0.0;
-  /// Payment: probability the customer belongs to a remote warehouse.
-  double remote_payment_ratio = 0.15;
-  /// Fractions of the remaining transaction types (evaluation default 0:
-  /// the paper focuses on NewOrder; the full TPC-C mix is 4/4/4%).
-  double delivery_ratio = 0.0;
-  double order_status_ratio = 0.0;
-  double stock_level_ratio = 0.0;
   /// Fraction of transactions targeting the hot node's warehouses.
   double skew_factor = 0.0;
-  NodeId hot_node = 0;
 };
 
 /// TPC-C with one warehouse per partition. The nine relations are encoded
@@ -63,9 +56,6 @@ class TpccWorkload : public WorkloadGenerator {
  private:
   TxnPtr NewOrderTxn(TxnId id, SimTime now, Rng* rng);
   TxnPtr PaymentTxn(TxnId id, SimTime now, Rng* rng);
-  TxnPtr DeliveryTxn(TxnId id, SimTime now, Rng* rng);
-  TxnPtr OrderStatusTxn(TxnId id, SimTime now, Rng* rng);
-  TxnPtr StockLevelTxn(TxnId id, SimTime now, Rng* rng);
   PartitionId PickWarehouse(Rng* rng) const;
   PartitionId RemoteWarehouse(PartitionId home, Rng* rng) const;
 

@@ -1,29 +1,29 @@
 #include "workload/ycsb.h"
 
-#include <cassert>
-
 #include "harness/registry.h"
 
 namespace lion {
+
+namespace {
+/// Per-operation probability of being a write.
+constexpr double kWriteRatio = 0.1;
+/// The node whose (initial) partitions form the hotspot.
+constexpr NodeId kHotNode = 0;
+}  // namespace
 
 YcsbWorkload::YcsbWorkload(const ClusterConfig& cluster, const YcsbConfig& config)
     : num_nodes_(cluster.num_nodes),
       total_partitions_(cluster.total_partitions()),
       records_per_partition_(cluster.records_per_partition),
-      config_(config) {
-  if (config_.zipf_theta > 0.0) {
-    zipf_ = std::make_unique<ZipfianGenerator>(records_per_partition_,
-                                               config_.zipf_theta);
-  }
-}
+      config_(config) {}
 
 PartitionId YcsbWorkload::PickHomePartition(Rng* rng) const {
   int partitions_per_node = total_partitions_ / num_nodes_;
   PartitionId base;
   if (config_.skew_factor > 0.0 && rng->Bernoulli(config_.skew_factor)) {
-    // Hot: one of the partitions initially placed on hot_node.
+    // Hot: one of the partitions initially placed on the hot node.
     int idx = static_cast<int>(rng->Uniform(partitions_per_node));
-    base = config_.hot_node + idx * num_nodes_;
+    base = kHotNode + idx * num_nodes_;
   } else {
     base = static_cast<PartitionId>(rng->Uniform(total_partitions_));
   }
@@ -46,11 +46,6 @@ PartitionId YcsbWorkload::PickRemotePartition(PartitionId home, Rng* rng) const 
   return (home + 1) % total_partitions_;  // single-node clusters
 }
 
-Key YcsbWorkload::PickKey(Rng* rng) {
-  if (zipf_ != nullptr) return zipf_->Next(rng);
-  return rng->Uniform(records_per_partition_);
-}
-
 TxnPtr YcsbWorkload::Next(TxnId id, SimTime now, Rng* rng) {
   auto txn = std::make_unique<Transaction>(id, now);
   PartitionId home = PickHomePartition(rng);
@@ -67,9 +62,9 @@ TxnPtr YcsbWorkload::Next(TxnId id, SimTime now, Rng* rng) {
     // Cross-partition transactions split their accesses across the two
     // involved partitions (first half home, second half remote).
     op.partition = (cross && i >= n / 2) ? second : home;
-    op.key = PickKey(rng);
+    op.key = rng->Uniform(records_per_partition_);
     // Avoid intra-txn duplicate keys on the same partition (re-draw on
-    // collision, bounded: a nudge can itself collide under heavy zipf skew).
+    // collision, bounded: a nudge can itself collide in a small partition).
     for (int guard = 0; guard < 64; ++guard) {
       bool dup = false;
       for (const auto& prev : txn->ops()) {
@@ -81,7 +76,7 @@ TxnPtr YcsbWorkload::Next(TxnId id, SimTime now, Rng* rng) {
       if (!dup) break;
       op.key = (op.key + 1 + rng->Uniform(16)) % records_per_partition_;
     }
-    if (rng->Bernoulli(config_.write_ratio)) {
+    if (rng->Bernoulli(kWriteRatio)) {
       op.type = OpType::kWrite;
       op.write_value = rng->Next64();
     } else {

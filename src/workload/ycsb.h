@@ -1,8 +1,6 @@
 // YCSB-style transactional workload (Sec. VI-A1).
 #pragma once
 
-#include <memory>
-
 #include "replication/cluster_config.h"
 #include "workload/workload.h"
 
@@ -32,12 +30,6 @@ struct YcsbConfig {
   double cross_ratio = 0.0;
   /// Fraction of transactions whose home partition is on the hot node.
   double skew_factor = 0.0;
-  /// Zipfian theta over keys within a partition (0 = uniform).
-  double zipf_theta = 0.0;
-  /// Per-operation probability of being a write.
-  double write_ratio = 0.1;
-  /// The node whose (initial) partitions form the hotspot.
-  NodeId hot_node = 0;
   /// Rotates the partition space: partition p behaves as (p + offset) mod m.
   /// Dynamic scenarios shift this to move hotspots (Sec. VI-C2).
   int partition_offset = 0;
@@ -59,13 +51,11 @@ class YcsbWorkload : public WorkloadGenerator {
  private:
   PartitionId PickHomePartition(Rng* rng) const;
   PartitionId PickRemotePartition(PartitionId home, Rng* rng) const;
-  Key PickKey(Rng* rng);
 
   int num_nodes_;
   int total_partitions_;
   uint64_t records_per_partition_;
   YcsbConfig config_;
-  std::unique_ptr<ZipfianGenerator> zipf_;
 };
 
 }  // namespace lion

@@ -153,11 +153,10 @@ TEST_F(EngineAllocTest, GroupCommitTxnsAllocateNothing) {
 // Lion's workload analyzer records every routed transaction's partition set;
 // once its history holds B of them, recording one more only overwrites.
 TEST_F(EngineAllocTest, PlannerHistoryAllocatesNothingOnceFull) {
-  PlannerConfig pcfg;
-  pcfg.history_capacity = 1000;
-  Planner planner(&cluster_, pcfg);
+  Planner planner(&cluster_, PlannerConfig{});
   const std::vector<PartitionId> parts = {0, 3, 4};
-  for (size_t i = 0; i < pcfg.history_capacity; ++i) planner.RecordTxn(parts, 0);
+  // Fill the analyzer's 20,000-transaction history B.
+  for (int i = 0; i < 20000; ++i) planner.RecordTxn(parts, 0);
   const uint64_t before = g_allocs;
   for (int i = 0; i < 10000; ++i) planner.RecordTxn(parts, 0);
   EXPECT_EQ(g_allocs - before, 0u);

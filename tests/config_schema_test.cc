@@ -52,11 +52,12 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.cluster.records_per_partition = 123456789;
   cfg.cluster.epoch_interval = 12500 * kMicrosecond;  // 12.5 ms
   cfg.cluster.materialize_secondaries = true;
-  cfg.cluster.net.bandwidth_bytes_per_sec = 1.5e9;
-  cfg.cluster.net.one_way_latency = 37 * kMicrosecond;
+  cfg.cluster.net.regions = 2;
+  cfg.cluster.net.region_latency_ms = {0.025, 37.5, 37.5, 0.025};
+  cfg.cluster.net.jitter_pct = 0.15;
   cfg.ycsb.cross_pattern = CrossPattern::kRandomNode;
   cfg.ycsb.cross_ratio = 0.35;
-  cfg.ycsb.zipf_theta = 0.99;
+  cfg.ycsb.skew_factor = 0.99;
   cfg.tpcc.payment_ratio = 0.43;
   cfg.dynamic_period = 2500 * kMillisecond;
   cfg.concurrency = 77;
@@ -64,16 +65,15 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.duration = 4700 * kMillisecond;
   // Larger than 2^53: survives only because number lexemes are lossless.
   cfg.seed = 18446744073709551557ull;
-  cfg.lion.enable_planner = false;
-  cfg.lion.max_batch_size = 2048;
   cfg.lion.planner.interval = 125 * kMillisecond;
-  cfg.lion.planner.clump.alpha = 2.25;
+  cfg.lion.planner.min_history = 2048;
+  cfg.lion.geo.wan_migration_multiplier = 2.25;
   cfg.lion.planner.plan.cost.wm = 12.5;
   cfg.lion.planner.plan.cost.remote_access = 6.5;
   cfg.predictor.sample_interval = 40 * kMillisecond;
-  cfg.predictor.beta = 0.22;
+  cfg.predictor.gamma = 0.22;
+  cfg.predictor.prediction_scale = 0.005;
   cfg.predictor.lstm.hidden = 32;
-  cfg.predictor.lstm.learning_rate = 0.005;
   cfg.clay.monitor_interval = 750 * kMillisecond;
   cfg.clay.clump_budget = 5;
   ExpectRoundTripExact(cfg);
@@ -86,7 +86,9 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   EXPECT_EQ(back.seed, cfg.seed);
   EXPECT_EQ(back.cluster.epoch_interval, cfg.cluster.epoch_interval);
   EXPECT_EQ(back.ycsb.cross_pattern, CrossPattern::kRandomNode);
-  EXPECT_FALSE(back.lion.enable_planner);
+  EXPECT_TRUE(back.cluster.materialize_secondaries);
+  EXPECT_EQ(back.cluster.net.region_latency_ms,
+            cfg.cluster.net.region_latency_ms);
   EXPECT_DOUBLE_EQ(back.lion.planner.plan.cost.remote_access, 6.5);
   EXPECT_EQ(back.duration, 4700 * kMillisecond);
   EXPECT_EQ(back.predictor.lstm.hidden, 32);
@@ -120,8 +122,9 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
 
   // Deleted knobs: the second copy of the cost weights, the three Lion
   // knobs that the registry variant overwrote, the LSTM dimensions (fixed
-  // at 1), the meta group, and fields that became constants. Each is
-  // rejected as a flag and as a config key, at its first unknown segment.
+  // at 1), the meta and clump groups, and fields that became constants.
+  // Each is rejected as a flag and as a config key, at its first unknown
+  // segment.
   const std::pair<std::string, std::string> deleted[] = {
       {"lion.cost.wr", "lion.cost"},
       {"lion.cost.wm", "lion.cost"},
@@ -134,6 +137,11 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
       {"meta.baseline", "meta"},
       {"cluster.op_local_cost_us", "cluster.op_local_cost_us"},
       {"chaos.track_commits", "chaos.track_commits"},
+      {"cluster.net.one_way_latency_us", "cluster.net.one_way_latency_us"},
+      {"ycsb.zipf_theta", "ycsb.zipf_theta"},
+      {"lion.enable_planner", "lion.enable_planner"},
+      {"lion.planner.clump.alpha", "lion.planner.clump"},
+      {"chaos.unavailable_backoff_us", "chaos.unavailable_backoff_us"},
   };
   for (const auto& [path, reported] : deleted) {
     ExperimentConfig flag_cfg;
@@ -232,7 +240,7 @@ TEST(ConfigSchemaTest, SetByPathParsesUnitsAndTypes) {
 TEST(ConfigSchemaTest, ListPathsCoversNestedLeaves) {
   std::vector<std::pair<std::string, std::string>> paths;
   ExperimentConfigSchema().ListPaths("", &paths);
-  ASSERT_GT(paths.size(), 60u);  // the full declared flag surface
+  ASSERT_GT(paths.size(), 50u);  // the full declared flag surface
   auto has = [&paths](const std::string& p) {
     for (const auto& e : paths) {
       if (e.first == p) return true;
@@ -240,9 +248,9 @@ TEST(ConfigSchemaTest, ListPathsCoversNestedLeaves) {
     return false;
   };
   EXPECT_TRUE(has("protocol"));
-  EXPECT_TRUE(has("cluster.net.stats_window_ms"));
-  EXPECT_TRUE(has("lion.planner.clump.alpha"));
-  EXPECT_TRUE(has("predictor.lstm.learning_rate"));
+  EXPECT_TRUE(has("cluster.net.jitter_pct"));
+  EXPECT_TRUE(has("lion.planner.plan.cost.wm"));
+  EXPECT_TRUE(has("predictor.lstm.hidden"));
   EXPECT_FALSE(has("lion"));  // nested structs are not leaves
 }
 
@@ -269,12 +277,12 @@ TEST(ConfigFlagGroupsTest, GroupsFollowDeclarationStructure) {
   // Group flags are fully qualified and recurse into nested structs.
   bool has_net_leaf = false;
   for (const auto& f : cluster->flags) {
-    has_net_leaf |= f.first == "cluster.net.one_way_latency_us";
+    has_net_leaf |= f.first == "cluster.net.regions";
   }
   EXPECT_TRUE(has_net_leaf);
-  ASSERT_EQ(clay->flags.size(), 3u);
+  ASSERT_EQ(clay->flags.size(), 2u);
   EXPECT_EQ(clay->flags[0].first, "clay.monitor_interval_ms");
-  EXPECT_EQ(clay->flags[2].first, "clay.clump_budget");
+  EXPECT_EQ(clay->flags[1].first, "clay.clump_budget");
 
   // The groups flatten back to exactly ListPaths (same leaves, same order
   // within groups).

@@ -144,7 +144,7 @@ HeatGraph Figure3Graph() {
 TEST(ClumpTest, PaperFigure3ClumpGeneration) {
   HeatGraph g = Figure3Graph();
   RouterTable table(3, 5);
-  ClumpGenerator gen(ClumpOptions{/*alpha=*/1.0, /*cross_node_multiplier=*/4.0});
+  ClumpGenerator gen;
   std::vector<Clump> clumps = gen.Generate(g, table);
 
   ASSERT_EQ(clumps.size(), 4u);
@@ -161,13 +161,15 @@ TEST(ClumpTest, PaperFigure3ClumpGeneration) {
 }
 
 TEST(ClumpTest, AlphaThresholdSplitsWeakEdges) {
-  HeatGraph g;
-  g.AddAccess({0, 1});  // co-accessed once only
   RouterTable table(1, 2);  // same node: no cross boost
-  ClumpGenerator strict(ClumpOptions{/*alpha=*/1.5, 4.0, /*alpha_relative=*/0});
-  EXPECT_EQ(strict.Generate(g, table).size(), 2u);  // weight 1 < alpha: split
-  ClumpGenerator loose(ClumpOptions{/*alpha=*/0.5, 4.0, /*alpha_relative=*/0});
-  EXPECT_EQ(loose.Generate(g, table).size(), 1u);
+  ClumpGenerator gen;
+  HeatGraph once;
+  once.AddAccess({0, 1});  // weight 1, not above alpha = 1: split
+  EXPECT_EQ(gen.Generate(once, table).size(), 2u);
+  HeatGraph twice;
+  twice.AddAccess({0, 1});
+  twice.AddAccess({0, 1});  // weight 2 > alpha: one clump
+  EXPECT_EQ(gen.Generate(twice, table).size(), 1u);
 }
 
 TEST(ClumpTest, RelativeThresholdPrunesNoiseEdges) {
@@ -179,8 +181,9 @@ TEST(ClumpTest, RelativeThresholdPrunesNoiseEdges) {
   for (int i = 0; i < 100; ++i) g.AddAccess({2, 3});
   for (int i = 0; i < 3; ++i) g.AddAccess({1, 2});  // noise
   RouterTable table(4, 4);  // everything cross-node: same multiplier applies
-  ClumpGenerator gen(ClumpOptions{/*alpha=*/1.0, /*cross=*/4.0,
-                                  /*alpha_relative=*/0.5});
+  // The noise edge's raw weight 3 is below half the mean (203 / 3 / 2), so
+  // it is dropped although its boosted weight 12 passes alpha.
+  ClumpGenerator gen;
   auto clumps = gen.Generate(g, table);
   ASSERT_EQ(clumps.size(), 2u);
   EXPECT_EQ(clumps[0].pids.size(), 2u);
@@ -195,7 +198,7 @@ TEST(ClumpTest, ColocatedPairsStayClustered) {
   for (int i = 0; i < 50; ++i) g.AddAccess({0, 1});
   RouterTable table(2, 2);
   table.mutable_group(1)->Promote(0);  // both primaries on node 0
-  ClumpGenerator gen(ClumpOptions{});  // defaults incl. relative filter
+  ClumpGenerator gen;
   auto clumps = gen.Generate(g, table);
   ASSERT_EQ(clumps.size(), 1u);
   EXPECT_EQ(clumps[0].pids, (std::vector<PartitionId>{0, 1}));
@@ -204,12 +207,11 @@ TEST(ClumpTest, ColocatedPairsStayClustered) {
 TEST(ClumpTest, CrossNodeEdgesGetBoosted) {
   HeatGraph g;
   g.AddAccess({0, 1});  // raw weight 1
-  // Partitions 0,1 on different nodes: effective weight 1*4 = 4 > alpha=2.
+  // Partitions 0,1 on different nodes: effective weight 1*4 = 4 > alpha=1.
   RouterTable cross_table(2, 2);
-  ClumpGenerator gen(ClumpOptions{/*alpha=*/2.0, /*cross_node_multiplier=*/4.0,
-                                  /*alpha_relative=*/0});
+  ClumpGenerator gen;
   EXPECT_EQ(gen.Generate(g, cross_table).size(), 1u);
-  // Same node: effective weight stays 1 < 2: two clumps.
+  // Same node: effective weight stays 1, not above alpha: two clumps.
   RouterTable local_table(1, 2);
   EXPECT_EQ(gen.Generate(g, local_table).size(), 2u);
 }
@@ -220,8 +222,8 @@ TEST(ClumpTest, TransitiveExpansion) {
     g.AddAccess({0, 1});
     g.AddAccess({1, 2});
   }
-  RouterTable table(1, 3);
-  ClumpGenerator gen(ClumpOptions{/*alpha=*/2.0, 1.0, /*alpha_relative=*/0});
+  RouterTable table(1, 3);  // same node: no cross boost
+  ClumpGenerator gen;
   auto clumps = gen.Generate(g, table);
   ASSERT_EQ(clumps.size(), 1u);  // 0-1-2 chain merges through P1
   EXPECT_EQ(clumps[0].pids, (std::vector<PartitionId>{0, 1, 2}));
@@ -278,7 +280,6 @@ TEST(CostModelTest, PaperExample2PlacementCosts) {
   // "the costs for C1 to N1, N2, and N3 are wr, wm+wr, and wm"
   RouterTable table = Example2Table();
   CostModelConfig cfg;
-  cfg.wr = 1.0;
   cfg.wm = 10.0;
   CostModel model(cfg);
   Clump c1{{0, 1}, 4.0, kInvalidNode};
@@ -306,8 +307,6 @@ TEST(CostModelTest, ExecutionCostPrefersPrimaries) {
 TEST(PlanGeneratorTest, PaperExample2DispatchAndFineTune) {
   RouterTable table = Example2Table();
   PlanGeneratorConfig cfg;
-  cfg.epsilon = 0.25;
-  cfg.cost.wr = 1.0;
   cfg.cost.wm = 10.0;
   PlanGenerator gen(cfg);
 
@@ -332,9 +331,7 @@ TEST(PlanGeneratorTest, PaperExample2DispatchAndFineTune) {
 
 TEST(PlanGeneratorTest, Example2PlanEntries) {
   RouterTable table = Example2Table();
-  PlanGeneratorConfig cfg;
-  cfg.epsilon = 0.25;
-  PlanGenerator gen(cfg);
+  PlanGenerator gen(PlanGeneratorConfig{});
   std::vector<Clump> clumps = {
       {{0, 1}, 4.0, kInvalidNode},
       {{2}, 1.0, kInvalidNode},
@@ -383,18 +380,20 @@ TEST(PlanGeneratorTest, MissingReplicasProduceAddEntries) {
 }
 
 TEST(PlanGeneratorTest, FineTuningRespectsStepBudget) {
-  RouterTable table(2, 8);
+  RouterTable table(2, 48);
   table.InitRoundRobin(2);
-  PlanGeneratorConfig cfg;
-  cfg.step_budget = 1;
-  cfg.epsilon = 0.01;
-  PlanGenerator gen(cfg);
-  // All clumps cheapest on node 0 (primaries there), grossly imbalanced.
+  PlanGenerator gen(PlanGeneratorConfig{});
+  // All 24 clumps cheapest on node 0 (primaries there), grossly imbalanced:
+  // avg = 12 and theta = 12 * 1.25 = 15, so 9 moves are needed. The first
+  // 8 use up one step budget; FindOINodes is re-derived for the ninth.
   std::vector<Clump> clumps;
-  for (PartitionId p = 0; p < 8; p += 2)
+  for (PartitionId p = 0; p < 48; p += 2)
     clumps.push_back(Clump{{p}, 1.0, kInvalidNode});
   ReconfigurationPlan plan = gen.Rearrange(clumps, table);
-  EXPECT_GE(plan.fine_tune_moves, 1);
+  EXPECT_EQ(plan.fine_tune_moves, 9);
+  int on_node0 = 0;
+  for (const Clump& c : plan.assignments) on_node0 += c.dst == 0 ? 1 : 0;
+  EXPECT_EQ(on_node0, 15);
 }
 
 // --- Paper Example 3: prediction merges clumps and relocates them ------------
@@ -411,7 +410,7 @@ TEST(PlanGeneratorTest, PaperExample3PredictionMergesAndRelocates) {
   HeatGraph g = Figure3Graph();
   g.AddAccess({2, 3}, 2.0);  // predicted: P3-P4
 
-  ClumpGenerator cgen(ClumpOptions{/*alpha=*/1.0, /*cross=*/4.0});
+  ClumpGenerator cgen;
   std::vector<Clump> clumps = cgen.Generate(g, table);
 
   // P3 and P4 now share a clump of collective weight >= 3.
@@ -423,8 +422,6 @@ TEST(PlanGeneratorTest, PaperExample3PredictionMergesAndRelocates) {
   EXPECT_GE(merged->weight, 3.0);
 
   PlanGeneratorConfig pcfg;
-  pcfg.epsilon = 0.25;
-  pcfg.cost.wr = 1.0;
   pcfg.cost.wm = 10.0;
   PlanGenerator pgen(pcfg);
   ReconfigurationPlan plan = pgen.Rearrange(clumps, table);
@@ -575,10 +572,10 @@ TEST(PlannerTest, HistoryIsBounded) {
   Simulator sim;
   Cluster cluster(&sim, LionTestConfig());
   PlannerConfig pcfg;
-  pcfg.history_capacity = 50;
   pcfg.min_history = 1;
   Planner planner(&cluster, pcfg);
-  for (int i = 0; i < 500; ++i) planner.RecordTxn({0}, 0);
+  // More than the analyzer's 20,000-transaction history B.
+  for (int i = 0; i < 20500; ++i) planner.RecordTxn({0}, 0);
   planner.RunOnce();  // must not blow up; capacity respected internally
   EXPECT_EQ(planner.plans_generated(), 1u);
 }
@@ -636,10 +633,7 @@ TEST(LionProtocolTest, Example1SingleNodeWithoutRemastering) {
   cluster.Start();
   SetupExample1(&cluster);
   MetricsCollector metrics;
-  LionOptions opts;
-  opts.enable_planner = false;
-  opts.group_commit = false;
-  LionProtocol lion(&cluster, &metrics, opts);
+  LionProtocol lion(&cluster, &metrics, LionOptions{});
 
   // T2: W(z) with z in P3 (id 2), primary on n1: direct single-node.
   bool done = false;
@@ -660,10 +654,7 @@ TEST(LionProtocolTest, Example1RemasterConversion) {
   cluster.Start();
   SetupExample1(&cluster);
   MetricsCollector metrics;
-  LionOptions opts;
-  opts.enable_planner = false;
-  opts.group_commit = false;
-  LionProtocol lion(&cluster, &metrics, opts);
+  LionProtocol lion(&cluster, &metrics, LionOptions{});
 
   // T1: W(x in P1), R(y in P2). Router picks n0 (P1 primary + P2 secondary);
   // P2 is remastered to n0, then T1 runs as a single-node transaction.
@@ -700,10 +691,7 @@ TEST(LionProtocolTest, Example1DistributedFallback) {
   cluster.Start();
   SetupExample1(&cluster);
   MetricsCollector metrics;
-  LionOptions opts;
-  opts.enable_planner = false;
-  opts.group_commit = false;
-  LionProtocol lion(&cluster, &metrics, opts);
+  LionProtocol lion(&cluster, &metrics, LionOptions{});
 
   // T3 writes P3 (primary n1, secondary n2) and P4 (primary n2, no other
   // replica). No node has all replicas... n2 has P4 primary + P3 secondary!
@@ -735,10 +723,7 @@ TEST(LionProtocolTest, Example1ConvertibleViaSecondary) {
   cluster.Start();
   SetupExample1(&cluster);
   MetricsCollector metrics;
-  LionOptions opts;
-  opts.enable_planner = false;
-  opts.group_commit = false;
-  LionProtocol lion(&cluster, &metrics, opts);
+  LionProtocol lion(&cluster, &metrics, LionOptions{});
 
   // {P3, P4}: n2 holds P4 primary + P3 secondary: remaster P3 and convert.
   auto txn = std::make_unique<Transaction>(1, 0);
@@ -768,14 +753,16 @@ TEST(LionProtocolTest, GroupCommitDelaysCompletionToEpoch) {
   cluster.Start();
   MetricsCollector metrics;
   LionOptions opts;
-  opts.enable_planner = false;
-  opts.group_commit = true;
+  opts.batch_mode = true;
   LionProtocol lion(&cluster, &metrics, opts);
+  lion.Start();
 
   SimTime done_at = -1;
   lion.Submit(SingleWrite(1, 0, 5), [&](TxnPtr) { done_at = sim.Now(); });
-  sim.RunUntil(3 * ccfg.epoch_interval);
-  EXPECT_EQ(done_at, ccfg.epoch_interval);
+  sim.RunUntil(4 * ccfg.epoch_interval);
+  // The batch flushes at the first epoch end and commits just after it;
+  // group commit holds the acknowledgement to the next epoch end.
+  EXPECT_EQ(done_at, 2 * ccfg.epoch_interval);
 }
 
 TEST(LionProtocolTest, ClosedLoopYcsbMostlySingleNodeAfterAdaptation) {
@@ -815,7 +802,6 @@ TEST(LionProtocolTest, BatchModeFlushesAtEpoch) {
   cluster.Start();
   MetricsCollector metrics;
   LionOptions opts;
-  opts.enable_planner = false;
   opts.batch_mode = true;
   LionProtocol lion(&cluster, &metrics, opts);
   lion.Start();
@@ -840,7 +826,6 @@ TEST(LionProtocolTest, BatchModeAsyncRemasterBarrier) {
   SetupExample1(&cluster);
   MetricsCollector metrics;
   LionOptions opts;
-  opts.enable_planner = false;
   opts.batch_mode = true;
   LionProtocol lion(&cluster, &metrics, opts);
   lion.Start();
@@ -874,19 +859,22 @@ TEST(LionProtocolTest, BatchSizeLimitTriggersEarlyFlush) {
   cluster.Start();
   MetricsCollector metrics;
   LionOptions opts;
-  opts.enable_planner = false;
   opts.batch_mode = true;
-  opts.max_batch_size = 3;
-  opts.group_commit = false;
   LionProtocol lion(&cluster, &metrics, opts);
   lion.Start();
 
+  // 10,000 submissions fill a batch, so it flushes at once instead of at
+  // the first epoch end: its commits are acknowledged at that epoch end,
+  // not the second. Spread over every node's primaries, they run well
+  // within the epoch.
+  const int kBatch = 10000;
   int committed = 0;
-  for (int i = 0; i < 3; ++i)
-    lion.Submit(SingleWrite(i + 1, 0, 20 + i), [&](TxnPtr) { committed++; });
-  // Size-3 batch flushed immediately; commits happen well before the epoch.
-  sim.RunUntil(ccfg.epoch_interval / 2);
-  EXPECT_EQ(committed, 3);
+  for (int i = 0; i < kBatch; ++i) {
+    PartitionId pid = i % cluster.num_partitions();
+    lion.Submit(SingleWrite(i + 1, pid, i), [&](TxnPtr) { committed++; });
+  }
+  sim.RunUntil(ccfg.epoch_interval + ccfg.epoch_interval / 2);
+  EXPECT_EQ(committed, kBatch);
 }
 
 }  // namespace

@@ -71,15 +71,15 @@ TEST(FailureTest, ElectionPrefersMostCaughtUpSecondary) {
 TEST(FailureTest, LagExtendsElectionTime) {
   Simulator sim;
   ClusterConfig cfg = Cfg();
-  cfg.remaster_per_entry = 1000;  // 1 us per entry
   Cluster cluster(&sim, cfg);
   FailureInjector chaos(&cluster);
   ReplicaGroup* g = cluster.router().mutable_group(0);
-  g->Advance(2000);  // secondary lags by 2000 entries
+  g->Advance(20000);  // secondary lags by 20,000 entries: 2 ms at 100 ns
 
   chaos.FailNode(0);
   sim.RunUntilIdle();
-  EXPECT_GE(sim.Now(), cfg.remaster_base_delay + 2000 * 1000);
+  EXPECT_GE(sim.Now(), cfg.remaster_base_delay +
+                           20000 * ClusterConfig::remaster_per_entry);
   EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
 }
 

@@ -24,7 +24,6 @@ TEST(TopologyTest, FlatDefaultReproducesSingleDatacenterModel) {
   EXPECT_EQ(topo.region_of(3), 0);
   EXPECT_FALSE(topo.cross_region(0, 3));
   EXPECT_EQ(topo.base_latency(0, 3), cfg.one_way_latency);
-  EXPECT_EQ(topo.bandwidth(1, 2), cfg.bandwidth_bytes_per_sec);
   EXPECT_EQ(topo.max_cross_region_latency(), 0);
 }
 
@@ -49,15 +48,19 @@ TEST(TopologyTest, ExplicitMatricesDriveLatencyAndBandwidth) {
   cfg.regions = 2;
   cfg.node_regions = {0, 1, 0, 1};  // interleaved, not the block default
   cfg.region_latency_ms = {0.05, 30.0, 30.0, 0.05};
-  cfg.region_bandwidth_bytes_per_sec = {1e9, 1e6, 1e6, 1e9};
   Topology topo(cfg, 4);
   EXPECT_EQ(topo.region_of(1), 1);
   EXPECT_EQ(topo.region_of(2), 0);
   EXPECT_EQ(topo.base_latency(0, 2), 50 * kMicrosecond);   // 0 -> 0
   EXPECT_EQ(topo.base_latency(0, 1), 30 * kMillisecond);   // 0 -> 1
-  EXPECT_EQ(topo.bandwidth(0, 2), 1e9);
-  EXPECT_EQ(topo.bandwidth(0, 1), 1e6);
   EXPECT_EQ(topo.max_cross_region_latency(), 30 * kMillisecond);
+  // The latency matrix is the only one: every pair serializes at the one
+  // link bandwidth.
+  Simulator sim;
+  Network net(&sim, cfg, 4);
+  const uint64_t bytes = 1'000'000;
+  EXPECT_EQ(net.TransferDelay(0, 2, bytes) - topo.base_latency(0, 2),
+            net.TransferDelay(0, 1, bytes) - topo.base_latency(0, 1));
 }
 
 TEST(TopologyTest, ValidateRejectsBadGeometry) {
@@ -88,22 +91,21 @@ TEST(GeoNetworkTest, CrossRegionDelayUsesRegionPairLatencyAndBandwidth) {
   Simulator sim;
   NetworkConfig cfg;
   cfg.regions = 2;
-  cfg.one_way_latency = 25 * kMicrosecond;
-  cfg.cross_region_latency = 30 * kMillisecond;
-  cfg.bandwidth_bytes_per_sec = 1e6;  // 1 MB/s: 1000 bytes = 1 ms
   Network net(&sim, cfg, /*num_nodes=*/4);
+  // 1 MB at 117 MiB/s serializes in 8,151,063 ns.
+  const uint64_t bytes = 1'000'000;
+  const SimTime serialization = 8'151'063;
   SimTime intra = -1, cross = -1;
-  net.Send(0, 1, 1000, [&]() { intra = sim.Now(); });  // both region 0
-  net.Send(0, 3, 1000, [&]() { cross = sim.Now(); });  // region 0 -> 1
+  net.Send(0, 1, bytes, [&]() { intra = sim.Now(); });  // both region 0
+  net.Send(0, 3, bytes, [&]() { cross = sim.Now(); });  // region 0 -> 1
   sim.RunUntilIdle();
-  EXPECT_EQ(intra, 25 * kMicrosecond + 1 * kMillisecond);
-  EXPECT_EQ(cross, 30 * kMillisecond + 1 * kMillisecond);
+  EXPECT_EQ(intra, 25 * kMicrosecond + serialization);
+  EXPECT_EQ(cross, 30 * kMillisecond + serialization);
 }
 
 TEST(GeoNetworkTest, JitterIsBoundedAndDeterministic) {
   NetworkConfig cfg;
   cfg.regions = 2;
-  cfg.cross_region_latency = 30 * kMillisecond;
   cfg.jitter_pct = 0.1;
   SimTime nominal = cfg.cross_region_latency +
                     static_cast<SimTime>(std::llround(
@@ -140,9 +142,6 @@ TEST(GeoConfigSchemaTest, RegionFieldsRoundTripExactly) {
   cfg.cluster.net.node_regions = {0, 0, 1, 2};
   cfg.cluster.net.region_latency_ms = {0.05, 30, 80, 30, 0.05, 50,
                                        80, 50, 0.05};
-  cfg.cluster.net.cross_region_latency = 45 * kMillisecond;
-  cfg.cluster.net.region_bandwidth_bytes_per_sec =
-      std::vector<double>(9, 2.5e8);
   cfg.cluster.net.jitter_pct = 0.07;
   cfg.lion.geo.replica_regions = {0, 2};
   cfg.lion.geo.min_replicas_per_region = 2;

@@ -107,7 +107,6 @@ TEST_P(ReplicationConvergenceTest, SecondariesConverge) {
   cfg.protocol = GetParam();
   cfg.cluster = ccfg;
   cfg.ycsb.cross_ratio = 0.5;
-  cfg.ycsb.write_ratio = 0.4;
   cfg.lion.planner.interval = 200 * kMillisecond;
   cfg.lion.planner.min_history = 32;
   cfg.predictor.train_epochs = 2;

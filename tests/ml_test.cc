@@ -2,6 +2,7 @@
 // (finite-difference check), and learning capability on synthetic series.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "ml/lstm.h"
@@ -91,7 +92,6 @@ TEST(VecOpsTest, SuffixCosineSimilarityAlignsAtTheEnd) {
 TEST(LstmTest, GradientMatchesFiniteDifference) {
   LstmConfig cfg;
   cfg.hidden = 4;
-  cfg.layers = 2;
   LstmNetwork net(cfg, 3);
   std::vector<double> series = {0.1, 0.5, 0.3, 0.9, 0.2, 0.7};
 
@@ -135,7 +135,6 @@ TEST(LstmTest, DeterministicForSeed) {
 TEST(LstmTest, TrainingReducesLoss) {
   LstmConfig cfg;
   cfg.hidden = 10;
-  cfg.layers = 2;
   LstmNetwork net(cfg, 5);
   // sin wave sampled at 12 points/period, scaled to [0,1].
   std::vector<double> series;
@@ -151,7 +150,6 @@ TEST(LstmTest, TrainingReducesLoss) {
 TEST(LstmTest, LearnsSineWavePrediction) {
   LstmConfig cfg;
   cfg.hidden = 12;
-  cfg.layers = 2;
   LstmNetwork net(cfg, 11);
   std::vector<double> series;
   for (int i = 0; i < 60; ++i)
@@ -200,10 +198,18 @@ TEST(LstmTest, EvaluateOnTinySeriesIsZero) {
 TEST(LstmTest, GradClipKeepsUpdatesFinite) {
   LstmConfig cfg;
   cfg.hidden = 4;
-  cfg.learning_rate = 0.5;  // aggressive
   LstmNetwork net(cfg, 13);
-  std::vector<double> series = {0.0, 1.0, 0.0, 1.0, 0.0, 1.0};
+  // Large values: the raw gradients far exceed the clip of 5.
+  std::vector<double> series = {0.0, 1000.0, 0.0, 1000.0, 0.0, 1000.0};
+  net.ForwardBackward(series);
+  double max_raw = 0.0;
+  for (double* g : net.GradientPointers()) {
+    max_raw = std::max(max_raw, std::fabs(*g));
+  }
+  EXPECT_GT(max_raw, 5.0);
   for (int i = 0; i < 50; ++i) net.TrainSequence(series);
+  // Each update applied the clipped gradients.
+  for (double* g : net.GradientPointers()) EXPECT_LE(std::fabs(*g), 5.0);
   double out = net.PredictNext(series);
   EXPECT_TRUE(std::isfinite(out));
 }

@@ -17,7 +17,6 @@ PredictorConfig FastConfig() {
   cfg.horizon = 2;
   cfg.train_epochs = 30;
   cfg.lstm.hidden = 8;
-  cfg.lstm.layers = 1;
   return cfg;
 }
 
@@ -58,7 +57,6 @@ TEST(PredictorTest, ArrivalRateSeriesCountsPerInterval) {
 
 TEST(PredictorTest, CosineMergesCoMovingTemplates) {
   PredictorConfig cfg = FastConfig();
-  cfg.beta = 0.15;
   LstmPredictor pred(cfg);
   // Templates A={1,2} and B={3,4} rise together; C={5,6} moves oppositely.
   SimTime t = 0;
@@ -119,21 +117,6 @@ TEST(PredictorTest, PeriodicBurstForecastInjectsPredictedEdges) {
   EXPECT_GT(g.EdgeWeight(7, 8), 0.0);
 }
 
-TEST(PredictorTest, WpZeroDisablesPrediction) {
-  PredictorConfig cfg = FastConfig();
-  cfg.wp = 0.0;
-  LstmPredictor pred(cfg);
-  SimTime t = 0;
-  for (int interval = 0; interval < 10; ++interval) {
-    for (int i = 0; i < 5 * (interval + 1); ++i) pred.OnTxn({1, 2}, t);
-    t += cfg.sample_interval;
-  }
-  HeatGraph g;
-  pred.AugmentGraph(&g, t);
-  EXPECT_DOUBLE_EQ(g.EdgeWeight(1, 2), 0.0);
-  EXPECT_EQ(pred.pre_replications_triggered(), 0u);
-}
-
 TEST(PredictorTest, SingletonTemplatesAddNoEdges) {
   PredictorConfig cfg = FastConfig();
   cfg.gamma = 0.0;  // always trigger
@@ -149,11 +132,10 @@ TEST(PredictorTest, SingletonTemplatesAddNoEdges) {
 }
 
 TEST(PredictorTest, TemplateCapIsRespected) {
-  PredictorConfig cfg = FastConfig();
-  cfg.max_templates = 4;
-  LstmPredictor pred(cfg);
-  for (PartitionId p = 0; p < 20; ++p) pred.OnTxn({p, p + 100}, 0);
-  EXPECT_EQ(pred.num_templates(), 4u);
+  LstmPredictor pred(FastConfig());
+  // 600 distinct templates; the predictor tracks the first 512.
+  for (PartitionId p = 0; p < 600; ++p) pred.OnTxn({p, p + 1000}, 0);
+  EXPECT_EQ(pred.num_templates(), 512u);
 }
 
 TEST(PredictorTest, DeterministicAcrossRuns) {
@@ -196,11 +178,10 @@ TEST(PredictorTest, LateAttachDoesNotInflateClosedIntervals) {
 }
 
 TEST(PredictorTest, LongIdleGapCapsSeriesAtWindow) {
-  // A gap of N >> class_window intervals must cost O(window), leave the
-  // window all zeros (the pre-gap counts aged out), and still account for
-  // every elapsed interval.
+  // A gap of N >> the class window (64 intervals) must cost O(window),
+  // leave the window all zeros (the pre-gap counts aged out), and still
+  // account for every elapsed interval.
   PredictorConfig cfg = FastConfig();
-  cfg.class_window = 16;
   LstmPredictor pred(cfg);
   for (int i = 0; i < 5; ++i) pred.OnTxn({1, 2}, 0);
   const uint64_t gap = 100000;  // 100k idle intervals
@@ -211,7 +192,7 @@ TEST(PredictorTest, LongIdleGapCapsSeriesAtWindow) {
   pred.AugmentGraph(&g, after);
   ASSERT_EQ(pred.num_classes(), 1u);
   const auto& series = pred.ClassSeries(0);
-  ASSERT_EQ(series.size(), 16u);
+  ASSERT_EQ(series.size(), 64u);
   for (double v : series) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
@@ -273,14 +254,13 @@ TEST(EwmaPredictorTest, DeterministicAcrossRuns) {
 
 TEST(EwmaPredictorTest, TemplateCapStillClassifies) {
   PredictorConfig cfg = FastConfig();
-  cfg.max_templates = 4;
   EwmaPredictor pred(cfg);
   SimTime t = 0;
   for (int interval = 0; interval < 6; ++interval) {
-    for (PartitionId p = 0; p < 20; ++p) pred.OnTxn({p, p + 100}, t);
+    for (PartitionId p = 0; p < 600; ++p) pred.OnTxn({p, p + 1000}, t);
     t += cfg.sample_interval;
   }
-  EXPECT_EQ(pred.num_templates(), 4u);
+  EXPECT_EQ(pred.num_templates(), 512u);  // the first 512 of 600
   HeatGraph g;
   pred.AugmentGraph(&g, t);
   EXPECT_GE(pred.num_classes(), 1u);

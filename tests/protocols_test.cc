@@ -176,7 +176,6 @@ TEST(ClayTest, RepartitionsOnLoadImbalance) {
   MetricsCollector metrics;
   ClayConfig clay_cfg;
   clay_cfg.monitor_interval = 100 * kMillisecond;
-  clay_cfg.epsilon = 0.1;
   ClayProtocol clay(&cluster, &metrics, clay_cfg);
   clay.Start();
 

@@ -315,16 +315,17 @@ TEST(RemasterTest, EndReconfigWithSupersededTokenKeepsBlock) {
 TEST(RemasterTest, LagIncreasesRemasterDuration) {
   Simulator sim;
   ClusterConfig cfg = SmallConfig();
-  cfg.remaster_per_entry = 1000;  // 1 us per entry, visible in timing
   Cluster cluster(&sim, cfg);
 
   // Build up lag on partition 0's secondary (n1): append without shipping.
-  for (int i = 0; i < 1000; ++i) cluster.replication().Append(0, i, i);
+  // 10,000 entries at 100 ns each add 1 ms, far above the message delays.
+  for (int i = 0; i < 10000; ++i) cluster.replication().Append(0, i, i);
 
   SimTime done_at = -1;
   cluster.remaster().Remaster(0, 1, [&](bool) { done_at = sim.Now(); });
   sim.RunUntilIdle();
-  EXPECT_GE(done_at, cfg.remaster_base_delay + 1000 * 1000);
+  EXPECT_GE(done_at, cfg.remaster_base_delay +
+                        10000 * ClusterConfig::remaster_per_entry);
 }
 
 // --- MigrationManager ---------------------------------------------------------

@@ -17,7 +17,7 @@ TEST(SchismTest, CoAccessedVerticesShareANode) {
     g.AddAccess({2, 3});
   }
   RouterTable table(2, 4);
-  SchismPartitioner schism(0.5);
+  SchismPartitioner schism;
   auto clumps = schism.Partition(g, table);
   ASSERT_EQ(clumps.size(), 2u);  // one clump per node
   // Each strongly-connected pair lands on one node.
@@ -40,9 +40,9 @@ TEST(SchismTest, RespectsBalanceCap) {
     g.AddAccess({4, 5});
   }
   RouterTable table(3, 6);
-  SchismPartitioner schism(/*epsilon=*/0.1);
+  SchismPartitioner schism;
   auto clumps = schism.Partition(g, table);
-  // Capacity is a partition count: 6 partitions / 3 nodes * 1.1 = 2.2.
+  // Capacity is a partition count: 6 partitions / 3 nodes * 1.25 = 2.5.
   for (const Clump& c : clumps) {
     EXPECT_LE(c.pids.size(), 2u) << "node " << c.dst;
   }

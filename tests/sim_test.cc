@@ -165,14 +165,12 @@ TEST(SimulatorTest, DeepQueueGeometrySamplingKeepsOrder) {
 
 TEST(NetworkTest, RemoteDelayIncludesLatencyAndBandwidth) {
   Simulator sim;
-  NetworkConfig cfg;
-  cfg.one_way_latency = 25 * kMicrosecond;
-  cfg.bandwidth_bytes_per_sec = 1e6;  // 1 MB/s: 1000 bytes = 1 ms
-  Network net(&sim, cfg);
+  Network net(&sim, NetworkConfig{});
   SimTime delivered = -1;
-  net.Send(0, 1, 1000, [&]() { delivered = sim.Now(); });
+  // 25 us one way, plus 1 MB at 117 MiB/s: 8,151,063 ns.
+  net.Send(0, 1, 1'000'000, [&]() { delivered = sim.Now(); });
   sim.RunUntilIdle();
-  EXPECT_EQ(delivered, 25 * kMicrosecond + 1 * kMillisecond);
+  EXPECT_EQ(delivered, 25 * kMicrosecond + 8'151'063);
 }
 
 TEST(NetworkTest, LoopbackIsCheapAndUncounted) {
@@ -199,11 +197,10 @@ TEST(NetworkTest, CountsBytesAndMessages) {
 
 TEST(NetworkTest, WindowBytesAccumulatePerWindow) {
   Simulator sim;
-  NetworkConfig cfg;
-  cfg.stats_window = 1 * kMillisecond;
-  Network net(&sim, cfg);
+  Network net(&sim, NetworkConfig{});
   net.Send(0, 1, 100, []() {});
-  sim.Schedule(5 * kMillisecond, [&]() { net.Send(0, 1, 700, []() {}); });
+  // Windows are 100 ms wide: the second send lands in window 5.
+  sim.Schedule(500 * kMillisecond, [&]() { net.Send(0, 1, 700, []() {}); });
   sim.RunUntilIdle();
   const auto& w = net.window_bytes();
   ASSERT_GE(w.size(), 6u);

@@ -1,12 +1,15 @@
 // Checked-in grids stay runnable and complete: every config in
-// examples/configs/ parses, expands and validates point by point, and the
+// examples/configs/ parses, expands and validates point by point, the
 // figures whose protocol lineup is "every registered protocol of one
 // execution mode" list exactly that lineup, so a newly registered protocol
-// fails here until the figure grids include it.
+// fails here until the figure grids include it, and every config flag is
+// named by a checked-in config, so a new knob without a caller fails here
+// too.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
 #include <utility>
@@ -22,10 +25,12 @@ namespace {
 
 const std::string kConfigDir =
     std::string(LION_SOURCE_DIR) + "/examples/configs/";
+const std::string kBenchWorkloadDir =
+    std::string(LION_SOURCE_DIR) + "/bench/suite/workloads/";
 
-std::vector<std::string> ConfigFiles() {
+std::vector<std::string> JsonFiles(const std::string& dir) {
   std::vector<std::string> files;
-  for (const auto& entry : std::filesystem::directory_iterator(kConfigDir)) {
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     if (entry.path().extension() == ".json") {
       files.push_back(entry.path().string());
     }
@@ -33,6 +38,8 @@ std::vector<std::string> ConfigFiles() {
   std::sort(files.begin(), files.end());
   return files;
 }
+
+std::vector<std::string> ConfigFiles() { return JsonFiles(kConfigDir); }
 
 Json MustLoad(const std::string& path) {
   Json doc;
@@ -133,6 +140,94 @@ TEST(SpecDriftTest, FigureLineupsListEveryRegisteredProtocol) {
       listed.emplace_back(protocols->values[i].str(), protocols->labels[i]);
     }
     EXPECT_EQ(listed, Lineup(fig.mode));
+  }
+}
+
+/// Adds the dotted path of every scalar or array under `v` (a config object
+/// or a value assigned at `prefix`) to `named`.
+void AddNamedPaths(const std::string& prefix, const Json& v,
+                   std::set<std::string>* named) {
+  if (!v.is_object()) {
+    named->insert(prefix);
+    return;
+  }
+  for (const Json::Member& m : v.members()) {
+    AddNamedPaths(JoinFieldPath(prefix, m.first), m.second, named);
+  }
+}
+
+TEST(SpecDriftTest, EveryFlagIsNamedByACheckedInConfig) {
+  // A config field earns its flag by a caller. These fields have none in a
+  // checked-in config; each is kept for the stated reason.
+  const std::string kGeoReason =
+      "bench/suite/bench_suite.cc overrides Protocol::geo_placement()";
+  const std::map<std::string, std::string> kKept = {
+      {"ycsb.partition_offset", "set by workload/dynamic.cc"},
+      {"tpcc.payment_ratio", "set by examples/tpcc_neworder.cpp"},
+      {"predictor.history_window", "set by examples/predictor_forecast.cpp"},
+      {"predictor.prediction_scale", "set by examples/predictor_forecast.cpp"},
+      {"predictor.lstm.hidden", "set by examples/predictor_forecast.cpp"},
+      {"cluster.record_bytes", "set by the fixed-seed digests and goldens"},
+      {"ycsb.ops_per_txn", "set by the fixed-seed digests and goldens"},
+      {"tpcc.items", "set by the fixed-seed digests and goldens"},
+      {"recovery.catch_up_batch", "set by the fixed-seed digests and goldens"},
+      {"clay.monitor_interval_ms", "set by the ClayMonitorYcsb digest"},
+      {"clay.clump_budget", "awaits the audit of Clay's clump"},
+      {"lion.planner.plan.cost.remote_access",
+       "awaits the audit of the Eq. 3/4 weights"},
+      {"lion.geo.replica_regions", kGeoReason},
+      {"lion.geo.min_replicas_per_region", kGeoReason},
+      {"lion.geo.wan_migration_multiplier", kGeoReason},
+      {"lion.geo.hot_primary_pin_threshold", kGeoReason},
+      {"cluster.materialize_secondaries",
+       "the oracle of ReplicationConvergenceTest"},
+  };
+
+  std::set<std::string> named;
+  for (const std::string& path : ConfigFiles()) {
+    Json doc = MustLoad(path);
+    if (!IsSweepDocument(doc)) {
+      AddNamedPaths("", doc, &named);
+      continue;
+    }
+    std::vector<Json> specs = doc.is_array() ? doc.items()
+                                             : std::vector<Json>{doc};
+    for (const Json& spec : specs) {
+      if (const Json* base = spec.Find("base")) {
+        AddNamedPaths("", *base, &named);
+      }
+      const Json* axes = spec.Find("axes");
+      if (axes == nullptr) continue;
+      for (const Json& axis : axes->items()) {
+        const Json* axis_path = axis.Find("path");
+        const Json* values = axis.Find("values");
+        ASSERT_NE(axis_path, nullptr) << path;
+        ASSERT_NE(values, nullptr) << path;
+        for (const Json& value : values->items()) {
+          AddNamedPaths(axis_path->str(), value, &named);
+        }
+      }
+    }
+  }
+  for (const std::string& path : JsonFiles(kBenchWorkloadDir)) {
+    AddNamedPaths("", MustLoad(path), &named);
+  }
+
+  std::vector<std::pair<std::string, std::string>> leaves;
+  ExperimentConfigSchema().ListPaths("", &leaves);
+  std::set<std::string> unnamed;
+  for (const auto& leaf : leaves) {
+    if (named.count(leaf.first) == 0) unnamed.insert(leaf.first);
+  }
+  // A new field fails here until a config sets it; a kept field that a
+  // config now names (or that is gone) leaves the list.
+  for (const std::string& path : unnamed) {
+    EXPECT_EQ(kKept.count(path), 1u)
+        << path << " is named by no checked-in config";
+  }
+  for (const auto& [path, reason] : kKept) {
+    EXPECT_EQ(unnamed.count(path), 1u)
+        << path << " (kept: " << reason << ") is no unnamed flag";
   }
 }
 

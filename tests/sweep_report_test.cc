@@ -65,8 +65,7 @@ TEST(SweepReportTest, ReferenceBoundIsOneWanRoundTripOfThePointTopology) {
       "base": {"protocol": "2PC", "workload": "ycsb",
                "warmup_s": 0.05, "duration_s": 0.25,
                "cluster": {"workers_per_node": 2, "partitions_per_node": 4,
-                           "records_per_partition": 1000,
-                           "net": {"cross_region_latency_ms": 7}},
+                           "records_per_partition": 1000},
                "ycsb": {"cross_pattern": "random-node", "cross_ratio": 0.5}},
       "axes": [{"path": "cluster.net.regions", "values": [1, 2],
                 "labels": ["regions=1", "regions=2"]}],
@@ -97,9 +96,9 @@ TEST(SweepReportTest, ReferenceBoundIsOneWanRoundTripOfThePointTopology) {
     EXPECT_NEAR(Number(distances->Find(points[i].name)), p99 - bound_us,
                 1e-4 * (p99 + bound_us) + 0.5);
   }
-  // One region has no WAN; two regions cross one 7 ms link.
+  // One region has no WAN; two regions cross one 30 ms link.
   EXPECT_DOUBLE_EQ(Number(bounds->Find("regions=1")), 0.0);
-  EXPECT_DOUBLE_EQ(Number(bounds->Find("regions=2")), 14000.0);
+  EXPECT_DOUBLE_EQ(Number(bounds->Find("regions=2")), 60000.0);
 }
 
 TEST(SweepReportTest, QuotedLabelsKeepTheDocumentValidJson) {

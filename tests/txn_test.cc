@@ -334,7 +334,6 @@ TEST(TwoPcProtocolTest, RetriesEventuallyCommitUnderContention) {
   YcsbConfig ycfg;
   ycfg.ops_per_txn = 4;
   ycfg.cross_ratio = 1.0;
-  ycfg.write_ratio = 0.8;
   YcsbWorkload workload(cfg, ycfg);
 
   ClosedLoopDriver driver(&sim, &protocol, &workload, &metrics, 16);
