@@ -17,10 +17,6 @@ using TxnId = uint64_t;
 /// Flat record key. Workloads map (table, primary key) pairs into this space.
 using Key = uint64_t;
 
-/// Record payload. Only 8 bytes are materialized; the configured record size
-/// is used for all byte accounting (network, migration).
-using Value = uint64_t;
-
 /// Monotonic per-record version, bumped on every committed write.
 using Version = uint64_t;
 

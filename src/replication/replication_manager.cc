@@ -37,10 +37,10 @@ void ReplicationManager::Start() {
   epoch_timer_.Start(config_.epoch_interval);
 }
 
-void ReplicationManager::Append(PartitionId pid, Key key, Value value) {
+void ReplicationManager::Append(PartitionId pid, Key key, Version version) {
   pending_count_[pid]++;
   if (config_.materialize_secondaries) {
-    pending_[pid].push_back(LogEntry{key, value});
+    pending_[pid].push_back(LogEntry{key, version});
   }
   ReplicaGroup* group = table_->mutable_group(pid);
   group->Advance(1);
@@ -108,7 +108,7 @@ void ReplicationManager::ShipPartition(PartitionId pid) {
     if (payload != nullptr) {
       network_->Send(primary, dst, bytes, [this, pid, dst, target_lsn, payload]() {
         auto& copy = copies_[CopyKey(pid, dst)];
-        for (const LogEntry& e : *payload) copy[e.key] = e.value;
+        for (const LogEntry& e : *payload) copy[e.key] = e.version;
         Ack(pid, dst, target_lsn);
       });
     } else {
@@ -148,7 +148,7 @@ void ReplicationManager::ShipRange(PartitionId pid, NodeId dst, Lsn from,
                  });
 }
 
-const std::unordered_map<Key, Value>* ReplicationManager::MaterializedCopy(
+const std::unordered_map<Key, Version>* ReplicationManager::MaterializedCopy(
     PartitionId pid, NodeId node) const {
   auto it = copies_.find(CopyKey(pid, node));
   return it == copies_.end() ? nullptr : &it->second;

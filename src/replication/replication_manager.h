@@ -21,7 +21,10 @@ class RecoveryLog;
 /// Ships committed writes from each primary to its secondaries once per
 /// epoch (10 ms default), mirroring the paper's epoch-based group commit:
 /// commits inside an epoch become visible when the epoch ends and the
-/// buffered log entries are dispatched asynchronously to all replicas.
+/// buffered log entries are dispatched asynchronously to all replicas. A log
+/// entry is a key and the version its commit installed; a record has no
+/// other content, and an entry's size on the wire is the constant
+/// MessageSizes::kLogEntry.
 class ReplicationManager {
  public:
   ReplicationManager(Simulator* sim, Network* network, RouterTable* table,
@@ -31,9 +34,10 @@ class ReplicationManager {
   /// Starts the periodic epoch ticker.
   void Start();
 
-  /// Appends one committed write to the partition's replication log.
-  /// The write was already applied to the authoritative store by commit.
-  void Append(PartitionId pid, Key key, Value value);
+  /// Appends one committed write, the version it installed, to the
+  /// partition's replication log. The write was already applied to the
+  /// authoritative store by commit.
+  void Append(PartitionId pid, Key key, Version version);
 
   /// Runs `fn` at the end of the current epoch (group-commit visibility).
   /// Waiters of one epoch share a single keep-alive event.
@@ -75,17 +79,19 @@ class ReplicationManager {
     if (shipping_paused_ > 0) shipping_paused_--;
   }
 
-  /// Per-replica materialized copies for consistency tests. Only populated
-  /// when config.materialize_secondaries is set. Indexed [pid][node].
-  const std::unordered_map<Key, Value>* MaterializedCopy(PartitionId pid,
-                                                         NodeId node) const;
+  /// Per-replica materialized copies for consistency tests: each key the
+  /// replica was shipped, mapped to the last version shipped for it. Only
+  /// populated when config.materialize_secondaries is set. Indexed
+  /// [pid][node].
+  const std::unordered_map<Key, Version>* MaterializedCopy(PartitionId pid,
+                                                           NodeId node) const;
 
   uint64_t total_entries_shipped() const { return total_entries_shipped_; }
 
  private:
   struct LogEntry {
     Key key;
-    Value value;
+    Version version;
   };
 
   void ShipPartition(PartitionId pid);
@@ -107,7 +113,7 @@ class ReplicationManager {
   int shipping_paused_ = 0;
   // Per partition: the entries appended since its last shipment, counted
   // always and buffered only when secondaries are materialized, the one
-  // reader of their keys and values.
+  // reader of their keys and versions.
   std::vector<uint64_t> pending_count_;
   std::vector<std::vector<LogEntry>> pending_;
   std::vector<MoveFn<void()>> epoch_waiters_;
@@ -117,7 +123,7 @@ class ReplicationManager {
   // Epoch boundary the last keep-alive event was scheduled for.
   SimTime keepalive_at_ = -1;
   // [pid][node] -> materialized secondary copy.
-  std::unordered_map<uint64_t, std::unordered_map<Key, Value>> copies_;
+  std::unordered_map<uint64_t, std::unordered_map<Key, Version>> copies_;
 };
 
 }  // namespace lion

@@ -12,12 +12,7 @@ namespace lion {
 
 PartitionStore::PartitionStore(PartitionId id, uint64_t record_count,
                                uint64_t record_bytes)
-    : id_(id), record_bytes_(record_bytes) {
-  dense_.resize(record_count);
-  for (uint64_t k = 0; k < record_count; ++k) {
-    dense_[k] = Record{static_cast<Value>(k), 1};
-  }
-}
+    : id_(id), record_bytes_(record_bytes), dense_(record_count, Record{1}) {}
 
 namespace {
 
@@ -28,7 +23,7 @@ namespace {
 // (up to 32 MiB): after one store is freed, as between the points of a
 // sweep, realloc would grow the next store's tables by copying inside the
 // heap, with both tables resident. The threshold is glibc's own default:
-// smaller blocks, such as the 96 KiB tables TPC-C loads, stay on the heap,
+// smaller blocks, such as the 64 KiB tables TPC-C loads, stay on the heap,
 // where a copy costs little.
 constexpr size_t kMapBytes = size_t{128} << 10;
 
@@ -79,6 +74,7 @@ PartitionStore::SparseRecords::SparseRecords()
     : slots_(static_cast<Slot*>(AllocateBlock(kMinCapacity * sizeof(Slot)))),
       capacity_(kMinCapacity),
       shift_(ShiftFor(kMinCapacity)) {
+  static_assert(sizeof(Slot) == 16, "a sparse slot is a key and a record");
   std::uninitialized_fill_n(slots_, capacity_, Slot{});
 }
 

@@ -1,21 +1,23 @@
 // Authoritative per-partition record storage with versions and write locks.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "common/status.h"
 #include "common/types.h"
 
 namespace lion {
 
-/// One stored record (16 bytes). `version` is bumped on every committed write
-/// and is the basis for OCC validation. Write locks are not stored here: the
-/// few held at any moment live in the store's held-lock table.
+/// One stored record: its version alone (8 bytes). `version` is bumped on
+/// every committed write and is what OCC validates; nothing reads a payload,
+/// and byte accounting prices records by constants (`record_bytes` here,
+/// MessageSizes on the network). Write locks are not stored here: the few
+/// held at any moment live in the store's held-lock table.
 struct Record {
-  Value value = 0;
   Version version = 0;
 };
+static_assert(sizeof(Record) == 8, "a record is its version alone");
 
 /// Authoritative key-value store for a single partition.
 ///
@@ -26,25 +28,26 @@ struct Record {
 ///
 /// Storage is hybrid, tuned for the two key shapes the workloads produce.
 /// The bulk-loaded range [0, record_count) — all of YCSB — lives in a dense
-/// array, so the per-operation Read/VersionOf/lock path is one bounds check
-/// and an index. Keys outside that range (TPC-C's (table<<40)|id space and
-/// runtime inserts) live in an open-addressing side table instead of a
-/// node-based std::unordered_map: the store never erases, so lookups are a
-/// multiplicative hash plus a linear probe over contiguous 24-byte slots,
-/// and the table fills to 7/8 before it doubles. It doubles in place, inside
-/// its one block, so it never holds two tables: on TPC-C these tables are
-/// most of the process's memory, so a second one would set its peak.
+/// array of 8-byte records, so the per-operation VersionOf/lock path is one
+/// bounds check and an index. Keys outside that range (TPC-C's
+/// (table<<40)|id space and runtime inserts) live in an open-addressing side
+/// table instead of a node-based std::unordered_map: the store never erases,
+/// so lookups are a multiplicative hash plus a linear probe over contiguous
+/// 16-byte {key, version} slots, and the table fills to 7/8 before it
+/// doubles. It doubles in place, inside its one block, so it never holds two
+/// tables: on TPC-C these tables are most of the process's memory, so a
+/// second one would set its peak.
 /// Profiling put the old unordered_map lookup at >50% of whole-experiment
 /// runtime, so this path is worth the specialization.
 ///
 /// Write locks (taken only by Occ's validate-and-lock phase) live in a
 /// separate table that holds just the locks currently held, so records stay
-/// 16 bytes and an unlocked store answers IsLockedByOther without a probe.
+/// 8 bytes and an unlocked store answers IsLockedByOther without a probe.
 class PartitionStore {
  public:
-  /// Creates the store and bulk-loads `record_count` records with keys
-  /// [0, record_count) and value = key (workloads override as needed).
-  /// `record_bytes` is only used for byte accounting (migration/replication).
+  /// Creates the store and bulk-loads `record_count` version-1 records with
+  /// keys [0, record_count). `record_bytes` only prices migrations
+  /// (SizeBytes).
   PartitionStore(PartitionId id, uint64_t record_count, uint64_t record_bytes);
 
   PartitionId id() const { return id_; }
@@ -54,21 +57,9 @@ class PartitionStore {
   /// Total logical size used for migration cost accounting.
   uint64_t SizeBytes() const { return record_count() * record_bytes_; }
 
-  /// Reads a record (value + version). NotFound if absent.
-  Status Read(Key key, Value* value, Version* version) const {
-    const Record* rec = FindRecord(key);
-    if (rec == nullptr) return Status::NotFound("key");
-    if (value != nullptr) *value = rec->value;
-    if (version != nullptr) *version = rec->version;
-    return Status::OK();
-  }
-
-  /// Writes a committed value, bumping the version. Inserts if absent.
-  void Apply(Key key, Value value) {
-    Record& rec = GetOrInsert(key);
-    rec.value = value;
-    rec.version++;
-  }
+  /// Installs a committed write: bumps the version, inserting a version-0
+  /// row first if `key` is absent. Returns the version it installs.
+  Version Apply(Key key) { return ++GetOrInsert(key).version; }
 
   /// Returns the current version of `key`, or 0 if absent.
   Version VersionOf(Key key) const {
@@ -97,8 +88,8 @@ class PartitionStore {
   /// CheckClusterIntegrity reports anything else as a leaked lock.
   size_t held_locks() const { return locks_.size(); }
 
-  /// Inserts a brand-new record (used by workload loaders / insert ops).
-  void Insert(Key key, Value value) { GetOrInsert(key) = Record{value, 1}; }
+  /// Makes `key` a version-1 row, as a workload loader's fresh record.
+  void Insert(Key key) { GetOrInsert(key) = Record{1}; }
 
   /// Pre-sizes the sparse side table for `additional` upcoming inserts of
   /// non-dense keys, so bulk loaders (TPC-C Load) pay one growth up front

@@ -5,7 +5,9 @@ namespace lion {
 void Occ::ReadOps(PartitionStore* store, Transaction* txn) {
   PartitionId pid = store->id();
   for (auto& op : txn->ops()) {
-    if (op.partition == pid) op.read_version = store->VersionOf(op.key);
+    if (op.partition == pid && !op.is_insert) {
+      op.read_version = store->VersionOf(op.key);
+    }
   }
 }
 
@@ -36,8 +38,8 @@ void Occ::ApplyAndUnlock(PartitionStore* store, Transaction* txn,
   PartitionId pid = store->id();
   for (auto& op : txn->ops()) {
     if (op.partition != pid || op.type != OpType::kWrite) continue;
-    store->Apply(op.key, op.write_value);
-    if (replication != nullptr) replication->Append(pid, op.key, op.write_value);
+    const Version installed = store->Apply(op.key);
+    if (replication != nullptr) replication->Append(pid, op.key, installed);
     store->Unlock(op.key, txn->id());
   }
 }

@@ -14,13 +14,16 @@ namespace lion {
 ///   execution : ReadOps records versions into the txn's operations;
 ///   prepare   : ValidateAndLock re-checks read versions and write-locks the
 ///               write set (all-or-nothing);
-///   commit    : ApplyAndUnlock installs writes, bumps versions, appends the
-///               replication log, releases locks;
+///   commit    : ApplyAndUnlock bumps each written record's version, appends
+///               the installed version to the replication log, releases
+///               locks;
 ///   abort     : ReleaseLocks undoes a successful validation.
 class Occ {
  public:
   /// Performs the partition-local reads of `txn`, recording the version
-  /// each one observed (0 for an absent key).
+  /// each one observed (0 for an absent key). Inserts are skipped: an
+  /// insert's key is new, so there is nothing to read, and validation never
+  /// reads a write's version.
   static void ReadOps(PartitionStore* store, Transaction* txn);
 
   /// Validates reads and locks writes for ops of `txn` on this partition.
@@ -28,8 +31,9 @@ class Occ {
   /// changed, or any accessed record is locked by another transaction.
   static bool ValidateAndLock(PartitionStore* store, Transaction* txn);
 
-  /// Installs the write set, appends each write to the replication log, and
-  /// releases locks. Must follow a successful ValidateAndLock.
+  /// Installs the write set, appends each write's new version to the
+  /// replication log, and releases locks. Must follow a successful
+  /// ValidateAndLock.
   static void ApplyAndUnlock(PartitionStore* store, Transaction* txn,
                              ReplicationManager* replication);
 

@@ -14,13 +14,16 @@ namespace lion {
 enum class OpType : uint8_t { kRead, kWrite };
 
 /// One read or write in a transaction's logical plan, plus the version its
-/// read observed (OCC's runtime state). Fields are ordered widest first so
-/// an operation packs into 32 bytes: a whole epoch of transactions is in
-/// flight in batch mode, so this size sets much of the simulator's memory.
+/// read observed (OCC's runtime state). A write carries no value: records
+/// are versions, and a commit installs the next one. Fields are ordered
+/// widest first so an operation packs into 24 bytes: a whole epoch of
+/// transactions is in flight in batch mode, so this size sets much of the
+/// simulator's memory.
 struct Operation {
   Key key = 0;
-  Value write_value = 0;
   /// Version observed by the read (Occ::ReadOps); reset on restart.
+  /// Validation compares it for reads only, and an insert, whose key is new,
+  /// keeps 0.
   Version read_version = 0;
   PartitionId partition = kInvalidPartition;
   OpType type = OpType::kRead;
@@ -29,7 +32,7 @@ struct Operation {
   /// lockers skip them.
   bool is_insert = false;
 };
-static_assert(sizeof(Operation) == 32, "Operation should pack into 32 bytes");
+static_assert(sizeof(Operation) == 24, "Operation should pack into 24 bytes");
 
 /// How the transaction ultimately executed — the paper's three cases
 /// (Sec. III): directly on one node, on one node after remastering, or as a

@@ -36,16 +36,16 @@ void TpccWorkload::Load(Cluster* cluster) {
   for (PartitionId w = 0; w < num_warehouses_; ++w) {
     PartitionStore* store = cluster->store(w);
     store->ReserveSparse(rows_per_warehouse);
-    store->Insert(MakeKey(kWarehouse, 0), 0);
+    store->Insert(MakeKey(kWarehouse, 0));
     for (int d = 0; d < kDistrictsPerWarehouse; ++d) {
-      store->Insert(MakeKey(kDistrict, d), 1);  // value: next_o_id seed
+      store->Insert(MakeKey(kDistrict, d));
       for (int c = 0; c < kCustomersPerDistrict; ++c) {
-        store->Insert(MakeKey(kCustomer, d * kCustomersPerDistrict + c), 0);
+        store->Insert(MakeKey(kCustomer, d * kCustomersPerDistrict + c));
       }
     }
     for (int i = 0; i < config_.items; ++i) {
-      store->Insert(MakeKey(kItem, i), 100 + i);
-      store->Insert(MakeKey(kStock, i), 91);  // s_quantity
+      store->Insert(MakeKey(kItem, i));
+      store->Insert(MakeKey(kStock, i));
     }
   }
 }
@@ -91,25 +91,24 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
   bool remote = config_.remote_ratio > 0.0 && rng->Bernoulli(config_.remote_ratio);
   PartitionId remote_w = remote ? RemoteWarehouse(w, rng) : w;
 
-  auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
+  auto add = [&txn](PartitionId pid, Key key, OpType type,
                     bool insert = false) {
     Operation op;
     op.partition = pid;
     op.key = key;
     op.type = type;
     op.is_insert = insert;
-    op.write_value = v;
     txn->ops().push_back(op);
   };
 
   // Warehouse tax rate (read), district next_o_id (read-modify-write: the
   // classic contention point), customer discount (read).
   add(w, MakeKey(kWarehouse, 0), OpType::kRead);
-  add(w, MakeKey(kDistrict, d), OpType::kWrite, id);  // bump next_o_id
+  add(w, MakeKey(kDistrict, d), OpType::kWrite);  // bump next_o_id
   add(w, MakeKey(kCustomer, d * kCustomersPerDistrict + c), OpType::kRead);
   // Insert ORDER and NEW-ORDER rows (keys unique per transaction).
-  add(w, MakeKey(kOrder, id), OpType::kWrite, id, /*insert=*/true);
-  add(w, MakeKey(kNewOrder, id), OpType::kWrite, id, /*insert=*/true);
+  add(w, MakeKey(kOrder, id), OpType::kWrite, /*insert=*/true);
+  add(w, MakeKey(kNewOrder, id), OpType::kWrite, /*insert=*/true);
 
   int lines = static_cast<int>(
       rng->UniformRange(kMinOrderLines, kMaxOrderLines));
@@ -121,10 +120,9 @@ TxnPtr TpccWorkload::NewOrderTxn(TxnId id, SimTime now, Rng* rng) {
     // line goes remote in a remote NewOrder (TPC-C: ~1% per line; here the
     // txn-level remote_ratio knob drives the cross-partition share).
     PartitionId stock_w = (remote && l == lines - 1) ? remote_w : w;
-    add(stock_w, MakeKey(kStock, item), OpType::kWrite, id);
+    add(stock_w, MakeKey(kStock, item), OpType::kWrite);
     // Insert ORDER-LINE.
-    add(w, MakeKey(kOrderLine, id * 16 + l), OpType::kWrite, id,
-        /*insert=*/true);
+    add(w, MakeKey(kOrderLine, id * 16 + l), OpType::kWrite, /*insert=*/true);
   }
   return txn;
 }
@@ -138,22 +136,21 @@ TxnPtr TpccWorkload::PaymentTxn(TxnId id, SimTime now, Rng* rng) {
   bool remote_cust = rng->Bernoulli(kRemotePaymentRatio);
   PartitionId cust_w = remote_cust ? RemoteWarehouse(w, rng) : w;
 
-  auto add = [&txn](PartitionId pid, Key key, OpType type, Value v = 0,
+  auto add = [&txn](PartitionId pid, Key key, OpType type,
                     bool insert = false) {
     Operation op;
     op.partition = pid;
     op.key = key;
     op.type = type;
     op.is_insert = insert;
-    op.write_value = v;
     txn->ops().push_back(op);
   };
   // Warehouse and district YTD updates, customer balance update, history row.
-  add(w, MakeKey(kWarehouse, 0), OpType::kWrite, id);
-  add(w, MakeKey(kDistrict, d), OpType::kWrite, id);
+  add(w, MakeKey(kWarehouse, 0), OpType::kWrite);
+  add(w, MakeKey(kDistrict, d), OpType::kWrite);
   add(cust_w, MakeKey(kCustomer, d * kCustomersPerDistrict + c),
-      OpType::kWrite, id);
-  add(w, MakeKey(kHistory, id), OpType::kWrite, id, /*insert=*/true);
+      OpType::kWrite);
+  add(w, MakeKey(kHistory, id), OpType::kWrite, /*insert=*/true);
   return txn;
 }
 

@@ -66,7 +66,6 @@ TxnPtr WriteTxn(TxnId id, const std::vector<PartitionId>& parts) {
     op.partition = pid;
     op.key = id % Config().records_per_partition;
     op.type = OpType::kWrite;
-    op.write_value = id;
     txn->ops().push_back(op);
   }
   return txn;

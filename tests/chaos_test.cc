@@ -37,7 +37,6 @@ TxnPtr MakeTxn(TxnId id, PartitionId pid) {
   op.partition = pid;
   op.key = 1;
   op.type = OpType::kWrite;
-  op.write_value = 42;
   txn->ops().push_back(op);
   return txn;
 }
@@ -311,7 +310,7 @@ TEST(ChaosIntegrityTest, LedgerDetectsMissingCommittedWrites) {
   EXPECT_EQ(report.committed_writes_checked, 1u);
 
   // Apply the write for real: the ledger and store now agree.
-  cluster.store(0)->Apply(7, 42);
+  EXPECT_EQ(cluster.store(0)->Apply(7), 2u);
   IntegrityReport applied = CheckClusterIntegrity(&cluster, nullptr, &ledger);
   EXPECT_TRUE(applied.ok()) << applied.violations[0];
 }

@@ -622,7 +622,6 @@ TxnPtr SingleWrite(TxnId id, PartitionId pid, Key key) {
   op.partition = pid;
   op.key = key;
   op.type = OpType::kWrite;
-  op.write_value = 42;
   txn->ops().push_back(op);
   return txn;
 }
@@ -663,7 +662,6 @@ TEST(LionProtocolTest, Example1RemasterConversion) {
   w.partition = 0;
   w.key = 1;
   w.type = OpType::kWrite;
-  w.write_value = 9;
   Operation r;
   r.partition = 1;
   r.key = 2;
@@ -703,7 +701,6 @@ TEST(LionProtocolTest, Example1DistributedFallback) {
     op.partition = pid;
     op.key = 3;
     op.type = OpType::kWrite;
-    op.write_value = 5;
     txn->ops().push_back(op);
   }
   bool done = false;
@@ -732,7 +729,6 @@ TEST(LionProtocolTest, Example1ConvertibleViaSecondary) {
     op.partition = pid;
     op.key = 4;
     op.type = OpType::kWrite;
-    op.write_value = 5;
     txn->ops().push_back(op);
   }
   bool done = false;
@@ -838,7 +834,6 @@ TEST(LionProtocolTest, BatchModeAsyncRemasterBarrier) {
     op.partition = pid;
     op.key = 6;
     op.type = OpType::kWrite;
-    op.write_value = 5;
     txn->ops().push_back(op);
   }
   bool done = false;

@@ -28,7 +28,6 @@ TxnPtr WriteTxn(TxnId id, std::vector<PartitionId> parts, Key key = 5) {
     op.partition = pid;
     op.key = key;
     op.type = OpType::kWrite;
-    op.write_value = id;
     txn->ops().push_back(op);
   }
   return txn;

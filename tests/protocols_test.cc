@@ -39,7 +39,6 @@ TxnPtr MakeWrite(TxnId id, PartitionId pid, Key key) {
   op.partition = pid;
   op.key = key;
   op.type = OpType::kWrite;
-  op.write_value = id;
   txn->ops().push_back(op);
   return txn;
 }
@@ -51,7 +50,6 @@ TxnPtr MakeCross(TxnId id, PartitionId a, PartitionId b) {
     op.partition = pid;
     op.key = 5;
     op.type = OpType::kWrite;
-    op.write_value = id;
     txn->ops().push_back(op);
   }
   return txn;
@@ -119,7 +117,6 @@ TxnPtr MakeAnchored(TxnId id, PartitionId a, PartitionId b, PartitionId c) {
     op.partition = pid;
     op.key = 5;
     op.type = OpType::kWrite;
-    op.write_value = id;
     txn->ops().push_back(op);
   }
   return txn;

@@ -9,6 +9,8 @@
 #include "replication/replica_group.h"
 #include "replication/router_table.h"
 #include "sim/simulator.h"
+#include "txn/occ.h"
+#include "txn/transaction.h"
 
 namespace lion {
 namespace {
@@ -175,14 +177,61 @@ TEST(ReplicationTest, MaterializedSecondariesMatchPrimary) {
   Cluster cluster(&sim, cfg);
   cluster.Start();
 
-  cluster.store(0)->Apply(5, 555);
-  cluster.replication().Append(0, 5, 555);
+  const Version installed = cluster.store(0)->Apply(5);
+  EXPECT_EQ(installed, 2u);
+  cluster.replication().Append(0, 5, installed);
   sim.RunUntil(cfg.epoch_interval + 10 * kMillisecond);
 
   const auto* copy = cluster.replication().MaterializedCopy(0, 1);
   ASSERT_NE(copy, nullptr);
   ASSERT_TRUE(copy->count(5));
-  EXPECT_EQ(copy->at(5), 555u);
+  EXPECT_EQ(copy->at(5), cluster.store(0)->VersionOf(5));
+}
+
+// A materialized copy keeps, per key, the version of the last commit shipped
+// to it: two commits to one key in one epoch ship in log order, so the copy
+// holds the second; a commit in the next epoch replaces it on the next
+// shipment, and until then the copy keeps the old version.
+TEST(ReplicationTest, MaterializedCopyHoldsTheLastInstalledVersion) {
+  Simulator sim;
+  ClusterConfig cfg = SmallConfig();
+  cfg.materialize_secondaries = true;
+  Cluster cluster(&sim, cfg);
+  cluster.Start();
+  PartitionStore* store = cluster.store(0);
+  const Key key = 5;
+  auto commit = [&](TxnId id) {
+    Transaction txn(id, sim.Now());
+    Operation op;
+    op.partition = 0;
+    op.key = key;
+    op.type = OpType::kWrite;
+    txn.ops().push_back(op);
+    Occ::ReadOps(store, &txn);
+    ASSERT_TRUE(Occ::ValidateAndLock(store, &txn));
+    Occ::ApplyAndUnlock(store, &txn, &cluster.replication());
+  };
+  auto copied = [&]() -> Version {
+    const auto* copy = cluster.replication().MaterializedCopy(0, 1);
+    if (copy == nullptr || copy->count(key) == 0) return 0;
+    return copy->at(key);
+  };
+
+  commit(1);
+  commit(2);
+  EXPECT_EQ(store->VersionOf(key), 3u);
+  EXPECT_EQ(copied(), 0u);  // nothing ships before the epoch ends
+  sim.RunUntil(cfg.epoch_interval + 10 * kMillisecond);
+  EXPECT_EQ(cluster.router().group(0).LagOf(1), 0u);
+  EXPECT_EQ(copied(), store->VersionOf(key));
+
+  commit(3);
+  EXPECT_EQ(store->VersionOf(key), 4u);
+  EXPECT_EQ(copied(), 3u);  // the next shipment has not landed yet
+  sim.RunUntil(sim.Now() + cfg.epoch_interval + 10 * kMillisecond);
+  EXPECT_EQ(cluster.router().group(0).LagOf(1), 0u);
+  EXPECT_EQ(copied(), store->VersionOf(key));
+  EXPECT_EQ(cluster.replication().total_entries_shipped(), 3u);
 }
 
 TEST(ReplicationTest, OnEpochEndFiresAtBoundary) {

@@ -24,14 +24,13 @@ ClusterConfig TestConfig() {
   return cfg;
 }
 
-TxnPtr MakeTxn(TxnId id, std::vector<std::tuple<PartitionId, Key, OpType, Value>> ops) {
+TxnPtr MakeTxn(TxnId id, std::vector<std::tuple<PartitionId, Key, OpType>> ops) {
   auto txn = std::make_unique<Transaction>(id, 0);
-  for (auto& [pid, key, type, value] : ops) {
+  for (auto& [pid, key, type] : ops) {
     Operation op;
     op.partition = pid;
     op.key = key;
     op.type = type;
-    op.write_value = value;
     txn->ops().push_back(op);
   }
   return txn;
@@ -40,26 +39,26 @@ TxnPtr MakeTxn(TxnId id, std::vector<std::tuple<PartitionId, Key, OpType, Value>
 // --- Transaction --------------------------------------------------------------
 
 TEST(TransactionTest, PartitionsAreSortedUnique) {
-  auto txn = MakeTxn(1, {{3, 1, OpType::kRead, 0},
-                         {1, 2, OpType::kWrite, 5},
-                         {3, 9, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{3, 1, OpType::kRead},
+                         {1, 2, OpType::kWrite},
+                         {3, 9, OpType::kRead}});
   EXPECT_EQ(txn->Partitions(), (std::vector<PartitionId>{1, 3}));
 }
 
 TEST(TransactionTest, CountOpsFiltersByPartition) {
-  auto txn = MakeTxn(1, {{3, 1, OpType::kRead, 0},
-                         {1, 2, OpType::kWrite, 5},
-                         {3, 9, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{3, 1, OpType::kRead},
+                         {1, 2, OpType::kWrite},
+                         {3, 9, OpType::kRead}});
   EXPECT_EQ(txn->CountOps(3), 2);
   EXPECT_EQ(txn->CountOps(1), 1);
   EXPECT_EQ(txn->CountOps(7), 0);
 }
 
 TEST(TransactionTest, CountOpsFiltersByType) {
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0},
-                         {1, 2, OpType::kWrite, 5},
-                         {1, 3, OpType::kRead, 0},
-                         {1, 4, OpType::kWrite, 6}});
+  auto txn = MakeTxn(1, {{0, 1, OpType::kRead},
+                         {1, 2, OpType::kWrite},
+                         {1, 3, OpType::kRead},
+                         {1, 4, OpType::kWrite}});
   EXPECT_EQ(txn->CountOps(0, OpType::kWrite), 0);
   EXPECT_EQ(txn->CountOps(0, OpType::kRead), 1);
   EXPECT_EQ(txn->CountOps(1, OpType::kWrite), 2);
@@ -67,7 +66,7 @@ TEST(TransactionTest, CountOpsFiltersByType) {
 }
 
 TEST(TransactionTest, ResetForRestartClearsRuntime) {
-  auto txn = MakeTxn(1, {{0, 1, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 1, OpType::kRead}});
   txn->ops()[0].read_version = 4;
   txn->ResetForRestart();
   EXPECT_EQ(txn->ops()[0].read_version, 0u);
@@ -90,16 +89,39 @@ TEST(TransactionTest, BreakdownTotals) {
 
 // --- Occ ----------------------------------------------------------------------
 
-TEST(OccTest, ReadOpsRecordsValueAndVersion) {
+TEST(OccTest, ReadOpsRecordsVersion) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kRead}});
   Occ::ReadOps(&store, txn.get());
   EXPECT_EQ(txn->ops()[0].read_version, 1u);
 }
 
+TEST(OccTest, ReadOpsSkipsInserts) {
+  // An insert's key is new, so it reads nothing: even a row that exists
+  // leaves its read_version at 0, while a plain write records its version.
+  PartitionStore store(0, 100, 100);
+  const Key fresh = (Key{3} << 40) | 9;
+  auto txn = MakeTxn(1, {{0, 7, OpType::kWrite},
+                         {0, 8, OpType::kWrite},
+                         {0, fresh, OpType::kWrite}});
+  txn->ops()[1].is_insert = true;
+  txn->ops()[2].is_insert = true;
+  Occ::ReadOps(&store, txn.get());
+  EXPECT_EQ(txn->ops()[0].read_version, 1u);
+  EXPECT_EQ(txn->ops()[1].read_version, 0u);
+  EXPECT_EQ(txn->ops()[2].read_version, 0u);
+  EXPECT_EQ(store.record_count(), 100u);  // reading created no row
+  // Validation never reads a write's version, so the insert commits.
+  ASSERT_TRUE(Occ::ValidateAndLock(&store, txn.get()));
+  Occ::ApplyAndUnlock(&store, txn.get(), nullptr);
+  EXPECT_EQ(store.VersionOf(7), 2u);
+  EXPECT_EQ(store.VersionOf(fresh), 1u);
+  EXPECT_EQ(store.held_locks(), 0u);
+}
+
 TEST(OccTest, ValidateSucceedsWhenUnchanged) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kRead, 0}, {0, 8, OpType::kWrite, 99}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kRead}, {0, 8, OpType::kWrite}});
   Occ::ReadOps(&store, txn.get());
   EXPECT_TRUE(Occ::ValidateAndLock(&store, txn.get()));
   // Write key is locked now.
@@ -110,15 +132,15 @@ TEST(OccTest, ValidateSucceedsWhenUnchanged) {
 
 TEST(OccTest, ValidateFailsOnChangedReadVersion) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kRead}});
   Occ::ReadOps(&store, txn.get());
-  store.Apply(7, 123);  // concurrent committed write
+  store.Apply(7);  // concurrent committed write
   EXPECT_FALSE(Occ::ValidateAndLock(&store, txn.get()));
 }
 
 TEST(OccTest, ValidateFailsOnLockedWrite) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kWrite, 1}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kWrite}});
   Occ::ReadOps(&store, txn.get());
   ASSERT_TRUE(store.TryLock(7, 42));
   EXPECT_FALSE(Occ::ValidateAndLock(&store, txn.get()));
@@ -126,7 +148,7 @@ TEST(OccTest, ValidateFailsOnLockedWrite) {
 
 TEST(OccTest, ValidateFailsOnLockedRead) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kRead}});
   Occ::ReadOps(&store, txn.get());
   ASSERT_TRUE(store.TryLock(7, 42));
   EXPECT_FALSE(Occ::ValidateAndLock(&store, txn.get()));
@@ -134,9 +156,9 @@ TEST(OccTest, ValidateFailsOnLockedRead) {
 
 TEST(OccTest, FailedValidationLeavesNoLocks) {
   PartitionStore store(0, 100, 100);
-  auto txn = MakeTxn(1, {{0, 5, OpType::kWrite, 1}, {0, 7, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 5, OpType::kWrite}, {0, 7, OpType::kRead}});
   Occ::ReadOps(&store, txn.get());
-  store.Apply(7, 9);  // invalidate the read
+  store.Apply(7);  // invalidate the read
   EXPECT_FALSE(Occ::ValidateAndLock(&store, txn.get()));
   EXPECT_FALSE(store.IsLockedByOther(5, 999));  // write lock rolled back
 }
@@ -146,15 +168,11 @@ TEST(OccTest, ApplyAndUnlockInstallsWritesAndLog) {
   ClusterConfig cfg = TestConfig();
   Cluster cluster(&sim, cfg);
   PartitionStore* store = cluster.store(0);
-  auto txn = MakeTxn(1, {{0, 7, OpType::kWrite, 777}});
+  auto txn = MakeTxn(1, {{0, 7, OpType::kWrite}});
   Occ::ReadOps(store, txn.get());
   ASSERT_TRUE(Occ::ValidateAndLock(store, txn.get()));
   Occ::ApplyAndUnlock(store, txn.get(), &cluster.replication());
-  Value v;
-  Version ver;
-  ASSERT_TRUE(store->Read(7, &v, &ver).ok());
-  EXPECT_EQ(v, 777u);
-  EXPECT_EQ(ver, 2u);
+  EXPECT_EQ(store->VersionOf(7), 2u);
   EXPECT_EQ(cluster.router().group(0).primary_lsn(), 1u);
   EXPECT_FALSE(store->IsLockedByOther(7, 999));
 }
@@ -170,7 +188,7 @@ TEST(TwoPhaseEngineTest, SingleNodeTxnCommits) {
   TwoPhaseEngine engine(&cluster, &metrics);
 
   // Partitions 0 and 3 both have primary on node 0.
-  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite, 11}, {3, 2, OpType::kRead, 0}});
+  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite}, {3, 2, OpType::kRead}});
   bool committed = false;
   engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
   sim.RunUntilIdle();
@@ -188,7 +206,7 @@ TEST(TwoPhaseEngineTest, DistributedTxnCommitsAcrossNodes) {
   TwoPhaseEngine engine(&cluster, &metrics);
 
   // Partition 0 on node 0, partition 1 on node 1: distributed from node 0.
-  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite, 11}, {1, 2, OpType::kWrite, 22}});
+  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite}, {1, 2, OpType::kWrite}});
   bool committed = false;
   engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool ok) { committed = ok; });
   sim.RunUntilIdle();
@@ -208,8 +226,8 @@ TEST(TwoPhaseEngineTest, DistributedTxnIsSlowerThanSingleNode) {
   MetricsCollector metrics;
   TwoPhaseEngine engine(&cluster, &metrics);
 
-  auto local = MakeTxn(1, {{0, 1, OpType::kWrite, 1}});
-  auto dist = MakeTxn(2, {{0, 2, OpType::kWrite, 1}, {1, 3, OpType::kWrite, 1}});
+  auto local = MakeTxn(1, {{0, 1, OpType::kWrite}});
+  auto dist = MakeTxn(2, {{0, 2, OpType::kWrite}, {1, 3, OpType::kWrite}});
   SimTime local_done = 0, dist_done = 0;
   engine.Run(local.get(), local->Partitions(), 0, TwoPhaseEngine::Options{},
              [&](bool) { local_done = sim.Now(); });
@@ -230,8 +248,8 @@ TEST(TwoPhaseEngineTest, ConflictCausesAbort) {
   TwoPhaseEngine engine(&cluster, &metrics);
 
   // t1 reads key 5 on p0 then stalls long enough for t2 to commit a write.
-  auto t1 = MakeTxn(1, {{0, 5, OpType::kRead, 0}, {1, 6, OpType::kRead, 0}});
-  auto t2 = MakeTxn(2, {{0, 5, OpType::kWrite, 99}});
+  auto t1 = MakeTxn(1, {{0, 5, OpType::kRead}, {1, 6, OpType::kRead}});
+  auto t2 = MakeTxn(2, {{0, 5, OpType::kWrite}});
   bool t1_committed = true;
   bool t2_committed = false;
   engine.Run(t1.get(), t1->Partitions(), 1, TwoPhaseEngine::Options{},  // remote exec on p0
@@ -256,7 +274,7 @@ TEST(TwoPhaseEngineTest, GroupCommitDelaysVisibility) {
   MetricsCollector metrics;
   TwoPhaseEngine engine(&cluster, &metrics);
 
-  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite, 5}});
+  auto txn = MakeTxn(1, {{0, 1, OpType::kWrite}});
   TwoPhaseEngine::Options opts;
   opts.group_commit_visibility = true;
   SimTime done_at = -1;
@@ -285,7 +303,7 @@ TEST(TwoPhaseEngineTest, BreakdownCoversLatency) {
   cluster.Start();
   MetricsCollector metrics;
   TwoPhaseEngine engine(&cluster, &metrics);
-  auto txn = MakeTxn(1, {{0, 2, OpType::kWrite, 1}, {1, 3, OpType::kWrite, 1}});
+  auto txn = MakeTxn(1, {{0, 2, OpType::kWrite}, {1, 3, OpType::kWrite}});
   bool done = false;
   engine.Run(txn.get(), txn->Partitions(), 0, TwoPhaseEngine::Options{}, [&](bool) { done = true; });
   sim.RunUntilIdle();
