@@ -12,12 +12,6 @@ const char* StatusCodeName(Status::Code code) {
       return "ALREADY_EXISTS";
     case Status::Code::kInvalidArgument:
       return "INVALID_ARGUMENT";
-    case Status::Code::kFailedPrecondition:
-      return "FAILED_PRECONDITION";
-    case Status::Code::kAborted:
-      return "ABORTED";
-    case Status::Code::kUnavailable:
-      return "UNAVAILABLE";
     case Status::Code::kInternal:
       return "INTERNAL";
   }

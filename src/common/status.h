@@ -17,9 +17,6 @@ class Status {
     kNotFound,
     kAlreadyExists,
     kInvalidArgument,
-    kFailedPrecondition,
-    kAborted,
-    kUnavailable,
     kInternal,
   };
 
@@ -35,15 +32,6 @@ class Status {
   static Status InvalidArgument(std::string msg = "") {
     return Status(Code::kInvalidArgument, std::move(msg));
   }
-  static Status FailedPrecondition(std::string msg = "") {
-    return Status(Code::kFailedPrecondition, std::move(msg));
-  }
-  static Status Aborted(std::string msg = "") {
-    return Status(Code::kAborted, std::move(msg));
-  }
-  static Status Unavailable(std::string msg = "") {
-    return Status(Code::kUnavailable, std::move(msg));
-  }
   static Status Internal(std::string msg = "") {
     return Status(Code::kInternal, std::move(msg));
   }
@@ -52,9 +40,6 @@ class Status {
   bool IsNotFound() const { return code_ == Code::kNotFound; }
   bool IsAlreadyExists() const { return code_ == Code::kAlreadyExists; }
   bool IsInvalidArgument() const { return code_ == Code::kInvalidArgument; }
-  bool IsFailedPrecondition() const { return code_ == Code::kFailedPrecondition; }
-  bool IsAborted() const { return code_ == Code::kAborted; }
-  bool IsUnavailable() const { return code_ == Code::kUnavailable; }
   bool IsInternal() const { return code_ == Code::kInternal; }
 
   Code code() const { return code_; }

@@ -33,6 +33,10 @@ inline constexpr SimTime kMicrosecond = 1'000;
 inline constexpr SimTime kMillisecond = 1'000'000;
 inline constexpr SimTime kSecond = 1'000'000'000;
 
+/// Width of the time-series windows: the network's byte windows and the
+/// metrics' commit windows, which a result pairs by index (Fig. 12b).
+inline constexpr SimTime kStatsWindow = 100 * kMillisecond;
+
 /// Converts simulated time to fractional seconds (for reporting only).
 inline double ToSeconds(SimTime t) { return static_cast<double>(t) / kSecond; }
 

@@ -7,11 +7,6 @@
 
 namespace lion {
 
-namespace {
-/// Batch mode flushes a batch early when it reaches this many transactions.
-constexpr size_t kMaxBatchSize = 10000;
-}  // namespace
-
 /// One epoch's buffered transactions (batch execution, Sec. IV-D).
 struct LionProtocol::Batch {
   struct Entry {

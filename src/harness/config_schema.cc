@@ -1,5 +1,7 @@
 #include "harness/config_schema.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 #include "harness/experiment_config.h"
@@ -10,16 +12,6 @@ namespace lion {
 std::string JoinFieldPath(const std::string& prefix, const std::string& name) {
   return prefix.empty() ? name : prefix + "." + name;
 }
-
-namespace check {
-
-std::string FormatNumber(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
-
-}  // namespace check
 
 // --- ConfigSchema core ------------------------------------------------------
 
@@ -148,6 +140,320 @@ void ConfigSchema::ListPaths(
     }
   }
 }
+
+// --- the declaration builder and its value codec ----------------------------
+
+namespace {
+
+/// Validation predicate over the parsed C++ value: empty string = valid,
+/// anything else is the message fragment after "path: ".
+template <typename V>
+using FieldCheck = std::function<std::string(const V&)>;
+
+namespace check {
+
+std::string FormatNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", v);
+  return buf;
+}
+
+template <typename V>
+FieldCheck<V> InRange(V lo, V hi) {
+  return [lo, hi](const V& v) -> std::string {
+    if (v < lo || v > hi) {
+      return FormatNumber(static_cast<double>(v)) + " not in [" +
+             FormatNumber(static_cast<double>(lo)) + "," +
+             FormatNumber(static_cast<double>(hi)) + "]";
+    }
+    return "";
+  };
+}
+
+template <typename V>
+FieldCheck<V> Positive() {
+  return [](const V& v) -> std::string {
+    if (!(v > V{})) {
+      return FormatNumber(static_cast<double>(v)) + " must be positive";
+    }
+    return "";
+  };
+}
+
+template <typename V>
+FieldCheck<V> NonNegative() {
+  return [](const V& v) -> std::string {
+    if (v < V{}) {
+      return FormatNumber(static_cast<double>(v)) + " must be >= 0";
+    }
+    return "";
+  };
+}
+
+template <typename V>
+FieldCheck<V> AtLeast(V lo) {
+  return [lo](const V& v) -> std::string {
+    if (v < lo) {
+      return FormatNumber(static_cast<double>(v)) + " must be >= " +
+             FormatNumber(static_cast<double>(lo));
+    }
+    return "";
+  };
+}
+
+FieldCheck<double> UnitInterval() { return InRange<double>(0.0, 1.0); }
+
+FieldCheck<std::string> NotEmpty() {
+  return [](const std::string& v) -> std::string {
+    return v.empty() ? "must not be empty" : "";
+  };
+}
+
+}  // namespace check
+
+Status Invalid(const std::string& path, const std::string& message) {
+  return Status::InvalidArgument(path + ": " + message);
+}
+
+std::string IndexPath(const std::string& path, size_t i) {
+  return path + "[" + std::to_string(i) + "]";
+}
+
+// The codec: one read and one write per value type. A read names `path`
+// in its error, so an array reads each element at its indexed path.
+
+Status ReadValue(const Json& v, const std::string& path, bool* out) {
+  Status s = v.GetBool(out);
+  return s.ok() ? s : Invalid(path, s.message());
+}
+
+Status ReadValue(const Json& v, const std::string& path, uint64_t* out) {
+  Status s = v.GetUint64(out);
+  return s.ok() ? s : Invalid(path, s.message());
+}
+
+Status ReadValue(const Json& v, const std::string& path, double* out) {
+  Status s = v.GetDouble(out);
+  return s.ok() ? s : Invalid(path, s.message());
+}
+
+Status ReadValue(const Json& v, const std::string& path, int* out) {
+  int64_t i = 0;
+  Status s = v.GetInt64(&i);
+  if (!s.ok()) return Invalid(path, s.message());
+  if (i < INT32_MIN || i > INT32_MAX) {
+    return Invalid(path, std::to_string(i) + " out of int range");
+  }
+  *out = static_cast<int>(i);
+  return Status::OK();
+}
+
+Status ReadValue(const Json& v, const std::string& path, std::string* out) {
+  if (!v.is_string()) {
+    return Invalid(path, std::string("expected string, got ") +
+                             JsonTypeName(v.type()));
+  }
+  *out = v.str();
+  return Status::OK();
+}
+
+template <typename E>
+Status ReadValue(const Json& v, const std::string& path, std::vector<E>* out) {
+  if (!v.is_array()) {
+    return Invalid(path, std::string("expected array, got ") +
+                             JsonTypeName(v.type()));
+  }
+  out->reserve(v.items().size());
+  for (size_t i = 0; i < v.items().size(); ++i) {
+    E e{};
+    Status s = ReadValue(v.items()[i], IndexPath(path, i), &e);
+    if (!s.ok()) return s;
+    out->push_back(std::move(e));
+  }
+  return Status::OK();
+}
+
+Json WriteValue(bool v) { return Json::Bool(v); }
+Json WriteValue(int v) { return Json::Int(v); }
+Json WriteValue(uint64_t v) { return Json::Uint(v); }
+Json WriteValue(double v) { return Json::Double(v); }
+Json WriteValue(const std::string& v) { return Json::Str(v); }
+
+template <typename E>
+Json WriteValue(const std::vector<E>& values) {
+  Json arr = Json::Array();
+  for (const E& e : values) arr.Add(WriteValue(e));
+  return arr;
+}
+
+/// A field's check sees the value, or each element of an array.
+template <typename V>
+struct Checked {
+  using type = V;
+};
+template <typename E>
+struct Checked<std::vector<E>> {
+  using type = E;
+};
+template <typename V>
+using CheckOf = FieldCheck<typename Checked<V>::type>;
+
+template <typename V>
+Status CheckValue(const V& v, const std::string& path,
+                  const FieldCheck<V>& check) {
+  std::string err = check(v);
+  return err.empty() ? Status::OK() : Invalid(path, err);
+}
+
+template <typename E>
+Status CheckValue(const std::vector<E>& values, const std::string& path,
+                  const FieldCheck<E>& check) {
+  for (size_t i = 0; i < values.size(); ++i) {
+    Status s = CheckValue(values[i], IndexPath(path, i), check);
+    if (!s.ok()) return s;
+  }
+  return Status::OK();
+}
+
+/// Typed fluent declaration of one struct's schema. Usage:
+///
+///   ConfigSchemaBuilder<YcsbConfig> b("YcsbConfig");
+///   b.Field("cross_ratio", &YcsbConfig::cross_ratio,
+///           "fraction of two-partition transactions",
+///           check::UnitInterval());
+///   ...
+///   return std::move(b).Build();
+template <typename T>
+class ConfigSchemaBuilder {
+ public:
+  explicit ConfigSchemaBuilder(std::string struct_name)
+      : struct_name_(std::move(struct_name)) {}
+
+  /// A bool, int, uint64_t, double or string field, or an array of ints,
+  /// doubles or strings. An array is replaced whole on parse, and `check`
+  /// runs on each of its elements.
+  template <typename V>
+  ConfigSchemaBuilder& Field(const char* name, V T::*m, const char* help,
+                             CheckOf<V> check = nullptr) {
+    return Add(
+        name, m, help,
+        [](const Json& v, const std::string& path, V* out) {
+          return ReadValue(v, path, out);
+        },
+        [](const V& v) { return WriteValue(v); }, std::move(check));
+  }
+
+  /// SimTime field: the JSON value is a number in `unit` (kSecond,
+  /// kMillisecond, ...; the name should carry the matching _s/_ms/_us/_ns
+  /// suffix) converted to nanoseconds at the nearest integer.
+  ConfigSchemaBuilder& Time(const char* name, SimTime T::*m, SimTime unit,
+                            const char* help,
+                            FieldCheck<SimTime> check = nullptr) {
+    const double scale = static_cast<double>(unit);
+    return Add(
+        name, m, help,
+        [scale](const Json& v, const std::string& path, SimTime* out) {
+          double d = 0.0;
+          Status s = ReadValue(v, path, &d);
+          if (s.ok()) *out = static_cast<SimTime>(std::llround(d * scale));
+          return s;
+        },
+        [scale](const SimTime& t) {
+          return WriteValue(static_cast<double>(t) / scale);
+        },
+        std::move(check));
+  }
+
+  /// Enum field serialized as one of the declared names.
+  template <typename E>
+  ConfigSchemaBuilder& Enum(const char* name, E T::*m,
+                            std::vector<std::pair<std::string, E>> values,
+                            const char* help) {
+    std::string names;
+    for (const auto& nv : values) {
+      if (!names.empty()) names += ", ";
+      names += nv.first;
+    }
+    return Add(
+        name, m, help,
+        [values, names](const Json& v, const std::string& path, E* out) {
+          std::string s;
+          Status read = ReadValue(v, path, &s);
+          if (!read.ok()) return read;
+          for (const auto& nv : values) {
+            if (nv.first == s) {
+              *out = nv.second;
+              return Status::OK();
+            }
+          }
+          return Invalid(path, "unknown value \"" + s + "\" (one of: " +
+                                   names + ")");
+        },
+        [values](const E& e) {
+          for (const auto& nv : values) {
+            if (nv.second == e) return Json::Str(nv.first);
+          }
+          return Json::Str("<unregistered enum value>");
+        },
+        nullptr);
+  }
+
+  /// Nested struct field: parse/emit/validate recurse into `schema`, and
+  /// dotted paths descend through it. `schema` must outlive this schema —
+  /// the function-local statics below always do.
+  template <typename U>
+  ConfigSchemaBuilder& Nested(const char* name, U T::*m,
+                              const ConfigSchema& schema, const char* help) {
+    ConfigFieldSpec spec;
+    spec.name = name;
+    spec.help = help;
+    spec.nested = &schema;
+    spec.member = [m](void* obj) -> void* {
+      return &(static_cast<T*>(obj)->*m);
+    };
+    spec.cmember = [m](const void* obj) -> const void* {
+      return &(static_cast<const T*>(obj)->*m);
+    };
+    fields_.push_back(std::move(spec));
+    return *this;
+  }
+
+  ConfigSchema Build() && {
+    return ConfigSchema(std::move(struct_name_), std::move(fields_));
+  }
+
+ private:
+  /// One value field from its read/write pair: a parse that assigns only a
+  /// value read whole, an emit, and the check when there is one.
+  template <typename V, typename Read, typename Write>
+  ConfigSchemaBuilder& Add(const char* name, V T::*m, const char* help,
+                           Read read, Write write, CheckOf<V> check) {
+    ConfigFieldSpec spec;
+    spec.name = name;
+    spec.help = help;
+    spec.parse = [m, read](void* obj, const Json& v, const std::string& path) {
+      V value{};
+      Status s = read(v, path, &value);
+      if (s.ok()) static_cast<T*>(obj)->*m = std::move(value);
+      return s;
+    };
+    spec.emit = [m, write](const void* obj) {
+      return write(static_cast<const T*>(obj)->*m);
+    };
+    if (check) {
+      spec.check = [m, check](const void* obj, const std::string& path) {
+        return CheckValue(static_cast<const T*>(obj)->*m, path, check);
+      };
+    }
+    fields_.push_back(std::move(spec));
+    return *this;
+  }
+
+  std::string struct_name_;
+  std::vector<ConfigFieldSpec> fields_;
+};
+
+}  // namespace
 
 // --- schema declarations (the single source of truth per struct) ------------
 

@@ -6,7 +6,6 @@
 #include "core/geo_placement.h"
 #include "harness/config_schema.h"
 #include "harness/driver.h"
-#include "protocols/meta_protocol.h"
 #include "replication/chaos.h"
 #include "replication/integrity.h"
 #include "sim/topology.h"
@@ -108,8 +107,7 @@ Status ExperimentBuilder::Build(std::unique_ptr<Experiment>* out) const {
     // covers the whole run.
     ex->cluster_->EnableRecovery(config_.recovery);
   }
-  ex->metrics_ =
-      std::make_unique<MetricsCollector>(config_.cluster.net.stats_window);
+  ex->metrics_ = std::make_unique<MetricsCollector>();
 
   ProtocolContext pctx{config_, ex->cluster_.get(), ex->metrics_.get()};
   Status s = ProtocolRegistry::Global().Create(config_.protocol, pctx,
@@ -270,33 +268,9 @@ ExperimentResult Experiment::Run() {
     recovery.Set("recovery_events", std::move(recoveries));
     members.Set("recovery", std::move(recovery));
   }
-  if (auto* meta = dynamic_cast<MetaProtocol*>(protocol_.get())) {
-    // After the chaos drain (when one ran) so flips completing during the
-    // quiesce land in the timeline too.
-    const std::vector<MetricsCollector::ProtocolSwitch>& switches =
-        metrics_->protocol_switches();
-    Json children = Json::Array();
-    for (const char* name : MetaProtocol::kChildNames) {
-      children.Add(Json::Str(name));
-    }
-    Json assignment = Json::Array();
-    for (uint64_t n : meta->AssignmentCounts()) assignment.Add(Json::Uint(n));
-    Json summary = Json::Object();
-    summary.Set("children", std::move(children));
-    summary.Set("final_assignment", std::move(assignment));
-    summary.Set("switches", Json::Uint(switches.size()));
-    members.Set("meta", std::move(summary));
-    Json timeline = Json::Array();
-    for (const MetricsCollector::ProtocolSwitch& s : switches) {
-      Json event = Json::Object();
-      event.Set("t_ms", Real(static_cast<double>(s.at) / 1e6));
-      event.Set("partition", Json::Int(s.partition));
-      event.Set("from", Json::Str(s.from));
-      event.Set("to", Json::Str(s.to));
-      timeline.Add(std::move(event));
-    }
-    members.Set("protocol_switches", std::move(timeline));
-  }
+  // After the chaos drain (when one ran) so work completing during the
+  // quiesce lands in the protocol's members too.
+  protocol_->AddResultMembers(&members);
   return result_;
 }
 

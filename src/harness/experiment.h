@@ -49,15 +49,15 @@ struct ExperimentResult {
   uint64_t migrated_bytes = 0;
   SimTime window = 0;
 
-  /// Members the chaos, recovery and meta subsystems add to the result, in
-  /// emission order after the headline fields. A subsystem that did not run
-  /// adds none, so its members appear only in runs that used it:
+  /// Members the chaos and recovery subsystems and the protocol add to the
+  /// result, in emission order after the headline fields. A subsystem that
+  /// did not run adds none, so its members appear only in runs that used it:
   ///   chaos:    aborted_unavailable, failovers, elections_rerun,
   ///             messages_dropped, window_availability, fault_events,
   ///             integrity
   ///   recovery: recovery (and integrity.stale_elections /
   ///             integrity.log_writes_checked)
-  ///   meta:     meta, protocol_switches
+  ///   protocol: Protocol::AddResultMembers (meta: meta, protocol_switches)
   Json subsystems = Json::Object();
 
   /// The whole result as one JSON object: the headline fields above (series

@@ -2,15 +2,6 @@
 
 namespace lion {
 
-MetricsCollector::MetricsCollector(SimTime window)
-    : window_(window),
-      measure_start_(0),
-      committed_(0),
-      aborts_(0),
-      single_node_(0),
-      remastered_(0),
-      distributed_(0) {}
-
 void MetricsCollector::StartMeasurement(SimTime now) {
   measure_start_ = now;
   committed_ = 0;
@@ -24,7 +15,7 @@ void MetricsCollector::StartMeasurement(SimTime now) {
 }
 
 void MetricsCollector::OnAbortUnavailable(SimTime now) {
-  size_t w = static_cast<size_t>(now / window_);
+  size_t w = static_cast<size_t>(now / kStatsWindow);
   if (window_unavailable_.size() <= w) window_unavailable_.resize(w + 1, 0);
   window_unavailable_[w]++;
   aborted_unavailable_++;
@@ -32,7 +23,7 @@ void MetricsCollector::OnAbortUnavailable(SimTime now) {
 
 void MetricsCollector::OnCommit(const Transaction& txn, SimTime now) {
   if (commit_listener_) commit_listener_(txn);
-  size_t w = static_cast<size_t>(now / window_);
+  size_t w = static_cast<size_t>(now / kStatsWindow);
   if (window_commits_.size() <= w) window_commits_.resize(w + 1, 0);
   window_commits_[w]++;
 
@@ -60,7 +51,7 @@ double MetricsCollector::Throughput(SimTime now) const {
 
 double MetricsCollector::WindowThroughput(size_t i) const {
   if (i >= window_commits_.size()) return 0.0;
-  return static_cast<double>(window_commits_[i]) / ToSeconds(window_);
+  return static_cast<double>(window_commits_[i]) / ToSeconds(kStatsWindow);
 }
 
 double MetricsCollector::WindowAvailability(size_t i) const {

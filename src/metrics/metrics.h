@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -19,8 +18,6 @@ namespace lion {
 /// 10, 12a, 13a).
 class MetricsCollector {
  public:
-  explicit MetricsCollector(SimTime window = 100 * kMillisecond);
-
   /// Records a committed transaction at simulated time `now`.
   void OnCommit(const Transaction& txn, SimTime now);
 
@@ -30,28 +27,6 @@ class MetricsCollector {
   /// Records a transaction given up on because a touched partition stayed
   /// unavailable past the degradation retry budget (chaos schedules).
   void OnAbortUnavailable(SimTime now);
-
-  /// One completed meta-protocol flip: `partition` moved from child `from`
-  /// to child `to` at simulated time `at`.
-  struct ProtocolSwitch {
-    SimTime at = 0;
-    PartitionId partition = 0;
-    std::string from;
-    std::string to;
-  };
-
-  /// Records a completed per-partition protocol flip (meta protocol).
-  /// Warmup included: the timeline is a series, like window_commits.
-  void OnProtocolSwitch(SimTime at, PartitionId partition, std::string from,
-                        std::string to) {
-    protocol_switches_.push_back(
-        ProtocolSwitch{at, partition, std::move(from), std::move(to)});
-  }
-
-  /// Every recorded flip, in completion order.
-  const std::vector<ProtocolSwitch>& protocol_switches() const {
-    return protocol_switches_;
-  }
 
   /// Installs a hook invoked on every commit, warmup included (the chaos
   /// harness feeds the commit ledger through this so post-run integrity
@@ -80,9 +55,10 @@ class MetricsCollector {
   const Histogram& latency() const { return latency_; }
   const PhaseBreakdown& breakdown_sum() const { return breakdown_sum_; }
 
-  /// Commits per window since t=0 (including warmup), for time-series plots.
+  /// Commits per kStatsWindow since t=0 (including warmup), for time-series
+  /// plots.
   const std::vector<uint64_t>& window_commits() const { return window_commits_; }
-  SimTime window() const { return window_; }
+  SimTime window() const { return kStatsWindow; }
 
   /// Throughput (txn/s) of window `i`.
   double WindowThroughput(size_t i) const;
@@ -93,19 +69,17 @@ class MetricsCollector {
   double WindowAvailability(size_t i) const;
 
  private:
-  SimTime window_;
-  SimTime measure_start_;
-  uint64_t committed_;
-  uint64_t aborts_;
-  uint64_t single_node_;
-  uint64_t remastered_;
-  uint64_t distributed_;
+  SimTime measure_start_ = 0;
+  uint64_t committed_ = 0;
+  uint64_t aborts_ = 0;
+  uint64_t single_node_ = 0;
+  uint64_t remastered_ = 0;
+  uint64_t distributed_ = 0;
   uint64_t aborted_unavailable_ = 0;
   Histogram latency_;
   PhaseBreakdown breakdown_sum_;
   std::vector<uint64_t> window_commits_;
   std::vector<uint64_t> window_unavailable_;
-  std::vector<ProtocolSwitch> protocol_switches_;
   std::function<void(const Transaction&)> commit_listener_;
 };
 

@@ -19,14 +19,12 @@
 namespace lion {
 
 /// Buffers submitted transactions and flushes them as a batch every epoch
-/// (or when the batch-size cap is reached). Subclasses implement
+/// (or when the buffer reaches kMaxBatchSize). Subclasses implement
 /// ExecuteBatch; aborted items can be re-queued into the next batch with
 /// Requeue (deterministic protocols never abort).
 class BatchProtocol : public Protocol {
  public:
-  BatchProtocol(Cluster* cluster, MetricsCollector* metrics,
-                size_t max_batch = 10000)
-      : Protocol(cluster, metrics), max_batch_(max_batch) {}
+  using Protocol::Protocol;
 
   void Start() override { StartEpochTimer(); }
 
@@ -46,7 +44,7 @@ class BatchProtocol : public Protocol {
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override {
     OnSubmit(*txn);
     buffer_.push_back(Item{std::move(txn), std::move(done)});
-    if (buffer_.size() >= max_batch_) Flush();
+    if (buffer_.size() >= kMaxBatchSize) Flush();
   }
 
  protected:
@@ -193,7 +191,6 @@ class BatchProtocol : public Protocol {
   size_t buffered() const { return buffer_.size(); }
 
  private:
-  size_t max_batch_;
   std::vector<Item> buffer_;
   std::vector<PartitionId> parts_;  // PartitionsOf's buffer
   bool drain_flush_pending_ = false;  // a post-Stop flush is scheduled

@@ -6,9 +6,15 @@
 
 namespace lion {
 
-CalvinProtocol::CalvinProtocol(Cluster* cluster, MetricsCollector* metrics,
-                               CalvinConfig config)
-    : BatchProtocol(cluster, metrics), config_(config) {
+namespace {
+/// Lock-manager processing time per lock request (one per op).
+constexpr SimTime kLockCostPerOp = 2 * kMicrosecond;
+/// Sequencer processing time per transaction (ordering/dispatch).
+constexpr SimTime kSequencerCostPerTxn = 1 * kMicrosecond;
+}  // namespace
+
+CalvinProtocol::CalvinProtocol(Cluster* cluster, MetricsCollector* metrics)
+    : BatchProtocol(cluster, metrics) {
   for (NodeId n = 0; n < cluster->num_nodes(); ++n) {
     lock_managers_.push_back(std::make_unique<WorkerPool>(cluster->sim(), 1));
   }
@@ -44,7 +50,7 @@ void CalvinProtocol::ExecuteBatch(std::vector<Item> batch) {
   // The sequencer fixes the order and dispatches; its serial processing is
   // part of the deterministic pipeline's cost.
   for (auto& item : batch) {
-    sequencer_->Submit(TaskPriority::kService, config_.sequencer_cost_per_txn,
+    sequencer_->Submit(TaskPriority::kService, kSequencerCostPerTxn,
                        [this, item = std::move(item)]() mutable {
                          RunDeterministic(std::move(item));
                        });
@@ -77,8 +83,7 @@ void CalvinProtocol::RunDeterministic(Item item) {
   for (NodeId np : participants) {
     int local_ops = run->OpsAt(cluster_->router(), np);
     lock_managers_[np]->Submit(TaskPriority::kService,
-                               local_ops * config_.lock_cost_per_op,
-                               [this, run]() {
+                               local_ops * kLockCostPerOp, [this, run]() {
                                  if (--run->pending == 0) Execute(run);
                                });
   }

@@ -9,13 +9,6 @@
 
 namespace lion {
 
-struct CalvinConfig {
-  /// Lock-manager processing time per lock request (one per op).
-  SimTime lock_cost_per_op = 2 * kMicrosecond;
-  /// Sequencer processing time per transaction (ordering/dispatch).
-  SimTime sequencer_cost_per_txn = 1 * kMicrosecond;
-};
-
 /// Calvin orders each batch through a sequencer, then a single-threaded
 /// lock manager per node grants locks in that fixed order. Participants
 /// exchange remote reads in one round and apply writes locally — no 2PC.
@@ -23,8 +16,7 @@ struct CalvinConfig {
 /// is why deterministic approaches plateau as nodes are added (Fig. 11b).
 class CalvinProtocol : public BatchProtocol {
  public:
-  CalvinProtocol(Cluster* cluster, MetricsCollector* metrics,
-                 CalvinConfig config = CalvinConfig{});
+  CalvinProtocol(Cluster* cluster, MetricsCollector* metrics);
 
   std::string name() const override { return "Calvin"; }
 
@@ -40,7 +32,6 @@ class CalvinProtocol : public BatchProtocol {
   /// One participant finished executing; the last one applies the writes.
   void FinishExecution(const std::shared_ptr<TxnRun>& run, NodeId np);
 
-  CalvinConfig config_;
   /// Single-threaded lock manager per node, plus one global sequencer.
   std::vector<std::unique_ptr<WorkerPool>> lock_managers_;
   std::unique_ptr<WorkerPool> sequencer_;

@@ -9,9 +9,13 @@
 
 namespace lion {
 
-HermesProtocol::HermesProtocol(Cluster* cluster, MetricsCollector* metrics,
-                               HermesConfig config)
-    : BatchProtocol(cluster, metrics), config_(config) {
+namespace {
+/// Lock-manager processing time per lock request.
+constexpr SimTime kLockCostPerOp = 2 * kMicrosecond;
+}  // namespace
+
+HermesProtocol::HermesProtocol(Cluster* cluster, MetricsCollector* metrics)
+    : BatchProtocol(cluster, metrics) {
   for (NodeId n = 0; n < cluster->num_nodes(); ++n) {
     lock_managers_.push_back(std::make_unique<WorkerPool>(cluster->sim(), 1));
   }
@@ -99,7 +103,7 @@ void HermesProtocol::RunLocal(Item item, NodeId dst) {
 
   // Serial lock manager grant, then local execution and write application.
   lock_managers_[dst]->Submit(
-      TaskPriority::kService, total_ops * config_.lock_cost_per_op,
+      TaskPriority::kService, total_ops * kLockCostPerOp,
       [this, txn, item = std::move(item), dst, total_ops,
        lock_submit]() mutable {
         txn->breakdown().scheduling += cluster_->sim()->Now() - lock_submit;

@@ -9,11 +9,6 @@
 
 namespace lion {
 
-struct HermesConfig {
-  /// Lock-manager processing time per lock request.
-  SimTime lock_cost_per_op = 2 * kMicrosecond;
-};
-
 /// Hermes collects transactions in batches, reorders each batch so that
 /// transactions touching the same partitions are adjacent (prescient
 /// routing), migrates partitions on demand so each transaction becomes
@@ -23,8 +18,7 @@ struct HermesConfig {
 /// Figs. 8b/10.
 class HermesProtocol : public BatchProtocol {
  public:
-  HermesProtocol(Cluster* cluster, MetricsCollector* metrics,
-                 HermesConfig config = HermesConfig{});
+  HermesProtocol(Cluster* cluster, MetricsCollector* metrics);
 
   std::string name() const override { return "Hermes"; }
 
@@ -42,7 +36,6 @@ class HermesProtocol : public BatchProtocol {
   void MigrateNext(std::unique_ptr<Pull> pull, size_t index);
   void RunLocal(Item item, NodeId dst);
 
-  HermesConfig config_;
   std::vector<std::unique_ptr<WorkerPool>> lock_managers_;
   uint64_t migrations_requested_ = 0;
 };

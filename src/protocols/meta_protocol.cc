@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "harness/registry.h"
+#include "protocols/star.h"
 
 namespace lion {
 
@@ -63,6 +64,28 @@ std::vector<uint64_t> MetaProtocol::AssignmentCounts() const {
   std::vector<uint64_t> counts(kNumChildren, 0);
   for (const PartitionState& ps : parts_) counts[ps.assigned]++;
   return counts;
+}
+
+void MetaProtocol::AddResultMembers(Json* members) const {
+  Json children = Json::Array();
+  for (const char* name : kChildNames) children.Add(Json::Str(name));
+  Json assignment = Json::Array();
+  for (uint64_t n : AssignmentCounts()) assignment.Add(Json::Uint(n));
+  Json summary = Json::Object();
+  summary.Set("children", std::move(children));
+  summary.Set("final_assignment", std::move(assignment));
+  summary.Set("switches", Json::Uint(flips_.size()));
+  members->Set("meta", std::move(summary));
+  Json timeline = Json::Array();
+  for (const Flip& f : flips_) {
+    Json event = Json::Object();
+    event.Set("t_ms", Json::Printf("%.6g", static_cast<double>(f.at) / 1e6));
+    event.Set("partition", Json::Int(f.partition));
+    event.Set("from", Json::Str(kChildNames[f.from]));
+    event.Set("to", Json::Str(kChildNames[f.to]));
+    timeline.Add(std::move(event));
+  }
+  members->Set("protocol_switches", std::move(timeline));
 }
 
 bool MetaProtocol::SwitchInProgress() const {
@@ -137,12 +160,14 @@ int MetaProtocol::DesiredChild(const PartitionState& ps, double norm_load) {
 }
 
 double MetaProtocol::FlipCost(PartitionId pid) const {
-  // The single-master child concentrates the partition's cross work on the
-  // super node (StarConfig default: node 0). Price the flip like the
-  // provisioner prices the replica move it stands for: wm, WAN-multiplied
-  // when the hop crosses regions.
+  // The single-master child concentrates the partition's cross work on
+  // Star's super node. Price the flip like the provisioner prices the
+  // replica move it stands for: wm, WAN-multiplied when the hop crosses
+  // regions.
   NodeId from = cluster_->PrimaryOf(pid);
-  double mult = geo_.active() ? geo_.MigrationMultiplier(from, 0) : 1.0;
+  double mult = geo_.active()
+                    ? geo_.MigrationMultiplier(from, StarProtocol::kSuperNode)
+                    : 1.0;
   return cost_.config().wm * mult;
 }
 
@@ -221,8 +246,7 @@ void MetaProtocol::CompleteSwitch(PartitionId pid, SimTime now) {
   ps.assigned = to;
   ps.switching_to = -1;
   ps.last_flip_epoch = epoch_index_;
-  switches_++;
-  metrics_->OnProtocolSwitch(now, pid, kChildNames[from], kChildNames[to]);
+  flips_.push_back(Flip{now, pid, from, to});
 
   if (!parked_.empty()) {
     // Re-enter unblocked transactions through the public Submit gate so

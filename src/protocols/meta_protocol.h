@@ -27,7 +27,8 @@
 // park in a FIFO queue, and the flip completes only when the partition's
 // in-flight count drains to zero — at which point parked transactions
 // re-enter through the public Submit gate (re-checking chaos availability)
-// and the flip is recorded in the `protocol_switches` metrics series.
+// and the flip joins the protocol's timeline, which the result reports as
+// `protocol_switches`.
 #pragma once
 
 #include <array>
@@ -84,9 +85,13 @@ class MetaProtocol : public Protocol {
     return geo_.active() ? &geo_ : nullptr;
   }
 
-  // --- introspection (harness, tests) ----------------------------------------
-  /// Completed flips (mirrors the metrics series).
-  uint64_t switches_completed() const { return switches_; }
+  /// Writes `meta` (children, final assignment, flip count) and
+  /// `protocol_switches` (the flip timeline, warmup included).
+  void AddResultMembers(Json* members) const override;
+
+  // --- introspection (tests) -------------------------------------------------
+  /// Completed flips.
+  uint64_t switches_completed() const { return flips_.size(); }
   /// Partitions per child under the current assignment.
   std::vector<uint64_t> AssignmentCounts() const;
   /// True while any partition is mid-handoff.
@@ -101,6 +106,15 @@ class MetaProtocol : public Protocol {
   struct ParkedTxn {
     TxnPtr txn;
     TxnDoneFn done;
+  };
+
+  /// One completed flip: `partition` moved from child `from` to child `to`
+  /// at simulated time `at`.
+  struct Flip {
+    SimTime at = 0;
+    PartitionId partition = 0;
+    int from = 0;
+    int to = 0;
   };
 
   struct PartitionState {
@@ -135,7 +149,7 @@ class MetaProtocol : public Protocol {
   std::vector<PartitionState> parts_;
   std::deque<ParkedTxn> parked_;
   int64_t epoch_index_ = 0;
-  uint64_t switches_ = 0;
+  std::vector<Flip> flips_;  // in completion order
   std::vector<double> forecast_;  // per-partition forecast scratch
 };
 

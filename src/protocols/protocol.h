@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "common/json.h"
 #include "common/move_fn.h"
 #include "metrics/metrics.h"
 #include "replication/chaos_config.h"
@@ -38,6 +39,10 @@ class Protocol {
 
   Protocol(const Protocol&) = delete;
   Protocol& operator=(const Protocol&) = delete;
+
+  /// An epoch-batching protocol (BatchProtocol, batch-mode Lion) flushes
+  /// its buffered batch early once it holds this many transactions.
+  static constexpr size_t kMaxBatchSize = 10000;
 
   virtual std::string name() const = 0;
 
@@ -109,6 +114,11 @@ class Protocol {
   /// planner does); the chaos harness forwards them to the failure
   /// injector so elections and re-provisioning respect them.
   virtual const GeoPlacement* geo_placement() const { return nullptr; }
+
+  /// Adds the protocol's own members to the run's result object, after the
+  /// chaos and recovery members. The harness calls it once, after Stop and
+  /// any post-run drain; most protocols add nothing.
+  virtual void AddResultMembers(Json* members) const { (void)members; }
 
   Cluster* cluster() { return cluster_; }
   MetricsCollector* metrics() { return metrics_; }

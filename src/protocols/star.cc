@@ -6,17 +6,18 @@
 
 namespace lion {
 
-StarProtocol::StarProtocol(Cluster* cluster, MetricsCollector* metrics,
-                           StarConfig config)
-    : BatchProtocol(cluster, metrics), config_(config) {}
+namespace {
+/// Cost of one partition-phase <-> single-master-phase switch per epoch.
+constexpr SimTime kPhaseSwitchDelay = 300 * kMicrosecond;
+}  // namespace
 
 void StarProtocol::Start() {
   // Deployment assumption of Star: the super node is provisioned with a
   // replica of every partition up front (asymmetric replication).
   for (PartitionId pid = 0; pid < cluster_->num_partitions(); ++pid) {
     ReplicaGroup* g = cluster_->router().mutable_group(pid);
-    if (!g->HasReplica(config_.super_node)) {
-      g->AddSecondary(config_.super_node, g->primary_lsn());
+    if (!g->HasReplica(kSuperNode)) {
+      g->AddSecondary(kSuperNode, g->primary_lsn());
     }
   }
   BatchProtocol::Start();
@@ -45,7 +46,7 @@ void StarProtocol::ExecuteBatch(std::vector<Item> batch) {
   if (cross.empty()) return;
   // Phase switch barrier, then route every cross txn to the super node.
   cluster_->sim()->Schedule(
-      config_.phase_switch_delay, [this, cross = std::move(cross)]() mutable {
+      kPhaseSwitchDelay, [this, cross = std::move(cross)]() mutable {
         for (auto& item : cross) RunOnSuperNode(std::move(item));
       });
 }
@@ -57,7 +58,7 @@ void StarProtocol::RunOnSuperNode(Item item) {
   // All replicas are local on the super node: the transaction executes as a
   // single-node one (the conversion Star achieves via its phase switching).
   txn->set_exec_class(ExecClass::kRemastered);
-  txn->set_coordinator(config_.super_node);
+  txn->set_coordinator(kSuperNode);
 
   int total_ops = static_cast<int>(txn->ops().size());
   int total_writes = 0;
@@ -70,11 +71,11 @@ void StarProtocol::RunOnSuperNode(Item item) {
   SimTime apply_cost = cfg.log_write_cost + total_writes * cfg.op_local_cost;
 
   // Every cross transaction consumes super-node worker time: the bottleneck.
-  cluster_->pool(config_.super_node)
+  cluster_->pool(kSuperNode)
       ->Submit(TaskPriority::kNew, exec_cost, [this, txn, item = std::move(item),
                                                submit, apply_cost]() mutable {
         txn->breakdown().execution += cluster_->sim()->Now() - submit;
-        cluster_->pool(config_.super_node)
+        cluster_->pool(kSuperNode)
             ->Submit(TaskPriority::kResume, apply_cost,
                      [this, txn, item = std::move(item)]() mutable {
               SimTime apply_at = cluster_->sim()->Now();

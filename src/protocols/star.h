@@ -5,13 +5,6 @@
 
 namespace lion {
 
-struct StarConfig {
-  /// The node hosting the full replica set ("super node").
-  NodeId super_node = 0;
-  /// Cost of one partition-phase <-> single-master-phase switch per epoch.
-  SimTime phase_switch_delay = 300 * kMicrosecond;
-};
-
 /// Star keeps one node with replicas of every partition. Batches are split
 /// into a partition phase (single-home transactions run on their home
 /// nodes) and a single-master phase (every cross-partition transaction runs
@@ -20,8 +13,10 @@ struct StarConfig {
 /// attributes to full-replication designs.
 class StarProtocol : public BatchProtocol {
  public:
-  StarProtocol(Cluster* cluster, MetricsCollector* metrics,
-               StarConfig config = StarConfig{});
+  /// The node hosting the full replica set ("super node").
+  static constexpr NodeId kSuperNode = 0;
+
+  using BatchProtocol::BatchProtocol;
 
   std::string name() const override { return "Star"; }
   void Start() override;
@@ -35,7 +30,6 @@ class StarProtocol : public BatchProtocol {
   /// Runs one cross-partition transaction entirely on the super node.
   void RunOnSuperNode(Item item);
 
-  StarConfig config_;
   uint64_t super_node_txns_ = 0;
 };
 

@@ -45,8 +45,8 @@ NodeId RouterTable::MostPrimariesNode(const std::vector<PartitionId>& parts,
   return best;
 }
 
-void RouterTable::RecordAccess(PartitionId pid, double weight) {
-  freq_[pid] += weight;
+void RouterTable::RecordAccess(PartitionId pid) {
+  freq_[pid] += 1.0;
   max_freq_ = std::max(max_freq_, freq_[pid]);
 }
 

@@ -49,7 +49,7 @@ class RouterTable {
                            int* hosted = nullptr) const;
 
   /// Bumps the access counter of `pid` (called once per touching txn).
-  void RecordAccess(PartitionId pid, double weight = 1.0);
+  void RecordAccess(PartitionId pid);
 
   /// Normalized access frequency f(v, primary) in [0, 1]: the partition's
   /// recent access count divided by the hottest partition's count.

@@ -29,7 +29,7 @@ SimTime Network::TransferDelay(NodeId from, NodeId to, uint64_t bytes) const {
 }
 
 void Network::RollWindows() {
-  size_t idx = static_cast<size_t>(sim_->Now() / config_.stats_window);
+  size_t idx = static_cast<size_t>(sim_->Now() / kStatsWindow);
   if (window_bytes_.size() <= idx) window_bytes_.resize(idx + 1, 0);
 }
 
@@ -82,7 +82,7 @@ void Network::Send(NodeId from, NodeId to, uint64_t bytes,
     total_bytes_ += bytes;
     total_messages_ += 1;
     RollWindows();
-    window_bytes_[static_cast<size_t>(sim_->Now() / config_.stats_window)] += bytes;
+    window_bytes_[static_cast<size_t>(sim_->Now() / kStatsWindow)] += bytes;
   }
   sim_->Schedule(delay, std::move(on_delivery));
 }

@@ -26,8 +26,6 @@ struct NetworkConfig {
   static constexpr double bandwidth_bytes_per_sec = 117.0 * 1024 * 1024;
   /// Cost of a loopback (same node) message.
   static constexpr SimTime local_latency = 1 * kMicrosecond;
-  /// Width of the bytes/messages accounting windows (Fig. 12b series).
-  static constexpr SimTime stats_window = 100 * kMillisecond;
   /// One-way latency between distinct regions when no matrix is declared
   /// (~continental WAN hop).
   static constexpr SimTime cross_region_latency = 30 * kMillisecond;

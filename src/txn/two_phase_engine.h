@@ -32,7 +32,7 @@ class TwoPhaseEngine {
  public:
   struct Options {
     /// Delay commit acknowledgement to the epoch boundary (group commit
-    /// visibility, used by Lion and Lotus).
+    /// visibility, used by batch-mode Lion).
     bool group_commit_visibility = false;
   };
 

@@ -5,9 +5,8 @@
 namespace lion {
 
 DynamicYcsbWorkload::DynamicYcsbWorkload(const ClusterConfig& cluster,
-                                         std::vector<DynamicPhase> phases,
-                                         bool cycle)
-    : phases_(std::move(phases)), total_(0), cycle_(cycle) {
+                                         std::vector<DynamicPhase> phases)
+    : phases_(std::move(phases)), total_(0) {
   for (const DynamicPhase& p : phases_) {
     generators_.push_back(std::make_unique<YcsbWorkload>(cluster, p.ycsb));
     total_ += p.duration;
@@ -15,8 +14,7 @@ DynamicYcsbWorkload::DynamicYcsbWorkload(const ClusterConfig& cluster,
 }
 
 size_t DynamicYcsbWorkload::PhaseAt(SimTime now) const {
-  SimTime t = now;
-  if (cycle_ && total_ > 0) t = now % total_;
+  SimTime t = total_ > 0 ? now % total_ : now;
   SimTime acc = 0;
   for (size_t i = 0; i < phases_.size(); ++i) {
     acc += phases_[i].duration;

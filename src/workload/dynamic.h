@@ -20,12 +20,12 @@ struct DynamicPhase {
 class DynamicYcsbWorkload : public WorkloadGenerator {
  public:
   DynamicYcsbWorkload(const ClusterConfig& cluster,
-                      std::vector<DynamicPhase> phases, bool cycle = true);
+                      std::vector<DynamicPhase> phases);
 
   std::string name() const override { return "ycsb-dynamic"; }
   TxnPtr Next(TxnId id, SimTime now, Rng* rng) override;
 
-  /// Index of the phase active at `now`.
+  /// Index of the phase active at `now`; the phases repeat after the last.
   size_t PhaseAt(SimTime now) const;
 
   size_t num_phases() const { return phases_.size(); }
@@ -44,7 +44,6 @@ class DynamicYcsbWorkload : public WorkloadGenerator {
   std::vector<DynamicPhase> phases_;
   std::vector<std::unique_ptr<YcsbWorkload>> generators_;
   SimTime total_;
-  bool cycle_;
 };
 
 }  // namespace lion

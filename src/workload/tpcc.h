@@ -51,8 +51,6 @@ class TpccWorkload : public WorkloadGenerator {
     return (static_cast<uint64_t>(table) << 40) | id;
   }
 
-  TpccConfig& config() { return config_; }
-
  private:
   TxnPtr NewOrderTxn(TxnId id, SimTime now, Rng* rng);
   TxnPtr PaymentTxn(TxnId id, SimTime now, Rng* rng);

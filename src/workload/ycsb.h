@@ -45,9 +45,6 @@ class YcsbWorkload : public WorkloadGenerator {
   std::string name() const override { return "ycsb"; }
   TxnPtr Next(TxnId id, SimTime now, Rng* rng) override;
 
-  /// Live knobs used by the dynamic-workload wrappers.
-  YcsbConfig& config() { return config_; }
-
  private:
   PartitionId PickHomePartition(Rng* rng) const;
   PartitionId PickRemotePartition(PartitionId home, Rng* rng) const;

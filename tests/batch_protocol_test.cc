@@ -15,9 +15,8 @@ namespace {
 class RecordingBatchProtocol : public BatchProtocol {
  public:
   RecordingBatchProtocol(Cluster* cluster, MetricsCollector* metrics,
-                         size_t max_batch, bool abort_first_attempt)
-      : BatchProtocol(cluster, metrics, max_batch),
-        abort_first_(abort_first_attempt) {}
+                         bool abort_first_attempt)
+      : BatchProtocol(cluster, metrics), abort_first_(abort_first_attempt) {}
 
   std::string name() const override { return "test-batch"; }
 
@@ -98,7 +97,7 @@ TEST(BatchProtocolTest, FlushesOncePerEpoch) {
   Cluster cluster(&sim, cfg);
   cluster.Start();
   MetricsCollector metrics;
-  RecordingBatchProtocol proto(&cluster, &metrics, 1000, false);
+  RecordingBatchProtocol proto(&cluster, &metrics, false);
   proto.Start();
   int done = 0;
   for (int i = 0; i < 5; ++i) proto.Submit(Txn(i + 1), [&](TxnPtr) { done++; });
@@ -115,17 +114,22 @@ TEST(BatchProtocolTest, SizeCapFlushesEarly) {
   Cluster cluster(&sim, cfg);
   cluster.Start();
   MetricsCollector metrics;
-  RecordingBatchProtocol proto(&cluster, &metrics, 3, false);
+  RecordingBatchProtocol proto(&cluster, &metrics, false);
   proto.Start();
-  for (int i = 0; i < 7; ++i) proto.Submit(Txn(i + 1), [](TxnPtr) {});
+  constexpr size_t kCap = Protocol::kMaxBatchSize;
+  for (size_t i = 0; i < 2 * kCap + 1; ++i) {
+    proto.Submit(Txn(i + 1), [](TxnPtr) {});
+  }
   // Two size-triggered flushes at t=0; the remaining txn waits for the epoch.
-  ASSERT_GE(proto.batch_sizes.size(), 2u);
-  EXPECT_EQ(proto.batch_sizes[0], 3u);
-  EXPECT_EQ(proto.batch_sizes[1], 3u);
+  ASSERT_EQ(proto.batch_sizes.size(), 2u);
+  EXPECT_EQ(proto.batch_sizes[0], kCap);
+  EXPECT_EQ(proto.batch_sizes[1], kCap);
   EXPECT_EQ(proto.flush_times[0], 0);
+  EXPECT_EQ(proto.flush_times[1], 0);
   sim.RunUntil(2 * cfg.epoch_interval);
   ASSERT_EQ(proto.batch_sizes.size(), 3u);
   EXPECT_EQ(proto.batch_sizes[2], 1u);
+  EXPECT_EQ(proto.flush_times[2], cfg.epoch_interval);
 }
 
 TEST(BatchProtocolTest, RequeuedTxnsJoinNextBatchAndCommit) {
@@ -134,7 +138,7 @@ TEST(BatchProtocolTest, RequeuedTxnsJoinNextBatchAndCommit) {
   Cluster cluster(&sim, cfg);
   cluster.Start();
   MetricsCollector metrics;
-  RecordingBatchProtocol proto(&cluster, &metrics, 1000, /*abort_first=*/true);
+  RecordingBatchProtocol proto(&cluster, &metrics, /*abort_first=*/true);
   proto.Start();
   int done = 0;
   for (int i = 0; i < 4; ++i) proto.Submit(Txn(i + 1), [&](TxnPtr) { done++; });
@@ -155,7 +159,7 @@ TEST(BatchProtocolTest, CommitVisibilityAtEpochBoundary) {
   Cluster cluster(&sim, cfg);
   cluster.Start();
   MetricsCollector metrics;
-  RecordingBatchProtocol proto(&cluster, &metrics, 1000, false);
+  RecordingBatchProtocol proto(&cluster, &metrics, false);
   proto.Start();
   SimTime done_at = -1;
   proto.Submit(Txn(1), [&](TxnPtr t) {

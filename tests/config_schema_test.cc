@@ -20,6 +20,21 @@ std::string EmitText(const ExperimentConfig& cfg) {
   return EmitExperimentConfig(cfg).Dump();
 }
 
+/// `value` nested under the keys of `dotted`: "a.b" -> {"a":{"b":value}}.
+Json AtPath(const std::string& dotted, Json value) {
+  std::vector<std::string> keys;
+  std::stringstream segments(dotted);
+  for (std::string key; std::getline(segments, key, '.');) {
+    keys.push_back(key);
+  }
+  for (auto key = keys.rbegin(); key != keys.rend(); ++key) {
+    Json object = Json::Object();
+    object.Set(*key, std::move(value));
+    value = std::move(object);
+  }
+  return value;
+}
+
 /// parse(emit(cfg)) must reproduce cfg exactly; equality is judged on the
 /// re-emitted text, which covers every declared field.
 void ExpectRoundTripExact(const ExperimentConfig& cfg) {
@@ -150,17 +165,7 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
     EXPECT_EQ(flag.message().rfind(reported + ": unknown field", 0), 0u)
         << flag.message();
 
-    std::vector<std::string> keys;
-    std::stringstream segments(path);
-    for (std::string key; std::getline(segments, key, '.');) {
-      keys.push_back(key);
-    }
-    Json doc = Json::Int(1);
-    for (auto key = keys.rbegin(); key != keys.rend(); ++key) {
-      Json object = Json::Object();
-      object.Set(*key, std::move(doc));
-      doc = std::move(object);
-    }
+    Json doc = AtPath(path, Json::Int(1));
     ExperimentConfig doc_cfg;
     Status parsed = ParseExperimentConfig(doc, &doc_cfg);
     ASSERT_TRUE(parsed.IsInvalidArgument()) << doc.Dump();
@@ -178,6 +183,93 @@ TEST(ConfigSchemaTest, TypeMismatchReportsDottedPath) {
   ASSERT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("cluster.num_nodes"), std::string::npos)
       << s.message();
+}
+
+TEST(ConfigSchemaTest, EveryValueTypeFailsWithItsExactMessage) {
+  // Each case's value is JSON text, given verbatim as a flag value and
+  // nested at its path in a config document; both routes must fail with
+  // the same message. A parse failure stops the flag or the document; a
+  // check failure parses and then fails validation.
+  struct Case {
+    const char* path;
+    const char* value;
+    bool fails_check;
+    const char* message;
+  };
+  const Case kCases[] = {
+      {"cluster.materialize_secondaries", "1", false,
+       "cluster.materialize_secondaries: expected bool, got number"},
+      {"cluster.num_nodes", "\"four\"", false,
+       "cluster.num_nodes: expected integer, got string"},
+      {"cluster.num_nodes", "2.5", false,
+       "cluster.num_nodes: expected integer, got 2.5"},
+      {"cluster.num_nodes", "4294967296", false,
+       "cluster.num_nodes: 4294967296 out of int range"},
+      {"cluster.num_nodes", "0", true, "cluster.num_nodes: 0 must be >= 1"},
+      {"seed", "-1", false, "seed: expected unsigned integer, got -1"},
+      {"cluster.record_bytes", "0", true,
+       "cluster.record_bytes: 0 must be >= 1"},
+      {"ycsb.cross_ratio", "\"half\"", false,
+       "ycsb.cross_ratio: expected number, got string"},
+      {"ycsb.cross_ratio", "1.3", true, "ycsb.cross_ratio: 1.3 not in [0,1]"},
+      {"protocol", "[1]", false, "protocol: expected string, got array"},
+      {"protocol", "\"\"", true, "protocol: must not be empty"},
+      {"ycsb.cross_pattern", "2", false,
+       "ycsb.cross_pattern: expected string, got number"},
+      {"ycsb.cross_pattern", "\"diagonal\"", false,
+       "ycsb.cross_pattern: unknown value \"diagonal\" (one of: paired, "
+       "random-node)"},
+      {"cluster.net.node_regions", "1", false,
+       "cluster.net.node_regions: expected array, got number"},
+      {"cluster.net.node_regions", "[0,1.5]", false,
+       "cluster.net.node_regions[1]: expected integer, got 1.5"},
+      {"cluster.net.node_regions", "[0,4294967296]", false,
+       "cluster.net.node_regions[1]: 4294967296 out of int range"},
+      {"cluster.net.node_regions", "[0,-1]", true,
+       "cluster.net.node_regions[1]: -1 must be >= 0"},
+      {"cluster.net.region_latency_ms", "\"x\"", false,
+       "cluster.net.region_latency_ms: expected array, got string"},
+      {"cluster.net.region_latency_ms", "[1,\"x\"]", false,
+       "cluster.net.region_latency_ms[1]: expected number, got string"},
+      {"cluster.net.region_latency_ms", "[1,-2]", true,
+       "cluster.net.region_latency_ms[1]: -2 must be >= 0"},
+      {"chaos.schedule", "\"100ms heal\"", false,
+       "chaos.schedule: expected array, got string"},
+      {"chaos.schedule", "[\"100ms heal\",2]", false,
+       "chaos.schedule[1]: expected string, got number"},
+      {"chaos.schedule", "[\"100ms heal\",\"200ms crash\"]", true,
+       "chaos.schedule[1]: \"200ms crash\": crash takes 1 argument(s)"},
+      {"duration_s", "\"long\"", false,
+       "duration_s: expected number, got string"},
+      {"duration_s", "0", true, "duration_s: 0 must be positive"},
+  };
+  // Applies one route's outcome to the case: the parse status, then (if
+  // it parsed) the validation status.
+  auto expect_failure = [](const Case& c, const Status& parsed,
+                           const ExperimentConfig& cfg) {
+    if (c.fails_check) {
+      ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+      Status checked = ValidateExperimentConfig(cfg);
+      ASSERT_TRUE(checked.IsInvalidArgument()) << checked.ToString();
+      EXPECT_EQ(checked.message(), c.message);
+    } else {
+      ASSERT_TRUE(parsed.IsInvalidArgument()) << parsed.ToString();
+      EXPECT_EQ(parsed.message(), c.message);
+    }
+  };
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(std::string(c.path) + "=" + c.value);
+    ExperimentConfig flag_cfg;
+    expect_failure(c, SetExperimentFlag(&flag_cfg, c.path, c.value),
+                   flag_cfg);
+
+    Json value;
+    ASSERT_TRUE(Json::Parse(c.value, &value).ok());
+    ExperimentConfig doc_cfg;
+    expect_failure(
+        c, ParseExperimentConfig(AtPath(c.path, std::move(value)), &doc_cfg),
+        doc_cfg);
+  }
 }
 
 TEST(ConfigSchemaTest, EnumParsingAndErrors) {

@@ -271,7 +271,8 @@ TEST(CostModelTest, CntRemasterAndMigrate) {
 TEST(CostModelTest, RemasterCostGrowsWithPrimaryFrequency) {
   RouterTable table = Example2Table();
   CostModel model(CostModelConfig{});
-  table.RecordAccess(0, 10.0);  // P1 is the hottest partition: f = 1
+  // P1 is the hottest partition: f = 1.
+  for (int i = 0; i < 10; ++i) table.RecordAccess(0);
   double hot = model.CntRemaster(table, 0, 1);
   EXPECT_DOUBLE_EQ(hot, 2.0);  // 1 + log2(2)
 }

@@ -3,6 +3,8 @@
 // end-to-end determinism of the geo_occ protocol.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/geo_placement.h"
 #include "core/lion_protocol.h"
 #include "harness/config_schema.h"

@@ -117,8 +117,8 @@ TEST(RouterTableTest, RoundRobinCapsAtNodeCount) {
 
 TEST(RouterTableTest, FrequencyNormalization) {
   RouterTable table(2, 4);
-  table.RecordAccess(0, 10.0);
-  table.RecordAccess(1, 5.0);
+  for (int i = 0; i < 10; ++i) table.RecordAccess(0);
+  for (int i = 0; i < 5; ++i) table.RecordAccess(1);
   EXPECT_DOUBLE_EQ(table.NormalizedFrequency(0), 1.0);
   EXPECT_DOUBLE_EQ(table.NormalizedFrequency(1), 0.5);
   EXPECT_DOUBLE_EQ(table.NormalizedFrequency(2), 0.0);
@@ -126,7 +126,7 @@ TEST(RouterTableTest, FrequencyNormalization) {
 
 TEST(RouterTableTest, DecayScalesCounts) {
   RouterTable table(2, 2);
-  table.RecordAccess(0, 8.0);
+  for (int i = 0; i < 8; ++i) table.RecordAccess(0);
   table.DecayFrequencies(0.5);
   EXPECT_DOUBLE_EQ(table.RawFrequency(0), 4.0);
 }

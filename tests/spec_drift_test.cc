@@ -82,6 +82,33 @@ TEST(SpecDriftTest, EveryCheckedInConfigExpandsAndValidates) {
   }
 }
 
+TEST(SpecDriftTest, EveryCheckedInConfigRoundTripsThroughTheSchema) {
+  // Every run a checked-in file declares emits a config whose text parses
+  // back to the same config: --print-config output is a loadable --config.
+  for (const std::string& path : ConfigFiles()) {
+    SCOPED_TRACE(path);
+    Json doc = MustLoad(path);
+    std::vector<SweepPoint> points;
+    if (IsSweepDocument(doc)) {
+      Status s = ExpandSweepDocument(doc, &points);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    } else {
+      points.emplace_back();
+      Status s = ParseExperimentConfig(doc, &points.back().config);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+    }
+    for (const SweepPoint& p : points) {
+      std::string text = EmitExperimentConfig(p.config).Dump();
+      Json emitted;
+      ASSERT_TRUE(Json::Parse(text, &emitted).ok()) << p.name;
+      ExperimentConfig back;
+      Status s = ParseExperimentConfig(emitted, &back);
+      ASSERT_TRUE(s.ok()) << p.name << ": " << s.ToString();
+      EXPECT_EQ(EmitExperimentConfig(back).Dump(), text) << p.name;
+    }
+  }
+}
+
 /// The lineup a figure of `mode` plots, as (protocol value, point label)
 /// pairs in registry order: parenthesized names are the Fig. 6 / Table II
 /// ablation variants and "meta" is a composite router with its own figure,
