@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "core/geo_placement.h"
-
 namespace lion {
 
 double CostModel::CntRemaster(const RouterTable& table, PartitionId v,
@@ -16,11 +14,7 @@ double CostModel::CntRemaster(const RouterTable& table, PartitionId v,
 
 double CostModel::CntMigrate(const RouterTable& table, PartitionId v,
                              NodeId n) const {
-  if (table.HasReplica(n, v)) return 0.0;
-  // The copy flows from v's primary to n; a cross-region copy is priced at
-  // the WAN multiplier.
-  return geo_ == nullptr ? 1.0
-                         : geo_->MigrationMultiplier(table.PrimaryOf(v), n);
+  return table.HasReplica(n, v) ? 0.0 : 1.0;
 }
 
 double CostModel::PlacementCost(const RouterTable& table, const Clump& clump,
@@ -41,7 +35,7 @@ double CostModel::ExecutionCost(const RouterTable& table,
   for (PartitionId v : parts) {
     if (table.PrimaryOf(v) == n) continue;
     if (table.HasSecondary(n, v)) {
-      cost += config_.wr * (1.0 + std::log2(table.NormalizedFrequency(v) + 1.0));
+      cost += config_.wr * CntRemaster(table, v, n);
     } else {
       cost += config_.remote_access;
     }

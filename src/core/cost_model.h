@@ -20,27 +20,18 @@ struct CostModelConfig {
   double remote_access = 4.0;
 };
 
-class GeoPlacement;
-
 /// Evaluates Eq. 3/4 for clump placement, and the execution-cost side
 /// f_c(n, T) used by the transaction router.
 class CostModel {
  public:
   explicit CostModel(CostModelConfig config) : config_(config) {}
 
-  /// Attaches region-aware pricing: cross-region migrations are scaled by
-  /// the geo config's WAN multiplier. Null (the default) prices every pair
-  /// equally. `geo` must outlive this model.
-  void SetGeoPlacement(const GeoPlacement* geo) { geo_ = geo; }
-
   /// cnt_r(v, n) of Eq. 4: 1 + log2(f(v, primary) + 1) when `n` holds a
   /// live secondary of `v` (remastering a hot primary is more disruptive),
   /// else 0.
   double CntRemaster(const RouterTable& table, PartitionId v, NodeId n) const;
 
-  /// cnt_m(v, n) of Eq. 4: 1 when `n` holds no replica of `v`, else 0 —
-  /// scaled by the WAN multiplier when the copy (primary of v -> n) crosses
-  /// regions, so the provisioner prices WAN moves correctly.
+  /// cnt_m(v, n) of Eq. 4: 1 when `n` holds no replica of `v`, else 0.
   double CntMigrate(const RouterTable& table, PartitionId v, NodeId n) const;
 
   /// f_o(n, c) of Eq. 3: wr * sum(cnt_r) + wm * sum(cnt_m).
@@ -57,7 +48,6 @@ class CostModel {
 
  private:
   CostModelConfig config_;
-  const GeoPlacement* geo_ = nullptr;
 };
 
 }  // namespace lion

@@ -41,20 +41,11 @@ LionProtocol::LionProtocol(Cluster* cluster, MetricsCollector* metrics,
       options_(options),
       engine_(cluster, metrics),
       router_(cluster, options.planner.plan.cost),
-      cost_model_(options.planner.plan.cost),
       predictor_(std::move(predictor)),
       planner_(cluster, options_.planner, predictor_.get()),
-      current_batch_(std::make_shared<Batch>()) {
-  geo_placement_ = GeoPlacement(options_.geo, &cluster->topology());
-  cost_model_.SetGeoPlacement(&geo_placement_);
-  planner_.SetGeoPlacement(&geo_placement_);
-}
+      current_batch_(std::make_shared<Batch>()) {}
 
 void LionProtocol::Start() {
-  // Bootstrap-time provisioning: satisfy the min-replicas-per-region
-  // constraint before any traffic (no-op when unconfigured).
-  geo_placement_.EnsureRegionalReplicas(&cluster_->router(),
-                                        cluster_->config().max_replicas);
   planner_.Start();
   if (options_.batch_mode) StartEpochTimer();
 }
@@ -86,7 +77,7 @@ bool LionProtocol::WorthRemastering(PartitionId pid, NodeId dst,
                                     size_t ops_on_pid) const {
   const CostModelConfig& cost = options_.planner.plan.cost;
   double remaster_cost =
-      cost.wr * cost_model_.CntRemaster(cluster_->router(), pid, dst);
+      cost.wr * router_.cost_model().CntRemaster(cluster_->router(), pid, dst);
   // Remote execution costs remote_access per partition plus a small per-op
   // component, so stealing mastership for a tiny remote working set only
   // happens when the partition is cold (low f in Eq. 4).
@@ -113,7 +104,6 @@ bool LionProtocol::ClassifyCase(const Transaction& txn,
   for (PartitionId p : parts) {
     if (cluster_->router().PrimaryOf(p) == dst) continue;
     if (cluster_->router().HasSecondary(dst, p) &&
-        geo_placement_.AllowsPrimaryOn(cluster_->router(), p, dst) &&
         WorthRemastering(p, dst, txn.CountOps(p))) {
       need_remaster->push_back(p);
     } else {

@@ -4,8 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/cost_model.h"
-#include "core/geo_placement.h"
 #include "core/planner.h"
 #include "core/predictor_interface.h"
 #include "core/txn_router.h"
@@ -28,8 +26,6 @@ struct LionOptions {
   /// Planning loop; its `plan.cost` holds the Eq. 3/4 weights that the
   /// router and the remaster check read too.
   PlannerConfig planner;
-  /// Region-aware placement constraints (no-ops on a flat topology).
-  GeoPlacementConfig geo;
 };
 
 /// Lion executes each transaction on a single node whenever that node holds
@@ -41,8 +37,7 @@ struct LionOptions {
 class LionProtocol : public Protocol {
  public:
   /// `predictor` may be null (no workload prediction). The protocol owns
-  /// the predictor for its whole lifetime — callers hand it over and keep,
-  /// at most, the raw observer pointer from predictor().
+  /// the predictor for its whole lifetime.
   LionProtocol(Cluster* cluster, MetricsCollector* metrics, LionOptions options,
                std::unique_ptr<PredictorInterface> predictor = nullptr);
 
@@ -58,13 +53,7 @@ class LionProtocol : public Protocol {
 
   void SubmitTxn(TxnPtr txn, TxnDoneFn done) override;
 
-  /// Lion's geo constraints, exposed so the chaos harness can make
-  /// failover elections and crash re-provisioning respect them.
-  const GeoPlacement* geo_placement() const override { return &geo_placement_; }
-
   Planner* planner() { return &planner_; }
-  PredictorInterface* predictor() { return predictor_.get(); }
-  const TxnRouter& router() const { return router_; }
 
   uint64_t remaster_requests() const { return remaster_requests_; }
   uint64_t remaster_conversions() const { return remaster_conversions_; }
@@ -91,12 +80,11 @@ class LionProtocol : public Protocol {
   bool WorthRemastering(PartitionId pid, NodeId dst, size_t ops_on_pid) const;
 
   /// Classifies `txn` routed to `dst` into the cases of Sec. III. A primary
-  /// already on `dst` needs nothing; a secondary there that the geo
-  /// constraints allow as primary and that passes WorthRemastering goes to
-  /// `need_remaster`. Any other partition makes the transaction
-  /// distributed (case 3): returns false with `need_remaster` empty. True
-  /// means single-node, directly (case 1, `need_remaster` empty) or after
-  /// remastering (case 2).
+  /// already on `dst` needs nothing; a secondary there that passes
+  /// WorthRemastering goes to `need_remaster`. Any other partition makes
+  /// the transaction distributed (case 3): returns false with
+  /// `need_remaster` empty. True means single-node, directly (case 1,
+  /// `need_remaster` empty) or after remastering (case 2).
   bool ClassifyCase(const Transaction& txn,
                     const std::vector<PartitionId>& parts, NodeId dst,
                     std::vector<PartitionId>* need_remaster) const;
@@ -104,8 +92,6 @@ class LionProtocol : public Protocol {
   LionOptions options_;
   TwoPhaseEngine engine_;
   TxnRouter router_;
-  CostModel cost_model_;
-  GeoPlacement geo_placement_;
   std::unique_ptr<PredictorInterface> predictor_;
   Planner planner_;
 

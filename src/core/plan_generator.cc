@@ -19,7 +19,6 @@ NodeId PlanGenerator::FindDstNode(const Clump& clump, const RouterTable& table,
     double cost = cost_model_.PlacementCost(table, clump, n);
     if (costs_out != nullptr) (*costs_out)[n] = cost;
     if (!table.IsNodeUp(n)) continue;  // never place on a failed node
-    if (geo_ != nullptr && !geo_->AllowsClumpOn(table, clump, n)) continue;
     if (best == kInvalidNode || cost < best_cost ||
         (cost == best_cost && balance[n] < balance[best])) {
       best_cost = cost;
@@ -98,8 +97,6 @@ ReconfigurationPlan PlanGenerator::Rearrange(std::vector<Clump> clumps,
           if (clumps[ci].weight > gap || clumps[ci].weight <= 0.0) continue;
           double best_cost = std::numeric_limits<double>::max();
           for (NodeId in : idle) {
-            if (geo_ != nullptr && !geo_->AllowsClumpOn(table, clumps[ci], in))
-              continue;
             if (mc[ci][in] < best_cost) {
               best_cost = mc[ci][in];
               pick_dst = in;

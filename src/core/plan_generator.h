@@ -6,7 +6,6 @@
 #include "common/types.h"
 #include "core/clump.h"
 #include "core/cost_model.h"
-#include "core/geo_placement.h"
 #include "core/plan.h"
 #include "replication/router_table.h"
 
@@ -29,23 +28,10 @@ class PlanGenerator {
   explicit PlanGenerator(PlanGeneratorConfig config)
       : config_(config), cost_model_(config.cost) {}
 
-  /// Attaches region constraints: dispatching and fine-tuning skip nodes
-  /// the geo policy rejects for a clump (disallowed region, or a write-hot
-  /// partition whose primary would cross regions), and the cost model
-  /// prices cross-region migrations at the WAN multiplier. Null (the
-  /// default) restores unconstrained behavior. `geo` must outlive this
-  /// generator.
-  void SetGeoPlacement(const GeoPlacement* geo) {
-    geo_ = geo;
-    cost_model_.SetGeoPlacement(geo);
-  }
-
   /// Produces the reconfiguration plan for `clumps` against placement
   /// `table`. Clump destinations (c.n) are filled in the returned plan.
   ReconfigurationPlan Rearrange(std::vector<Clump> clumps,
                                 const RouterTable& table) const;
-
-  const CostModel& cost_model() const { return cost_model_; }
 
  private:
   /// FindDstNode: minimal f_o; ties prefer the currently least-loaded node.
@@ -58,7 +44,6 @@ class PlanGenerator {
 
   PlanGeneratorConfig config_;
   CostModel cost_model_;
-  const GeoPlacement* geo_ = nullptr;
 };
 
 }  // namespace lion

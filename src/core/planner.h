@@ -58,12 +58,6 @@ class Planner {
   /// Runs one planning round immediately (also used by tests).
   void RunOnce();
 
-  /// Forwards region constraints to the plan generator (see
-  /// PlanGenerator::SetGeoPlacement). `geo` must outlive the planner.
-  void SetGeoPlacement(const GeoPlacement* geo) {
-    plan_generator_.SetGeoPlacement(geo);
-  }
-
   Adaptor* adaptor(NodeId node) { return adaptors_[node].get(); }
 
   uint64_t plans_generated() const { return plans_generated_; }

@@ -345,11 +345,18 @@ class ConfigSchemaBuilder {
 
   /// SimTime field: the JSON value is a number in `unit` (kSecond,
   /// kMillisecond, ...; the name should carry the matching _s/_ms/_us/_ns
-  /// suffix) converted to nanoseconds at the nearest integer.
+  /// suffix) converted to nanoseconds at the nearest integer. `check` sees
+  /// the value back in `unit`, as the flag is written and printed.
   ConfigSchemaBuilder& Time(const char* name, SimTime T::*m, SimTime unit,
                             const char* help,
-                            FieldCheck<SimTime> check = nullptr) {
+                            FieldCheck<double> check = nullptr) {
     const double scale = static_cast<double>(unit);
+    FieldCheck<SimTime> in_unit;
+    if (check) {
+      in_unit = [scale, check = std::move(check)](const SimTime& t) {
+        return check(static_cast<double>(t) / scale);
+      };
+    }
     return Add(
         name, m, help,
         [scale](const Json& v, const std::string& path, SimTime* out) {
@@ -361,7 +368,7 @@ class ConfigSchemaBuilder {
         [scale](const SimTime& t) {
           return WriteValue(static_cast<double>(t) / scale);
         },
-        std::move(check));
+        std::move(in_unit));
   }
 
   /// Enum field serialized as one of the declared names.
@@ -502,12 +509,12 @@ const ConfigSchema& ClusterConfigSchema() {
     // every periodic interval below must be strictly positive or a run
     // would hang instead of returning.
     b.Time("epoch_interval_ms", &ClusterConfig::epoch_interval, kMillisecond,
-           "epoch-based group commit interval", check::Positive<SimTime>());
+           "epoch-based group commit interval", check::Positive<double>());
     b.Field("materialize_secondaries", &ClusterConfig::materialize_secondaries,
             "physically apply shipped log entries to per-replica copies");
     b.Time("remaster_base_delay_us", &ClusterConfig::remaster_base_delay,
            kMicrosecond, "base remastering duration (paper: 3000 us)",
-           check::NonNegative<SimTime>());
+           check::NonNegative<double>());
     b.Nested("net", &ClusterConfig::net, NetworkConfigSchema(),
              "network regions, region latencies and jitter");
     return std::move(b).Build();
@@ -576,7 +583,7 @@ const ConfigSchema& PredictorConfigSchema() {
             check::NotEmpty());
     b.Time("sample_interval_ms", &PredictorConfig::sample_interval,
            kMillisecond, "arrival-rate sampling interval (Eq. 5)",
-           check::Positive<SimTime>());
+           check::Positive<double>());
     b.Field("history_window", &PredictorConfig::history_window,
             "LSTM input length in sampling intervals",
             check::AtLeast<int>(1));
@@ -631,36 +638,11 @@ const ConfigSchema& PlannerConfigSchema() {
     ConfigSchemaBuilder<PlannerConfig> b("PlannerConfig");
     b.Time("interval_ms", &PlannerConfig::interval, kMillisecond,
            "how often the planner analyzes and re-plans",
-           check::Positive<SimTime>());
+           check::Positive<double>());
     b.Field("min_history", &PlannerConfig::min_history,
             "minimum history before a planning round does anything");
     b.Nested("plan", &PlannerConfig::plan, PlanGeneratorConfigSchema(),
              "Algorithm 1 rearrangement parameters");
-    return std::move(b).Build();
-  }();
-  return schema;
-}
-
-const ConfigSchema& GeoPlacementConfigSchema() {
-  static const ConfigSchema schema = [] {
-    ConfigSchemaBuilder<GeoPlacementConfig> b("GeoPlacementConfig");
-    b.Field("replica_regions", &GeoPlacementConfig::replica_regions,
-            "regions allowed to host replicas; empty allows all",
-            check::NonNegative<int>());
-    b.Field("min_replicas_per_region",
-            &GeoPlacementConfig::min_replicas_per_region,
-            "minimum live replicas per partition in each allowed region, "
-            "provisioned at protocol start (0 = off)",
-            check::NonNegative<int>());
-    b.Field("wan_migration_multiplier",
-            &GeoPlacementConfig::wan_migration_multiplier,
-            "placement-cost multiplier for cross-region replica migration",
-            check::Positive<double>());
-    b.Field("hot_primary_pin_threshold",
-            &GeoPlacementConfig::hot_primary_pin_threshold,
-            "normalized access frequency above which a partition's primary "
-            "may not move across regions (0 = off)",
-            check::UnitInterval());
     return std::move(b).Build();
   }();
   return schema;
@@ -671,8 +653,6 @@ const ConfigSchema& LionOptionsSchema() {
     ConfigSchemaBuilder<LionOptions> b("LionOptions");
     b.Nested("planner", &LionOptions::planner, PlannerConfigSchema(),
              "planning loop configuration");
-    b.Nested("geo", &LionOptions::geo, GeoPlacementConfigSchema(),
-             "region-aware placement constraints");
     return std::move(b).Build();
   }();
   return schema;
@@ -682,7 +662,7 @@ const ConfigSchema& ClayConfigSchema() {
   static const ConfigSchema schema = [] {
     ConfigSchemaBuilder<ClayConfig> b("ClayConfig");
     b.Time("monitor_interval_ms", &ClayConfig::monitor_interval, kMillisecond,
-           "how often Clay checks node load", check::Positive<SimTime>());
+           "how often Clay checks node load", check::Positive<double>());
     b.Field("clump_budget", &ClayConfig::clump_budget,
             "partitions moved per repartitioning round",
             check::AtLeast<int>(1));
@@ -721,12 +701,12 @@ const ConfigSchema& RecoveryConfigSchema() {
     b.Time("durability_lag_us", &RecoveryConfig::durability_lag, kMicrosecond,
            "fsync horizon: a dirty crash (crash_dirty schedule events) loses "
            "log entries younger than this; 0 means every entry is durable "
-           "the instant it commits", check::NonNegative<SimTime>());
+           "the instant it commits", check::NonNegative<double>());
     b.Time("snapshot_interval_ms", &RecoveryConfig::snapshot_interval,
            kMillisecond,
            "period of the snapshot+truncate pass bounding replay work and "
            "log memory; 0 disables periodic snapshots",
-           check::NonNegative<SimTime>());
+           check::NonNegative<double>());
     b.Field("catch_up_batch", &RecoveryConfig::catch_up_batch,
             "log entries per catch-up shipment from a live primary to a "
             "recovering replica", check::AtLeast<int>(1));
@@ -752,15 +732,15 @@ const ConfigSchema& ExperimentConfigSchema() {
              "TPC-C workload parameters");
     b.Time("dynamic_period_s", &ExperimentConfig::dynamic_period, kSecond,
            "period length of the dynamic scenarios",
-           check::Positive<SimTime>());
+           check::Positive<double>());
     b.Field("concurrency", &ExperimentConfig::concurrency,
             "closed-loop concurrency (0 = derive from execution mode)",
             check::NonNegative<int>());
     b.Time("warmup_s", &ExperimentConfig::warmup, kSecond,
            "warmup seconds before measurement",
-           check::NonNegative<SimTime>());
+           check::NonNegative<double>());
     b.Time("duration_s", &ExperimentConfig::duration, kSecond,
-           "measured seconds", check::Positive<SimTime>());
+           "measured seconds", check::Positive<double>());
     b.Field("seed", &ExperimentConfig::seed, "RNG seed");
     b.Nested("lion", &ExperimentConfig::lion, LionOptionsSchema(),
              "Lion protocol options");

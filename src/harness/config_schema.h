@@ -121,7 +121,6 @@ const ConfigSchema& PredictorConfigSchema();
 const ConfigSchema& CostModelConfigSchema();
 const ConfigSchema& PlanGeneratorConfigSchema();
 const ConfigSchema& PlannerConfigSchema();
-const ConfigSchema& GeoPlacementConfigSchema();
 const ConfigSchema& LionOptionsSchema();
 const ConfigSchema& ClayConfigSchema();
 const ConfigSchema& ChaosConfigSchema();

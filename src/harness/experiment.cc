@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/geo_placement.h"
 #include "harness/config_schema.h"
 #include "harness/driver.h"
 #include "replication/chaos.h"
@@ -84,8 +83,6 @@ Status ExperimentBuilder::Validate() const {
   Status topo_valid = Topology::Validate(config_.cluster.net,
                                          config_.cluster.num_nodes);
   if (!topo_valid.ok()) return topo_valid;
-  Status geo_valid = GeoPlacement::Validate(config_.lion, config_.cluster);
-  if (!geo_valid.ok()) return geo_valid;
   // Chaos schedules reference concrete node/partition ids — cross-field
   // like the topology checks above.
   Status chaos_valid = ChaosController::Validate(config_.chaos, config_.cluster);
@@ -156,9 +153,8 @@ ExperimentResult Experiment::Run() {
   protocol_->Start();
   if (chaos_) {
     // Arm after protocol Start so scripted faults hit the protocol's
-    // initial placement (geo replicas included), exactly like a live hit.
+    // initial placement, exactly like a live hit.
     protocol_->EnableDegradation(&config_.chaos);
-    chaos_->injector().SetGeoPlacement(protocol_->geo_placement());
     CommitLedger* ledger = ledger_.get();
     metrics_->SetCommitListener(
         [ledger](const Transaction& txn) { ledger->Record(txn); });

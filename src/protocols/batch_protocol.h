@@ -188,8 +188,6 @@ class BatchProtocol : public Protocol {
     ExecuteBatch(std::move(batch));
   }
 
-  size_t buffered() const { return buffer_.size(); }
-
  private:
   std::vector<Item> buffer_;
   std::vector<PartitionId> parts_;  // PartitionsOf's buffer

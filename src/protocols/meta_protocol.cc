@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "harness/registry.h"
-#include "protocols/star.h"
 
 namespace lion {
 
@@ -30,18 +29,14 @@ constexpr double kSmoothing = 0.3;
 
 MetaProtocol::MetaProtocol(
     Cluster* cluster, MetricsCollector* metrics, const CostModelConfig& cost,
-    const GeoPlacementConfig& geo,
     std::array<std::unique_ptr<Protocol>, kNumChildren> children,
     std::unique_ptr<PredictorInterface> predictor, int horizon)
     : Protocol(cluster, metrics),
       horizon_(horizon),
-      geo_(geo, &cluster->topology()),
-      cost_(cost),
+      flip_cost_(cost.wm),
       children_(std::move(children)),
       predictor_(std::move(predictor)),
-      parts_(static_cast<size_t>(cluster->num_partitions())) {
-  cost_.SetGeoPlacement(&geo_);
-}
+      parts_(static_cast<size_t>(cluster->num_partitions())) {}
 
 MetaProtocol::~MetaProtocol() = default;
 
@@ -159,18 +154,6 @@ int MetaProtocol::DesiredChild(const PartitionState& ps, double norm_load) {
   return hot && cross ? 1 : 0;  // single-master batching, else the baseline
 }
 
-double MetaProtocol::FlipCost(PartitionId pid) const {
-  // The single-master child concentrates the partition's cross work on
-  // Star's super node. Price the flip like the provisioner prices the
-  // replica move it stands for: wm, WAN-multiplied when the hop crosses
-  // regions.
-  NodeId from = cluster_->PrimaryOf(pid);
-  double mult = geo_.active()
-                    ? geo_.MigrationMultiplier(from, StarProtocol::kSuperNode)
-                    : 1.0;
-  return cost_.config().wm * mult;
-}
-
 void MetaProtocol::OnEpoch(SimTime now) {
   epoch_index_++;
   const double a = kSmoothing;
@@ -220,10 +203,7 @@ void MetaProtocol::OnEpoch(SimTime now) {
     // Cost gate: smoothed cross-partition load must pay for the move (a
     // fall back to the baseline moves nothing).
     double benefit = ps.load_ewma * ps.cross_ewma;
-    if (desired != 0 &&
-        benefit < kCostGate * FlipCost(static_cast<PartitionId>(p))) {
-      continue;
-    }
+    if (desired != 0 && benefit < kCostGate * flip_cost_) continue;
     StartSwitch(static_cast<PartitionId>(p), desired, now);
   }
 }
@@ -290,7 +270,7 @@ std::unique_ptr<Protocol> MakeMeta(const ProtocolContext& ctx) {
   }
   return std::make_unique<MetaProtocol>(
       ctx.cluster, ctx.metrics, ctx.config.lion.planner.plan.cost,
-      ctx.config.lion.geo, std::move(children), std::move(predictor),
+      std::move(children), std::move(predictor),
       ctx.config.predictor.horizon);
 }
 

@@ -15,10 +15,9 @@
 //
 // Each flip is gated by a hysteresis window (the rule must prefer the same
 // target for several consecutive epochs, and a partition may not flip again
-// within a cooldown) and by the migration cost model: the partition's
-// smoothed cross-partition load must reach a fixed multiple of the
-// placement cost of the flip, with cross-region flips priced through the
-// geo placement's wan_migration_multiplier. The two thresholds, the
+// within a cooldown) and by the migration cost: the partition's smoothed
+// cross-partition load must reach a fixed multiple of the placement cost of
+// the flip, the Eq. 3/4 migration weight wm. The two thresholds, the
 // smoothing factor, the hysteresis, the cooldown and the cost gate are
 // constants in meta_protocol.cc.
 //
@@ -37,7 +36,6 @@
 #include <vector>
 
 #include "core/cost_model.h"
-#include "core/geo_placement.h"
 #include "core/predictor_interface.h"
 #include "protocols/protocol.h"
 
@@ -54,7 +52,7 @@ class MetaProtocol : public Protocol {
   /// `predictor` may be null (decisions then use observed EWMAs only);
   /// `horizon` is the forecast lead in predictor sampling intervals.
   MetaProtocol(Cluster* cluster, MetricsCollector* metrics,
-               const CostModelConfig& cost, const GeoPlacementConfig& geo,
+               const CostModelConfig& cost,
                std::array<std::unique_ptr<Protocol>, kNumChildren> children,
                std::unique_ptr<PredictorInterface> predictor, int horizon);
   ~MetaProtocol() override;
@@ -80,10 +78,6 @@ class MetaProtocol : public Protocol {
   /// retries (RetryAfterBackoff re-enters the child's own Submit) respect
   /// degradation too.
   void EnableDegradation(const ChaosConfig* config) override;
-
-  const GeoPlacement* geo_placement() const override {
-    return geo_.active() ? &geo_ : nullptr;
-  }
 
   /// Writes `meta` (children, final assignment, flip count) and
   /// `protocol_switches` (the flip timeline, warmup included).
@@ -132,9 +126,6 @@ class MetaProtocol : public Protocol {
 
   /// The decision rule: which child the current signals favor.
   static int DesiredChild(const PartitionState& ps, double norm_load);
-  /// Placement cost of flipping `pid` to the single-master child: wm x the
-  /// geo migration multiplier.
-  double FlipCost(PartitionId pid) const;
   /// Majority vote of the touched partitions' assignments (ties -> lowest
   /// child index).
   int RouteChild(const std::vector<PartitionId>& parts) const;
@@ -142,8 +133,9 @@ class MetaProtocol : public Protocol {
   void CompleteSwitch(PartitionId pid, SimTime now);
 
   int horizon_;
-  GeoPlacement geo_;
-  CostModel cost_;
+  /// Placement cost of flipping a partition to the single-master child:
+  /// the migration weight wm of the replica move the flip stands for.
+  double flip_cost_;
   std::array<std::unique_ptr<Protocol>, kNumChildren> children_;
   std::unique_ptr<PredictorInterface> predictor_;
   std::vector<PartitionState> parts_;

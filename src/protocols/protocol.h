@@ -15,6 +15,7 @@
 
 namespace lion {
 
+/// Declared only for the geo_placement() hook below; no type defines it.
 class GeoPlacement;
 
 /// Completion callback: ownership of the transaction returns to the caller.
@@ -110,9 +111,9 @@ class Protocol {
   /// the base implementation.
   virtual void EnableDegradation(const ChaosConfig* config) { chaos_ = config; }
 
-  /// The protocol's geo placement constraints, if it has any (Lion's
-  /// planner does); the chaos harness forwards them to the failure
-  /// injector so elections and re-provisioning respect them.
+  /// Always null, and nothing in the engine calls it: placement has no
+  /// geo constraints. It stays virtual only because the benchmark's
+  /// TracedProtocol (bench/suite/bench_suite.cc) overrides it.
   virtual const GeoPlacement* geo_placement() const { return nullptr; }
 
   /// Adds the protocol's own members to the run's result object, after the

@@ -38,7 +38,6 @@ class Cluster {
   RouterTable& router() { return router_; }
   const RouterTable& router() const { return router_; }
   Network& network() { return network_; }
-  const Topology& topology() const { return network_.topology(); }
   ReplicationManager& replication() { return *replication_; }
   RemasterManager& remaster() { return *remaster_; }
   MigrationManager& migration() { return *migration_; }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/geo_placement.h"
-
 namespace lion {
 
 FailureInjector::FailureInjector(Cluster* cluster)
@@ -55,7 +53,6 @@ void FailureInjector::FailNodeImpl(NodeId node, bool dirty) {
       group->RemoveSecondary(node);
     }
   }
-  ReprovisionGeo();
 }
 
 void FailureInjector::Failover(PartitionId pid, NodeId dead) {
@@ -65,34 +62,23 @@ void FailureInjector::Failover(PartitionId pid, NodeId dead) {
   // catching up after a crash never beats a caught-up copy — promoting a
   // stale log while a complete one exists would lose acknowledged writes —
   // and is electable only as a last resort (counted as a stale election at
-  // promotion). Within a staleness tier, geo-allowed candidates win over
-  // disallowed ones regardless of lag (a hot-pinned partition stays in its
-  // region while any allowed copy survives); availability still beats
-  // placement, so with no allowed candidate the election falls back to any
-  // live secondary.
+  // promotion). Equal LSNs keep the first candidate in group order.
   NodeId candidate = kInvalidNode;
   Lsn best_lsn = 0;
-  bool candidate_allowed = false;
   bool candidate_recovering = false;
-  const bool geo = geo_ != nullptr && geo_->active();
   for (const ReplicaInfo& sec : group->secondaries()) {
     if (sec.delete_flag || down_[sec.node]) continue;
-    bool allowed =
-        !geo || geo_->AllowsPrimaryOn(cluster_->router(), pid, sec.node);
     bool better;
     if (candidate == kInvalidNode) {
       better = true;
     } else if (sec.recovering != candidate_recovering) {
       better = !sec.recovering;
-    } else if (allowed != candidate_allowed) {
-      better = allowed;
     } else {
       better = sec.applied_lsn > best_lsn;
     }
     if (better) {
       candidate = sec.node;
       best_lsn = sec.applied_lsn;
-      candidate_allowed = allowed;
       candidate_recovering = sec.recovering;
     }
   }
@@ -155,7 +141,6 @@ void FailureInjector::Failover(PartitionId pid, NodeId dead) {
     failovers_completed_++;
     cluster_->remaster().EndReconfig(pid, token);
     ResumeParkedCatchUps(pid);
-    ReprovisionGeo();
   });
 }
 
@@ -229,18 +214,14 @@ void FailureInjector::RecoverNode(NodeId node) {
     recovery_started_[node] = cluster_->sim()->Now();
     recovery_partitions_[node] = replayed;
     catch_ups_in_flight_[node] = replayed;
-    // Kick off the streams only after every replica is registered: a step
-    // may complete synchronously (zero lag) and run geo re-provisioning,
-    // which must see the full replayed state.
+    // Kick off the streams only after every replica is registered, in
+    // partition order: a step may complete synchronously (zero lag) and
+    // settle, which must find the node's whole count in flight.
     for (PartitionId pid = 0; pid < cluster_->num_partitions(); ++pid) {
       if (active_catch_up_.count(CatchUpKey(node, pid)) > 0) {
         CatchUpStep(node, pid, generation);
       }
     }
-  } else {
-    // Nothing to replay (or no log): provision against the rejoined node
-    // immediately, as before.
-    ReprovisionGeo();
   }
 }
 
@@ -312,11 +293,6 @@ void FailureInjector::CatchUpSettled(NodeId node) {
                                          recovery_partitions_[node]});
     recovery_started_[node] = -1;
     recovery_partitions_[node] = 0;
-    // Recovery-aware re-provisioning: run placement against the *actual*
-    // recovered state — the replayed replicas are registered and caught up,
-    // so geo only tops up what is genuinely missing instead of rebuilding
-    // the node from scratch.
-    ReprovisionGeo();
   }
 }
 
@@ -328,12 +304,6 @@ void FailureInjector::ResumeParkedCatchUps(PartitionId pid) {
   for (const auto& [node, generation] : parked) {
     CatchUpStep(node, pid, generation);
   }
-}
-
-void FailureInjector::ReprovisionGeo() {
-  if (geo_ == nullptr || !geo_->active()) return;
-  geo_->EnsureRegionalReplicas(&cluster_->router(),
-                               cluster_->config().max_replicas);
 }
 
 }  // namespace lion

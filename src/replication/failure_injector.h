@@ -22,18 +22,9 @@
 
 namespace lion {
 
-class GeoPlacement;
-
 class FailureInjector {
  public:
   explicit FailureInjector(Cluster* cluster);
-
-  /// Attaches geo placement constraints (null detaches): elections then
-  /// prefer candidates whose node satisfies AllowsPrimaryOn — hot-pinned
-  /// partitions fail over within their region whenever an allowed copy
-  /// survives — and crash/recovery re-establishes min_replicas_per_region
-  /// on the live node set. `geo` must outlive this injector.
-  void SetGeoPlacement(const GeoPlacement* geo) { geo_ = geo; }
 
   /// Fails `node` at the current simulated time. Every partition whose
   /// primary lived there starts a failover election: the most caught-up
@@ -65,13 +56,13 @@ class FailureInjector {
   /// then a catch-up stream ships the missing entries from the live
   /// primary, batch by batch through the topology's bandwidth/latency
   /// tables. Once the applied LSN reaches the primary's the replica flips
-  /// to caught_up (electable again); when the node's last catch-up settles,
-  /// geo re-provisioning runs against the actual recovered state. Crash
-  /// generation tokens invalidate in-flight catch-up steps if the node
-  /// fails again mid-recovery. Partitions that were unavailable resume on
-  /// the recovered node's own copy as a last resort; when that copy's
-  /// durable prefix is short of the group's LSN this is a stale election,
-  /// counted in stale_elections() instead of passing silently.
+  /// to caught_up (electable again); the node's last catch-up to settle
+  /// closes its recovery record. Crash generation tokens invalidate
+  /// in-flight catch-up steps if the node fails again mid-recovery.
+  /// Partitions that were unavailable resume on the recovered node's own
+  /// copy as a last resort; when that copy's durable prefix is short of the
+  /// group's LSN this is a stale election, counted in stale_elections()
+  /// instead of passing silently.
   void RecoverNode(NodeId node);
 
   bool IsDown(NodeId node) const { return down_[node]; }
@@ -123,17 +114,13 @@ class FailureInjector {
   void FailNodeImpl(NodeId node, bool dirty);
   void Failover(PartitionId pid, NodeId dead);
   void MarkUnavailable(PartitionId pid);
-  /// Re-establishes min_replicas_per_region on the live node set after a
-  /// membership change (no-op without geo constraints).
-  void ReprovisionGeo();
 
   // Catch-up stream: one step ships one batch and re-validates the crash
   // generation, liveness and replica state before the next.
   void CatchUpStep(NodeId node, PartitionId pid, uint64_t generation);
   void FinishCatchUp(NodeId node, PartitionId pid);
   /// Marks one of `node`'s in-flight catch-ups settled (completed or
-  /// superseded); the last one closes the node's recovery record and
-  /// re-runs geo provisioning against the recovered state.
+  /// superseded); the last one closes the node's recovery record.
   void CatchUpSettled(NodeId node);
   /// Resumes catch-ups parked on `pid` (its primary was down); called when
   /// a failover completes or the primary's node recovers.
@@ -145,7 +132,6 @@ class FailureInjector {
   }
 
   Cluster* cluster_;
-  const GeoPlacement* geo_ = nullptr;
   std::vector<bool> down_;
   std::vector<PartitionId> unavailable_;
   uint64_t failovers_completed_ = 0;

@@ -119,21 +119,6 @@ uint64_t RecoveryLog::LostEntries(PartitionId pid) const {
   return history_[static_cast<size_t>(pid)].lost_entries;
 }
 
-uint64_t RecoveryLog::WriteCount(PartitionId pid, Key key) const {
-  const PartitionHistory& h = history_[static_cast<size_t>(pid)];
-  uint64_t count = 0;
-  if (auto it = h.snapshot_writes.find(key); it != h.snapshot_writes.end()) {
-    count += it->second;
-  }
-  if (auto it = h.lost_writes.find(key); it != h.lost_writes.end()) {
-    count += it->second;
-  }
-  for (const Entry& e : h.suffix) {
-    if (e.key == key) count++;
-  }
-  return count;
-}
-
 std::unordered_map<Key, uint64_t> RecoveryLog::ReconstructWrites(
     PartitionId pid) const {
   const PartitionHistory& h = history_[static_cast<size_t>(pid)];

@@ -62,7 +62,6 @@ class RecoveryLog {
   /// snapshot LSNs and its committed entries into the partition snapshots.
   /// Also forced by "truncate N" chaos schedule events.
   void SnapshotNode(NodeId node);
-  void SnapshotAll();
 
   // --- integrity / reporting ------------------------------------------------
   uint64_t entries_appended() const { return entries_appended_; }
@@ -72,12 +71,9 @@ class RecoveryLog {
   uint64_t DurableEntries(PartitionId pid) const;
   /// Entries of `pid` dropped by dirty crashes.
   uint64_t LostEntries(PartitionId pid) const;
-  /// Committed writes to (pid, key) the log can account for: snapshot +
-  /// suffix + lost (lost entries are tracked separately so the checker can
-  /// tell "dropped by a dirty crash" from "never logged").
-  uint64_t WriteCount(PartitionId pid, Key key) const;
-  /// Full reconstructable per-key write-count map for `pid` (snapshot +
-  /// suffix + lost), built in one pass for the integrity checker.
+  /// Committed writes per key of `pid` that the log can account for:
+  /// snapshot + suffix + lost (lost entries are tracked separately so the
+  /// checker can tell "dropped by a dirty crash" from "never logged").
   std::unordered_map<Key, uint64_t> ReconstructWrites(PartitionId pid) const;
 
  private:
@@ -107,6 +103,8 @@ class RecoveryLog {
   };
 
   void PushMark(NodeId node, PartitionId pid, Lsn lsn);
+  /// The periodic pass: SnapshotNode on every node.
+  void SnapshotAll();
 
   Simulator* sim_;
   RecoveryConfig config_;

@@ -43,13 +43,6 @@ class ReplicationManager {
   /// Waiters of one epoch share a single keep-alive event.
   void OnEpochEnd(MoveFn<void()> fn);
 
-  /// Time of the next epoch boundary.
-  SimTime NextEpochEnd() const;
-
-  /// Forces an immediate epoch close (used by batch protocols when the
-  /// batch-size limit is hit before the timer).
-  void CloseEpochNow();
-
   // --- durable recovery log (recovery.*) -----------------------------------
   /// Attaches the per-node durable log (null detaches): committed appends
   /// and shipping acks are then recorded durably so crashed nodes can
@@ -93,6 +86,13 @@ class ReplicationManager {
     Key key;
     Version version;
   };
+
+  /// Time of the next epoch boundary.
+  SimTime NextEpochEnd() const;
+
+  /// Closes the epoch: ships every pending log and releases the waiters.
+  /// The epoch timer calls it at each boundary.
+  void CloseEpochNow();
 
   void ShipPartition(PartitionId pid);
   /// Advances the replica's applied LSN and records it durably when a

@@ -73,8 +73,6 @@ class Network {
   /// models).
   SimTime TransferDelay(NodeId from, NodeId to, uint64_t bytes) const;
 
-  const Topology& topology() const { return topology_; }
-
   // --- network partitions (chaos schedules) --------------------------------
   /// Cuts the network between `island` and every other node: messages
   /// crossing the cut are dropped from the link and parked (counted in

@@ -37,8 +37,6 @@ class Topology {
   static Status Validate(const NetworkConfig& net, int num_nodes,
                          const std::string& path = "cluster.net");
 
-  int regions() const { return regions_; }
-
   /// Number of nodes the topology was built for.
   int num_nodes() const { return static_cast<int>(node_region_.size()); }
 
@@ -48,10 +46,6 @@ class Topology {
     return node >= 0 && static_cast<size_t>(node) < node_region_.size()
                ? node_region_[static_cast<size_t>(node)]
                : 0;
-  }
-
-  bool cross_region(NodeId a, NodeId b) const {
-    return region_of(a) != region_of(b);
   }
 
   /// One-way base latency between two distinct nodes (loopback cost is the

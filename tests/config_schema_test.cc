@@ -82,7 +82,6 @@ TEST(ConfigSchemaTest, RoundTripSurvivesNonDefaultValuesEverywhere) {
   cfg.seed = 18446744073709551557ull;
   cfg.lion.planner.interval = 125 * kMillisecond;
   cfg.lion.planner.min_history = 2048;
-  cfg.lion.geo.wan_migration_multiplier = 2.25;
   cfg.lion.planner.plan.cost.wm = 12.5;
   cfg.lion.planner.plan.cost.remote_access = 6.5;
   cfg.predictor.sample_interval = 40 * kMillisecond;
@@ -137,7 +136,8 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
 
   // Deleted knobs: the second copy of the cost weights, the three Lion
   // knobs that the registry variant overwrote, the LSTM dimensions (fixed
-  // at 1), the meta and clump groups, and fields that became constants.
+  // at 1), the meta, clump and geo groups, and fields that became
+  // constants.
   // Each is rejected as a flag and as a config key, at its first unknown
   // segment.
   const std::pair<std::string, std::string> deleted[] = {
@@ -157,6 +157,7 @@ TEST(ConfigSchemaTest, UnknownKeyReportsDottedPath) {
       {"lion.enable_planner", "lion.enable_planner"},
       {"lion.planner.clump.alpha", "lion.planner.clump"},
       {"chaos.unavailable_backoff_us", "chaos.unavailable_backoff_us"},
+      {"lion.geo.replica_regions", "lion.geo"},
   };
   for (const auto& [path, reported] : deleted) {
     ExperimentConfig flag_cfg;
@@ -242,6 +243,11 @@ TEST(ConfigSchemaTest, EveryValueTypeFailsWithItsExactMessage) {
       {"duration_s", "\"long\"", false,
        "duration_s: expected number, got string"},
       {"duration_s", "0", true, "duration_s: 0 must be positive"},
+      // A time field's check judges the value in the flag's own unit.
+      {"duration_s", "-0.5", true, "duration_s: -0.5 must be positive"},
+      {"warmup_s", "-1", true, "warmup_s: -1 must be >= 0"},
+      {"lion.planner.interval_ms", "-3", true,
+       "lion.planner.interval_ms: -3 must be positive"},
   };
   // Applies one route's outcome to the case: the parse status, then (if
   // it parsed) the validation status.
@@ -332,7 +338,7 @@ TEST(ConfigSchemaTest, SetByPathParsesUnitsAndTypes) {
 TEST(ConfigSchemaTest, ListPathsCoversNestedLeaves) {
   std::vector<std::pair<std::string, std::string>> paths;
   ExperimentConfigSchema().ListPaths("", &paths);
-  ASSERT_GT(paths.size(), 50u);  // the full declared flag surface
+  ASSERT_EQ(paths.size(), 50u);  // the full declared flag surface
   auto has = [&paths](const std::string& p) {
     for (const auto& e : paths) {
       if (e.first == p) return true;

@@ -4,7 +4,6 @@
 
 #include "harness/driver.h"
 #include "metrics/metrics.h"
-#include "core/geo_placement.h"
 #include "core/lion_protocol.h"
 #include "protocols/twopc.h"
 #include "replication/cluster.h"
@@ -273,117 +272,6 @@ TEST(FailureTest, RecoveryOrderIsIndependent) {
   for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
     EXPECT_FALSE(cluster.remaster().IsBlocked(p)) << "partition " << p;
   }
-}
-
-// --- failover x geo placement ------------------------------------------------
-
-ClusterConfig GeoCfg() {
-  ClusterConfig cfg;
-  cfg.num_nodes = 4;
-  cfg.partitions_per_node = 1;
-  cfg.records_per_partition = 500;
-  cfg.record_bytes = 100;
-  cfg.init_replicas = 2;
-  cfg.remaster_base_delay = 1 * kMillisecond;
-  cfg.net.regions = 2;  // nodes 0,1 -> region 0; nodes 2,3 -> region 1
-  return cfg;
-}
-
-int LiveReplicasInRegion(const Cluster& cluster, PartitionId pid, int region) {
-  int count = 0;
-  for (NodeId n = 0; n < cluster.num_nodes(); ++n) {
-    if (cluster.topology().region_of(n) != region) continue;
-    if (!cluster.router().IsNodeUp(n)) continue;
-    if (cluster.router().HasReplica(n, pid)) count++;
-  }
-  return count;
-}
-
-TEST(FailureGeoTest, MinReplicasPerRegionSurvivesCrashAndRecovery) {
-  Simulator sim;
-  ClusterConfig cfg = GeoCfg();
-  Cluster cluster(&sim, cfg);
-
-  GeoPlacementConfig gcfg;
-  gcfg.min_replicas_per_region = 1;
-  GeoPlacement geo(gcfg, &cluster.topology());
-  geo.EnsureRegionalReplicas(&cluster.router(), cfg.max_replicas);
-
-  FailureInjector chaos(&cluster);
-  chaos.SetGeoPlacement(&geo);
-
-  chaos.FailNode(2);
-  sim.RunUntilIdle();
-  for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
-    EXPECT_NE(cluster.router().PrimaryOf(p), 2) << "partition " << p;
-    EXPECT_GE(LiveReplicasInRegion(cluster, p, 0), 1) << "partition " << p;
-    EXPECT_GE(LiveReplicasInRegion(cluster, p, 1), 1) << "partition " << p;
-  }
-
-  // Recovery re-runs the provisioning pass; the invariant must hold on the
-  // full node set too (and the pass must be idempotent).
-  chaos.RecoverNode(2);
-  sim.RunUntilIdle();
-  for (PartitionId p = 0; p < cluster.num_partitions(); ++p) {
-    EXPECT_GE(LiveReplicasInRegion(cluster, p, 0), 1) << "partition " << p;
-    EXPECT_GE(LiveReplicasInRegion(cluster, p, 1), 1) << "partition " << p;
-    EXPECT_LE(cluster.router().group(p).LiveReplicaCount(), cfg.max_replicas);
-  }
-}
-
-TEST(FailureGeoTest, HotPinnedPartitionFailsOverWithinRegion) {
-  // Partition 0 is write-hot and pinned to region 0. Its secondary on node 2
-  // (region 1) is MORE caught up than the one on node 1 (region 0), but the
-  // election must still prefer the in-region candidate.
-  Simulator sim;
-  ClusterConfig cfg = GeoCfg();
-  Cluster cluster(&sim, cfg);
-
-  GeoPlacementConfig gcfg;
-  gcfg.hot_primary_pin_threshold = 0.5;
-  GeoPlacement geo(gcfg, &cluster.topology());
-  FailureInjector chaos(&cluster);
-  chaos.SetGeoPlacement(&geo);
-
-  ReplicaGroup* g = cluster.router().mutable_group(0);
-  g->AddSecondary(2, 0);
-  g->Advance(100);
-  g->Ack(1, 10);
-  g->Ack(2, 90);                       // cross-region copy is ahead
-  cluster.router().RecordAccess(0);    // hottest partition -> frequency 1.0
-
-  chaos.FailNode(0);
-  sim.RunUntilIdle();
-  EXPECT_EQ(cluster.router().PrimaryOf(0), 1);
-  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
-}
-
-TEST(FailureGeoTest, AvailabilityBeatsPinWhenRegionIsLost) {
-  // Both region-0 replicas of the hot partition die; the only survivor is
-  // the cross-region secondary. The pin must yield: electing a disallowed
-  // candidate beats marking the partition unavailable.
-  Simulator sim;
-  ClusterConfig cfg = GeoCfg();
-  Cluster cluster(&sim, cfg);
-
-  GeoPlacementConfig gcfg;
-  gcfg.hot_primary_pin_threshold = 0.5;
-  GeoPlacement geo(gcfg, &cluster.topology());
-  FailureInjector chaos(&cluster);
-  chaos.SetGeoPlacement(&geo);
-
-  ReplicaGroup* g = cluster.router().mutable_group(0);
-  g->AddSecondary(2, 0);
-  cluster.router().RecordAccess(0);
-
-  chaos.FailNode(1);  // drops the in-region secondary
-  sim.RunUntilIdle();
-  chaos.FailNode(0);  // primary dies; only node 2 (region 1) remains
-  sim.RunUntilIdle();
-
-  EXPECT_EQ(cluster.router().PrimaryOf(0), 2);
-  EXPECT_EQ(chaos.partitions_unavailable(), 0u);
-  EXPECT_FALSE(cluster.remaster().IsBlocked(0));
 }
 
 TEST(FailureTest, CascadingFailureWithThreeReplicas) {

@@ -1,12 +1,10 @@
 // Geo-replication tests: topology tables and validation, region-aware
-// network delays with deterministic jitter, placement constraints, and
-// end-to-end determinism of the geo_occ protocol.
+// network delays with deterministic jitter, and end-to-end determinism of
+// the geo_occ protocol.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/geo_placement.h"
-#include "core/lion_protocol.h"
 #include "harness/config_schema.h"
 #include "harness/experiment.h"
 #include "sim/network.h"
@@ -21,10 +19,7 @@ namespace {
 TEST(TopologyTest, FlatDefaultReproducesSingleDatacenterModel) {
   NetworkConfig cfg;
   Topology topo(cfg, 4);
-  EXPECT_EQ(topo.regions(), 1);
-  EXPECT_EQ(topo.region_of(0), 0);
-  EXPECT_EQ(topo.region_of(3), 0);
-  EXPECT_FALSE(topo.cross_region(0, 3));
+  for (NodeId n = 0; n < 4; ++n) EXPECT_EQ(topo.region_of(n), 0);
   EXPECT_EQ(topo.base_latency(0, 3), cfg.one_way_latency);
   EXPECT_EQ(topo.max_cross_region_latency(), 0);
 }
@@ -37,7 +32,6 @@ TEST(TopologyTest, DefaultAssignmentSplitsNodesIntoContiguousBlocks) {
   EXPECT_EQ(topo.region_of(1), 0);
   EXPECT_EQ(topo.region_of(2), 1);
   EXPECT_EQ(topo.region_of(3), 1);
-  EXPECT_TRUE(topo.cross_region(1, 2));
   // No matrix declared: intra-region pairs keep the LAN latency, distinct
   // regions the scalar WAN default.
   EXPECT_EQ(topo.base_latency(0, 1), cfg.one_way_latency);
@@ -145,10 +139,6 @@ TEST(GeoConfigSchemaTest, RegionFieldsRoundTripExactly) {
   cfg.cluster.net.region_latency_ms = {0.05, 30, 80, 30, 0.05, 50,
                                        80, 50, 0.05};
   cfg.cluster.net.jitter_pct = 0.07;
-  cfg.lion.geo.replica_regions = {0, 2};
-  cfg.lion.geo.min_replicas_per_region = 2;
-  cfg.lion.geo.wan_migration_multiplier = 4.0;
-  cfg.lion.geo.hot_primary_pin_threshold = 0.6;
 
   std::string text = EmitExperimentConfig(cfg).Dump();
   Json doc;
@@ -158,7 +148,8 @@ TEST(GeoConfigSchemaTest, RegionFieldsRoundTripExactly) {
   ASSERT_TRUE(s.ok()) << s.ToString();
   EXPECT_EQ(EmitExperimentConfig(back).Dump(), text);
   EXPECT_EQ(back.cluster.net.node_regions, cfg.cluster.net.node_regions);
-  EXPECT_EQ(back.lion.geo.replica_regions, cfg.lion.geo.replica_regions);
+  EXPECT_EQ(back.cluster.net.region_latency_ms,
+            cfg.cluster.net.region_latency_ms);
 }
 
 TEST(GeoConfigSchemaTest, ValidationErrorsCarryDottedPaths) {
@@ -170,128 +161,12 @@ TEST(GeoConfigSchemaTest, ValidationErrorsCarryDottedPaths) {
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("cluster.net.node_regions"), std::string::npos);
 
-  cfg.cluster.net.node_regions.clear();
-  cfg.lion.geo.replica_regions = {0, 5};  // region 5 does not exist
-  s = ExperimentBuilder(cfg).Validate();
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("lion.geo.replica_regions"), std::string::npos);
-
-  cfg.lion.geo.replica_regions = {0, 1};
-  cfg.lion.geo.min_replicas_per_region = cfg.cluster.max_replicas + 1;
-  s = ExperimentBuilder(cfg).Validate();
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("min_replicas_per_region"), std::string::npos);
-
   // Per-element schema checks report the offending index.
   cfg = ExperimentConfig{};
   cfg.cluster.net.node_regions = {0, -1};
   s = ValidateExperimentConfig(cfg);
   EXPECT_TRUE(s.IsInvalidArgument());
   EXPECT_NE(s.message().find("node_regions[1]"), std::string::npos);
-}
-
-// --- GeoPlacement -----------------------------------------------------------
-
-NetworkConfig TwoRegionNet() {
-  NetworkConfig net;
-  net.regions = 2;  // block default over 4 nodes: {0, 0, 1, 1}
-  return net;
-}
-
-TEST(GeoPlacementTest, DefaultsConstrainNothing) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacement geo(GeoPlacementConfig{}, &topo);
-  RouterTable table(4, 8);
-  table.InitRoundRobin(1);
-  for (NodeId n = 0; n < 4; ++n) {
-    EXPECT_TRUE(geo.AllowsNode(n));
-    EXPECT_TRUE(geo.AllowsPrimaryOn(table, 0, n));
-  }
-  EXPECT_EQ(geo.MigrationMultiplier(0, 3), 1.0);
-  EXPECT_EQ(geo.EnsureRegionalReplicas(&table, 4), 0);
-}
-
-TEST(GeoPlacementTest, ReplicaRegionsRestrictNodes) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacementConfig cfg;
-  cfg.replica_regions = {1};
-  GeoPlacement geo(cfg, &topo);
-  EXPECT_FALSE(geo.AllowsRegion(0));
-  EXPECT_TRUE(geo.AllowsRegion(1));
-  EXPECT_FALSE(geo.AllowsNode(0));
-  EXPECT_FALSE(geo.AllowsNode(1));
-  EXPECT_TRUE(geo.AllowsNode(2));
-  EXPECT_TRUE(geo.AllowsNode(3));
-}
-
-TEST(GeoPlacementTest, HotPrimariesMayNotCrossRegions) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacementConfig cfg;
-  cfg.hot_primary_pin_threshold = 0.5;
-  GeoPlacement geo(cfg, &topo);
-  RouterTable table(4, 8);
-  table.InitRoundRobin(1);
-  // Partition 0 (primary on node 0) becomes the hottest; partition 1 stays
-  // cold relative to it.
-  for (int i = 0; i < 100; ++i) table.RecordAccess(0);
-  table.RecordAccess(1);
-  ASSERT_GE(table.NormalizedFrequency(0), 0.5);
-  ASSERT_LT(table.NormalizedFrequency(1), 0.5);
-  // Hot: intra-region move allowed, cross-region pinned.
-  EXPECT_TRUE(geo.AllowsPrimaryOn(table, 0, 1));
-  EXPECT_FALSE(geo.AllowsPrimaryOn(table, 0, 2));
-  // Cold: free to cross.
-  EXPECT_TRUE(geo.AllowsPrimaryOn(table, 1, 3));
-}
-
-TEST(GeoPlacementTest, MigrationMultiplierPricesWanMoves) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacementConfig cfg;
-  cfg.wan_migration_multiplier = 6.5;
-  GeoPlacement geo(cfg, &topo);
-  EXPECT_EQ(geo.MigrationMultiplier(0, 1), 1.0);   // within region 0
-  EXPECT_EQ(geo.MigrationMultiplier(2, 3), 1.0);   // within region 1
-  EXPECT_EQ(geo.MigrationMultiplier(1, 2), 6.5);   // across the WAN
-}
-
-TEST(GeoPlacementTest, EnsureRegionalReplicasEstablishesInvariant) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacementConfig cfg;
-  cfg.min_replicas_per_region = 1;
-  GeoPlacement geo(cfg, &topo);
-  RouterTable table(4, 8);
-  table.InitRoundRobin(1);  // primaries only: no partition covers both regions
-  int added = geo.EnsureRegionalReplicas(&table, /*max_replicas=*/4);
-  EXPECT_EQ(added, 8);  // one new secondary per partition, in the other region
-  for (PartitionId p = 0; p < 8; ++p) {
-    int per_region[2] = {0, 0};
-    for (NodeId n = 0; n < 4; ++n) {
-      if (table.HasReplica(n, p)) per_region[topo.region_of(n)]++;
-    }
-    EXPECT_GE(per_region[0], 1) << "partition " << p;
-    EXPECT_GE(per_region[1], 1) << "partition " << p;
-  }
-  // Idempotent: the invariant already holds.
-  EXPECT_EQ(geo.EnsureRegionalReplicas(&table, 4), 0);
-}
-
-TEST(GeoPlacementTest, MaxReplicasCapsProvisioning) {
-  NetworkConfig net = TwoRegionNet();
-  Topology topo(net, 4);
-  GeoPlacementConfig cfg;
-  cfg.min_replicas_per_region = 2;
-  GeoPlacement geo(cfg, &topo);
-  RouterTable table(4, 8);
-  table.InitRoundRobin(1);
-  geo.EnsureRegionalReplicas(&table, /*max_replicas=*/2);
-  for (PartitionId p = 0; p < 8; ++p) {
-    EXPECT_LE(table.group(p).LiveReplicaCount(), 2) << "partition " << p;
-  }
 }
 
 // --- geo_occ end to end -----------------------------------------------------

@@ -66,7 +66,7 @@ TEST(RecoveryLogTest, DirtyCrashLosesOnlyTheUnsyncedSuffix) {
   EXPECT_EQ(log.LostEntries(0), 1u);
   EXPECT_EQ(log.total_lost_entries(), 1u);
   // Lost entries stay accounted per key: 2 + lost 1 reconstruct the ledger.
-  EXPECT_EQ(log.WriteCount(0, 3), 1u);
+  EXPECT_EQ(log.ReconstructWrites(0)[3], 1u);
 }
 
 TEST(RecoveryLogTest, ZeroDurabilityLagMakesDirtyCrashesLossless) {
@@ -92,15 +92,16 @@ TEST(RecoveryLogTest, SnapshotTruncatePreservesAccounting) {
   // Truncation folds the suffix into the snapshot; nothing is invented or
   // leaked, and the per-key reconstruction is unchanged.
   EXPECT_EQ(log.DurableEntries(0), 3u);
-  EXPECT_EQ(log.WriteCount(0, 7), 2u);
-  EXPECT_EQ(log.WriteCount(0, 8), 1u);
+  auto writes = log.ReconstructWrites(0);
+  EXPECT_EQ(writes[7], 2u);
+  EXPECT_EQ(writes[8], 1u);
   EXPECT_EQ(log.DurableLsn(0, 0, /*dirty=*/true), 3u);
 
   // A dirty crash right after a snapshot loses nothing: the snapshot is the
   // fsync.
   log.Crash(0, /*dirty=*/true);
   EXPECT_EQ(log.LostEntries(0), 0u);
-  auto writes = log.ReconstructWrites(0);
+  writes = log.ReconstructWrites(0);
   EXPECT_EQ(writes[7], 2u);
   EXPECT_EQ(writes[8], 1u);
 }

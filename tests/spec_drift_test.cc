@@ -186,8 +186,6 @@ void AddNamedPaths(const std::string& prefix, const Json& v,
 TEST(SpecDriftTest, EveryFlagIsNamedByACheckedInConfig) {
   // A config field earns its flag by a caller. These fields have none in a
   // checked-in config; each is kept for the stated reason.
-  const std::string kGeoReason =
-      "bench/suite/bench_suite.cc overrides Protocol::geo_placement()";
   const std::map<std::string, std::string> kKept = {
       {"ycsb.partition_offset", "set by workload/dynamic.cc"},
       {"tpcc.payment_ratio", "set by examples/tpcc_neworder.cpp"},
@@ -202,10 +200,6 @@ TEST(SpecDriftTest, EveryFlagIsNamedByACheckedInConfig) {
       {"clay.clump_budget", "awaits the audit of Clay's clump"},
       {"lion.planner.plan.cost.remote_access",
        "awaits the audit of the Eq. 3/4 weights"},
-      {"lion.geo.replica_regions", kGeoReason},
-      {"lion.geo.min_replicas_per_region", kGeoReason},
-      {"lion.geo.wan_migration_multiplier", kGeoReason},
-      {"lion.geo.hot_primary_pin_threshold", kGeoReason},
       {"cluster.materialize_secondaries",
        "the oracle of ReplicationConvergenceTest"},
   };
